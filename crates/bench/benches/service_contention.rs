@@ -6,7 +6,8 @@
 //! as concurrent VMs are added: the global lock serializes every thread,
 //! so its per-event cost grows with thread count, while shard-per-target
 //! ingestion should scale until the memory system saturates. The same
-//! workload also runs through `handle_batch` to price the batched path.
+//! workload also runs through `handle_batch` (the same hooks, fed from a
+//! slice).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;

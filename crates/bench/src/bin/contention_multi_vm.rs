@@ -163,7 +163,8 @@ fn measure(threads: usize, commands_per_target: u64, reps: usize, mode: Mode) ->
 /// and over per-event sharded ingestion (batch) at max threads. On a
 /// single core there is no lock contention to remove, so only sanity
 /// floors apply (the pipeline pays its thread hand-offs out of one
-/// timeslice, and batching's longer lock holds buy nothing).
+/// timeslice). The batch floor is a sanity floor at every core count:
+/// `handle_batch` is the per-event hooks fed from a slice.
 fn thresholds(cores: usize) -> (f64, f64, f64) {
     match cores {
         0 | 1 => (0.25, 0.8, 0.75),

@@ -44,7 +44,7 @@
 
 use faultkit::{CrashPhase, CrashSchedule, FsFaultConfig, FsFaults};
 use fleet::{BreakerPolicy, FleetCollector, PollConfig, RetryPolicy, ServiceEndpoint};
-use simkit::{SimDuration, SimTime};
+use simkit::{splitmix64, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -64,14 +64,6 @@ const TARGETS: u64 = 3;
 const WINDOW_NS: u64 = 1_000_000_000;
 const PRE_WINDOWS: u64 = 12;
 const POST_WINDOWS: u64 = 6;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Which durability seam the scheduled crash falls on.
 #[derive(Clone, Copy, PartialEq, Eq)]

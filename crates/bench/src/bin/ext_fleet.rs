@@ -28,7 +28,7 @@
 //! `BENCH_fleet.json`; `--smoke` shrinks the fleet for CI).
 
 use fleet::{encode_frame, ChaosEndpoint, FleetCollector, HostFrame, PollConfig, ServiceEndpoint};
-use simkit::SimTime;
+use simkit::{splitmix64, SimTime};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,14 +38,6 @@ use vscsistats_bench::reporting::{shape_report, ShapeCheck};
 
 const TENANTS: u64 = 8;
 const CHAOS_POLLS: u64 = 5;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Builds one host's service and feeds every one of its targets a small
 /// deterministic workload (mixed sizes, strides, and latencies so every

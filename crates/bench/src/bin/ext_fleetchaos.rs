@@ -39,7 +39,7 @@ use fleet::{
     BreakerPolicy, BreakerState, FetchError, FleetCollector, HostEndpoint, PollConfig, RetryPolicy,
     ServiceEndpoint,
 };
-use simkit::{SimDuration, SimTime};
+use simkit::{splitmix64, SimDuration, SimTime};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,14 +59,6 @@ const DEAD_FROM: u64 = 4;
 const RESTARTER: usize = 4;
 const RESTART_WINDOW: u64 = 8;
 const EVICT_AFTER: u64 = 8;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn tenant_of(host: u64) -> u64 {
     host % TENANTS

@@ -37,6 +37,7 @@
 //! `BENCH_query.json`; `--smoke` shrinks the archive and relaxes the
 //! timing gates to liveness for CI).
 
+use simkit::splitmix64;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -51,14 +52,6 @@ use vscsistats_bench::reporting::{shape_report, ShapeCheck};
 
 const VMS: u32 = 4;
 const DISKS: u32 = 2;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)

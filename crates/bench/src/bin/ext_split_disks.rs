@@ -123,36 +123,36 @@ fn main() {
             "combined disk mixes signals (neither purely sequential nor purely random)",
             format!(
                 "combined: {} sequential, {} within ±500",
-                pct(seq(seek_all)),
-                pct(near(seek_all))
+                pct(seq(&seek_all)),
+                pct(near(&seek_all))
             ),
-            seq(seek_all) > 0.05 && seq(seek_all) < 0.9,
+            seq(&seek_all) > 0.05 && seq(&seek_all) < 0.9,
         ),
         ShapeCheck::new(
             "dedicated WAL disk shows a pure sequential-append signature",
             format!(
                 "WAL disk: {} of write seeks exactly sequential",
-                pct(seq(seek_wal))
+                pct(seq(&seek_wal))
             ),
-            seq(seek_wal) > 0.95,
+            seq(&seek_wal) > 0.95,
         ),
         ShapeCheck::new(
             "data disk's signature is cleaner after the split (less sequential mass)",
             format!(
                 "data-disk sequential fraction {} < combined {}",
-                pct(seq(seek_data)),
-                pct(seq(seek_all))
+                pct(seq(&seek_data)),
+                pct(seq(&seek_all))
             ),
-            seq(seek_data) < seq(seek_all),
+            seq(&seek_data) < seq(&seek_all),
         ),
         ShapeCheck::new(
             "per-disk histograms separate the components (§3.6's point)",
             format!(
                 "WAL seq {} vs data seq {} — unambiguous classification per disk",
-                pct(seq(seek_wal)),
-                pct(seq(seek_data))
+                pct(seq(&seek_wal)),
+                pct(seq(&seek_data))
             ),
-            seq(seek_wal) - seq(seek_data) > 0.5,
+            seq(&seek_wal) - seq(&seek_data) > 0.5,
         ),
     ];
     let (report, ok) = shape_report(&checks);

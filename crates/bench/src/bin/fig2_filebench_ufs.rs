@@ -19,7 +19,7 @@ fn main() {
     );
 
     let duration = SimTime::from_secs(30);
-    let result = run_filebench_oltp(FsKind::Ufs, duration, 0xF16_2);
+    let result = run_filebench_oltp(FsKind::Ufs, duration, 0xF162);
     let c = &result.collectors[0];
 
     let len = c.histogram(Metric::IoLength, Lens::All);
@@ -61,22 +61,22 @@ fn main() {
         ),
         ShapeCheck::new(
             "OLTP workload is quite random (spikes at the edges of the seek histogram)",
-            format!("{} of seeks beyond ±5000 sectors", pct(far(seek))),
-            far(seek) > 0.5,
+            format!("{} of seeks beyond ±5000 sectors", pct(far(&seek))),
+            far(&seek) > 0.5,
         ),
         ShapeCheck::new(
             "UFS writes show randomness (no write-sequentializing optimization)",
             format!(
                 "writes: {} beyond ±5000 sectors, only {} near-sequential",
-                pct(far(seek_w)),
-                pct(seq(seek_w))
+                pct(far(&seek_w)),
+                pct(seq(&seek_w))
             ),
-            far(seek_w) > 0.4 && seq(seek_w) < 0.3,
+            far(&seek_w) > 0.4 && seq(&seek_w) < 0.3,
         ),
         ShapeCheck::new(
             "UFS reads show randomness",
-            format!("reads: {} beyond ±5000 sectors", pct(far(seek_r))),
-            far(seek_r) > 0.5,
+            format!("reads: {} beyond ±5000 sectors", pct(far(&seek_r))),
+            far(&seek_r) > 0.5,
         ),
     ];
     let (report, ok) = shape_report(&checks);

@@ -20,7 +20,7 @@ fn main() {
     );
 
     let duration = SimTime::from_secs(30);
-    let result = run_filebench_oltp(FsKind::Zfs, duration, 0xF16_3);
+    let result = run_filebench_oltp(FsKind::Zfs, duration, 0xF163);
     let c = &result.collectors[0];
 
     let len = c.histogram(Metric::IoLength, Lens::All);

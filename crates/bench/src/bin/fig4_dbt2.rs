@@ -20,7 +20,7 @@ fn main() {
     );
 
     let duration = SimTime::from_secs(120); // the paper's 2-minute window
-    let result = run_dbt2(duration, 0xF16_4);
+    let result = run_dbt2(duration, 0xF164);
     let c = &result.collectors[0];
 
     let seek_w = c.histogram(Metric::SeekDistance, Lens::Writes);

@@ -19,8 +19,8 @@ fn main() {
     );
 
     let duration = SimTime::from_secs(10); // the paper's caption: 10 sec duration
-    let xp = run_filecopy(CopyOs::Xp, duration, 0xF16_5);
-    let vista = run_filecopy(CopyOs::Vista, duration, 0xF16_5);
+    let xp = run_filecopy(CopyOs::Xp, duration, 0xF165);
+    let vista = run_filecopy(CopyOs::Vista, duration, 0xF165);
     let cx = &xp.collectors[0];
     let cv = &vista.collectors[0];
 

@@ -26,7 +26,7 @@ fn main() {
 
     let solo_dur = SimTime::from_secs(20);
     let dual_dur = SimTime::from_secs(20);
-    let seed = 0xF16_6;
+    let seed = 0xF166;
 
     let solo_rand = run_interference(InterferenceMode::SoloRandom, with_cache, solo_dur, seed);
     let solo_seq = run_interference(InterferenceMode::SoloSequential, with_cache, solo_dur, seed);

@@ -33,7 +33,7 @@ fn main() {
         let mut mbps = 0.0;
         let mut cpu800 = 0.0;
         for rep in 0..reps {
-            let row = run_microbench(enabled, duration, 0x7AB_2 + rep);
+            let row = run_microbench(enabled, duration, 0x7AB2 + rep);
             iops.push(row.iops);
             host.push(row.host_seconds);
             latency_ms = row.latency_ms;

@@ -362,7 +362,7 @@ pub trait IngestionPath: Sync {
     fn ingest(&self, event: &VscsiEvent);
 
     /// Applies a slice of events (defaults to per-event ingestion; the
-    /// sharded service overrides this with its batch path).
+    /// sharded service routes it through `handle_batch`).
     fn ingest_batch(&self, events: &[VscsiEvent]) {
         for event in events {
             self.ingest(event);

@@ -142,7 +142,7 @@ pub fn run_storm(seed: u64, segments: &[StormSegment]) -> StormResult {
                 let req = IoRequest::new(
                     RequestId(serial),
                     target,
-                    if serial % 3 == 0 {
+                    if serial.is_multiple_of(3) {
                         IoDirection::Write
                     } else {
                         IoDirection::Read
@@ -269,7 +269,7 @@ fn slow_sink_record(serial: u64) -> TraceRecord {
     TraceRecord {
         serial,
         target: TargetId::default(),
-        direction: if serial % 3 == 0 {
+        direction: if serial.is_multiple_of(3) {
             IoDirection::Write
         } else {
             IoDirection::Read

@@ -53,7 +53,7 @@
 //! it is booked as lost — never silently absorbed.
 
 use crate::collector::{CollectorConfig, CollectorState, HistogramState};
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_update};
 use crate::sentinel::{DegradeLevel, LoadCounters, SalvageRecord, SalvagedTarget, SentinelState};
 use crate::service::StatsService;
 use crate::varint::{self, unzigzag, unzigzag128, zigzag, zigzag128};
@@ -453,6 +453,11 @@ fn get_sentinel_state(d: &mut Dec<'_>) -> Result<SentinelState, String> {
     })
 }
 
+/// `crc32(magic ‖ payload)`, the frame's integrity word.
+fn frame_crc(payload: &[u8]) -> u32 {
+    crc32_update(crc32(&CHECKPOINT_MAGIC), payload)
+}
+
 impl ServiceCheckpoint {
     /// Encodes this checkpoint (tagged with the monotonic checkpoint
     /// sequence number `seq`) as a complete self-verifying `VSCKPT1`
@@ -506,10 +511,7 @@ impl ServiceCheckpoint {
         let mut out = Vec::with_capacity(16 + p.len());
         out.extend_from_slice(&CHECKPOINT_MAGIC);
         out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        let mut crc_input = Vec::with_capacity(8 + p.len());
-        crc_input.extend_from_slice(&CHECKPOINT_MAGIC);
-        crc_input.extend_from_slice(&p);
-        out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+        out.extend_from_slice(&frame_crc(&p).to_le_bytes());
         out.extend_from_slice(&p);
         out
     }
@@ -536,10 +538,7 @@ impl ServiceCheckpoint {
                 bytes.len() - 16 - payload_len
             ));
         }
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        crc_input.extend_from_slice(&CHECKPOINT_MAGIC);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != crc_stored {
+        if frame_crc(payload) != crc_stored {
             return Err("CRC mismatch".to_owned());
         }
         let mut d = Dec {

@@ -33,7 +33,6 @@
 
 use crate::inflight::InflightTable;
 use crate::metrics::{Lens, Metric};
-use crate::service::VscsiEvent;
 use histo::{
     layouts, signed_distance, FastBinner, Histogram, Histogram2d, HistogramSeries, LayoutId,
     SeekWindow,
@@ -82,53 +81,6 @@ impl CollectorConfig {
 
 const LENSES: usize = 3;
 const METRICS: usize = 7;
-
-/// Events per batched-ingest chunk (see
-/// [`IoStatsCollector::ingest_events`]): small enough that the gathered
-/// value arrays live on the stack and stay cache-hot, large enough that
-/// the per-metric [`FastBinner::bin_batch`] sweeps amortize.
-pub(crate) const INGEST_CHUNK: usize = 16;
-
-/// Maximum gathered samples per metric per chunk: seek distance and
-/// outstanding-I/O can contribute two samples per event (the All stream
-/// and the per-direction stream observe *different* values).
-const BATCH_SLOTS: usize = 2 * INGEST_CHUNK;
-
-/// Per-metric staging area for one batched-ingest chunk: the values to
-/// bin, each with its lens index and whether it is a dual (`All` + lens)
-/// or single-lens record. Filled by the scalar gather pass, consumed by
-/// one [`FastBinner::bin_slice`] + slab-apply sweep per metric.
-struct BinBatch {
-    vals: [[i64; BATCH_SLOTS]; METRICS],
-    lens: [[u8; BATCH_SLOTS]; METRICS],
-    dual: [[bool; BATCH_SLOTS]; METRICS],
-    len: [usize; METRICS],
-}
-
-impl BinBatch {
-    #[inline]
-    fn new() -> Self {
-        BinBatch {
-            vals: [[0; BATCH_SLOTS]; METRICS],
-            lens: [[0; BATCH_SLOTS]; METRICS],
-            dual: [[false; BATCH_SLOTS]; METRICS],
-            len: [0; METRICS],
-        }
-    }
-
-    /// Stages one sample. `dual` mirrors the scalar split: `true` is
-    /// [`IoStatsCollector::record`] (All + lens, one bin computation),
-    /// `false` is [`IoStatsCollector::record_single`] (exactly one lens).
-    #[inline]
-    fn push(&mut self, m: usize, value: i64, lens: usize, dual: bool) {
-        let k = self.len[m];
-        debug_assert!(k < BATCH_SLOTS, "chunk overflowed its slot budget");
-        self.vals[m][k] = value;
-        self.lens[m][k] = lens as u8;
-        self.dual[m][k] = dual;
-        self.len[m] = k + 1;
-    }
-}
 
 /// Bin count of each metric's layout, in [`metric_index`] order. Pinned as
 /// constants so slab offsets are compile-time; a test asserts they match
@@ -456,166 +408,6 @@ impl IoStatsCollector {
         self.completed_commands += 1;
     }
 
-    /// Batched ingestion: applies a slice of events in order, binning
-    /// each metric's samples with one [`FastBinner::bin_slice`] sweep per
-    /// chunk instead of one scalar lookup per sample.
-    ///
-    /// Equivalent to calling [`IoStatsCollector::on_issue`] /
-    /// [`IoStatsCollector::on_complete`] per event, bit for bit (a
-    /// proptest pins this): the chunk runs a scalar *gather* pass that
-    /// updates all order-sensitive stream state (seek window,
-    /// interarrival clock, outstanding counts, series, in-flight table)
-    /// exactly as the per-event path would, staging only the
-    /// `(value, lens)` samples; the deferred slab counters and [`Agg`]
-    /// updates are commutative, so applying them per metric after the
-    /// gather lands in the same state. This is the SIMD-friendly half of
-    /// the thread-per-core pipeline: aggregator workers feed ring drains
-    /// of 8–16 events straight through here.
-    pub fn ingest_events(&mut self, events: &[VscsiEvent]) {
-        for chunk in events.chunks(INGEST_CHUNK) {
-            let mut batch = BinBatch::new();
-            for event in chunk {
-                match event {
-                    VscsiEvent::Issue(req) => self.gather_issue(req, &mut batch),
-                    VscsiEvent::Complete(completion) => {
-                        self.gather_complete(completion, &mut batch)
-                    }
-                }
-            }
-            self.apply_batch(&batch);
-        }
-    }
-
-    /// The issue half of [`IoStatsCollector::on_issue`] with histogram
-    /// records staged into `batch` instead of applied; all stream-state
-    /// bookkeeping happens here, in event order.
-    fn gather_issue(&mut self, req: &IoRequest, batch: &mut BinBatch) {
-        let l = lens_index(direction_lens(req));
-        let first = req.lba.sector();
-
-        batch.push(
-            metric_index(Metric::IoLength),
-            req.len_bytes() as i64,
-            l,
-            true,
-        );
-
-        let m_seek = metric_index(Metric::SeekDistance);
-        if let Some(prev_end) = self.last_end_block {
-            batch.push(m_seek, signed_distance(prev_end, first), 0, false);
-        }
-        let dir_idx = usize::from(req.direction.is_write());
-        if let Some(prev_end) = self.last_end_block_by_dir[dir_idx] {
-            batch.push(m_seek, signed_distance(prev_end, first), l, false);
-        }
-
-        let windowed = self.window.observe(first, u64::from(req.num_sectors));
-        if let Some(d) = windowed {
-            batch.push(metric_index(Metric::SeekDistanceWindowed), d, l, true);
-        }
-
-        if let Some(prev) = self.last_arrival {
-            if req.issue_time < prev {
-                self.clock_anomalies += 1;
-            }
-            let dt = req.issue_time.saturating_since(prev).as_micros() as i64;
-            batch.push(metric_index(Metric::Interarrival), dt, l, true);
-        }
-
-        let oio = i64::from(self.outstanding);
-        let m_oio = metric_index(Metric::OutstandingIos);
-        batch.push(m_oio, oio, 0, false);
-        batch.push(m_oio, i64::from(self.outstanding_by_dir[dir_idx]), l, false);
-        if let Some(series) = &mut self.outstanding_series {
-            series.record(req.issue_time, oio);
-        }
-
-        self.last_end_block = Some(req.last_lba().sector());
-        self.last_end_block_by_dir[dir_idx] = Some(req.last_lba().sector());
-        self.last_arrival = Some(req.issue_time);
-        self.outstanding += 1;
-        self.outstanding_by_dir[dir_idx] += 1;
-        self.issued_commands += 1;
-        if req.direction.is_read() {
-            self.bytes_read += req.len_bytes();
-        } else {
-            self.bytes_written += req.len_bytes();
-        }
-        if self.seek_latency.is_some() {
-            if let Some(prev_seek) = windowed {
-                self.inflight_seeks.insert(req.id.0, prev_seek);
-            }
-        }
-    }
-
-    /// The completion half of [`IoStatsCollector::on_complete`] with
-    /// histogram records staged into `batch`.
-    fn gather_complete(&mut self, completion: &IoCompletion, batch: &mut BinBatch) {
-        let req = &completion.request;
-        let l = lens_index(direction_lens(req));
-        if completion.complete_time < req.issue_time {
-            self.clock_anomalies += 1;
-        }
-        let lat_us = completion.saturating_latency().as_micros() as i64;
-        if completion.status.is_good() {
-            batch.push(metric_index(Metric::Latency), lat_us, l, true);
-            if let Some(series) = &mut self.latency_series {
-                series.record(completion.complete_time, lat_us);
-            }
-        } else {
-            self.error_commands += 1;
-            batch.push(
-                metric_index(Metric::Errors),
-                completion.status.outcome_code(),
-                l,
-                true,
-            );
-        }
-        if let Some(h2) = &mut self.seek_latency {
-            if let Some(seek) = self.inflight_seeks.remove(req.id.0) {
-                if completion.status.is_good() {
-                    h2.record(seek, lat_us);
-                }
-            }
-        }
-        self.outstanding = self.outstanding.saturating_sub(1);
-        let dir_idx = usize::from(req.direction.is_write());
-        self.outstanding_by_dir[dir_idx] = self.outstanding_by_dir[dir_idx].saturating_sub(1);
-        self.completed_commands += 1;
-    }
-
-    /// Applies one gathered chunk to the slab: per metric, a single
-    /// batched binning sweep over the staged values, then one pass of
-    /// counter bumps and aggregate updates.
-    fn apply_batch(&mut self, batch: &BinBatch) {
-        let mut bins = [0u16; BATCH_SLOTS];
-        for m in 0..METRICS {
-            let n = batch.len[m];
-            if n == 0 {
-                continue;
-            }
-            self.binners[m].bin_slice(&batch.vals[m][..n], &mut bins[..n]);
-            let base = SLAB_BASE[m];
-            let stride = SLAB_BINS[m];
-            for k in 0..n {
-                let bin = usize::from(bins[k]);
-                let v = batch.vals[m][k];
-                let l = usize::from(batch.lens[m][k]);
-                if batch.dual[m][k] {
-                    self.slab[base + bin] += 1;
-                    self.aggs[m][0].observe(v);
-                    if l != 0 {
-                        self.slab[base + l * stride + bin] += 1;
-                        self.aggs[m][l].observe(v);
-                    }
-                } else {
-                    self.slab[base + l * stride + bin] += 1;
-                    self.aggs[m][l].observe(v);
-                }
-            }
-        }
-    }
-
     /// Records under All *and* (when distinct) the given lens, computing
     /// the bin index exactly once — the index-once invariant.
     #[inline]
@@ -769,7 +561,7 @@ impl IoStatsCollector {
             .filter_map(|s| s.as_ref())
             .map(|s| {
                 s.iter()
-                    .map(|(_, h)| size_of::<Histogram>() + h.counts().len() * size_of::<u64>())
+                    .map(|(_, h)| size_of::<Histogram>() + size_of_val(h.counts()))
                     .sum::<usize>()
             })
             .sum();
@@ -1460,91 +1252,6 @@ mod tests {
         assert_eq!(c.error_commands(), 0);
         assert_eq!(c.clock_anomalies(), 0);
         assert_eq!(c.histogram(Metric::Errors, Lens::All).total(), 0);
-    }
-
-    #[test]
-    fn batched_ingest_equals_scalar_path() {
-        use vscsi::{ScsiStatus, SenseKey};
-        let cfg = CollectorConfig {
-            series_interval: Some(SimDuration::from_secs(6)),
-            correlate_seek_latency: true,
-            ..Default::default()
-        };
-        let mut scalar = IoStatsCollector::new(cfg.clone());
-        let mut batched = IoStatsCollector::new(cfg);
-
-        // A deterministic torture stream: mixed directions, sequential
-        // and far seeks, interleaved completions (some before their
-        // chunk's later issues), errors, and one clock anomaly — sized so
-        // chunks of INGEST_CHUNK land on ragged boundaries.
-        let mut events: Vec<VscsiEvent> = Vec::new();
-        let mut t: u64 = 0;
-        for i in 0..101u64 {
-            let dir = if i % 3 == 0 {
-                IoDirection::Read
-            } else {
-                IoDirection::Write
-            };
-            let lba = if i % 5 == 0 { i * 1_000_003 } else { i * 8 };
-            // One backwards clock step mid-stream.
-            t = if i == 40 {
-                t - 30
-            } else {
-                t + 37 + (i % 7) * 13
-            };
-            let req = mk(i, dir, lba % 10_000_000, 8 + (i % 3) as u32 * 8, t);
-            events.push(VscsiEvent::Issue(req));
-            let status = match i % 9 {
-                7 => ScsiStatus::CheckCondition(SenseKey::MediumError),
-                8 => ScsiStatus::Busy,
-                _ => ScsiStatus::Good,
-            };
-            if i % 2 == 0 {
-                events.push(VscsiEvent::Complete(IoCompletion::with_status(
-                    req,
-                    SimTime::from_micros(t + 200 + i * 11),
-                    status,
-                )));
-            }
-        }
-
-        for event in &events {
-            match event {
-                VscsiEvent::Issue(req) => scalar.on_issue(req),
-                VscsiEvent::Complete(c) => scalar.on_complete(c),
-            }
-        }
-        batched.ingest_events(&events);
-
-        for metric in Metric::ALL {
-            for lens in [Lens::All, Lens::Reads, Lens::Writes] {
-                assert_eq!(
-                    scalar.histogram(metric, lens),
-                    batched.histogram(metric, lens),
-                    "{metric} diverged"
-                );
-            }
-        }
-        assert_eq!(scalar.issued_commands(), batched.issued_commands());
-        assert_eq!(scalar.completed_commands(), batched.completed_commands());
-        assert_eq!(scalar.error_commands(), batched.error_commands());
-        assert_eq!(scalar.clock_anomalies(), batched.clock_anomalies());
-        assert!(scalar.clock_anomalies() > 0, "anomaly case not exercised");
-        assert_eq!(scalar.outstanding_now(), batched.outstanding_now());
-        assert_eq!(scalar.bytes_read(), batched.bytes_read());
-        assert_eq!(scalar.bytes_written(), batched.bytes_written());
-        assert_eq!(
-            scalar.latency_series().unwrap().total(),
-            batched.latency_series().unwrap().total()
-        );
-        assert_eq!(
-            scalar.outstanding_series().unwrap().total(),
-            batched.outstanding_series().unwrap().total()
-        );
-        assert_eq!(
-            scalar.seek_latency_histogram().unwrap().total(),
-            batched.seek_latency_histogram().unwrap().total()
-        );
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! Hand-rolled so the crate stays inside the pre-approved dependency set;
 //! one 1 KiB table computed at compile time, one XOR + shift per byte.
 //!
-//! Originally lived in `tracestore`; moved down here (alongside
-//! [`varint`](crate::varint)) when the checkpoint plane needed CRC
-//! framing without a dependency cycle. `tracestore::crc32` re-exports it
-//! unchanged.
+//! Lives here (alongside [`varint`](crate::varint)) because this crate is
+//! the lowest one that frames bytes: the checkpoint plane, `tracestore`
+//! and `fleet` all call it.
 
 const fn make_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -33,7 +32,14 @@ static TABLE: [u32; 256] = make_table();
 /// CRC-32 of `data` (initial value and final XOR both `0xFFFF_FFFF`,
 /// matching zlib's `crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    crc32_update(0, data)
+}
+
+/// Continues a CRC-32 over more bytes, zlib-style: `crc` is the CRC of
+/// everything before `data` (0 for nothing), so
+/// `crc32_update(crc32(a), b) == crc32(a ‖ b)` without joining the slices.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let mut c = crc ^ 0xFFFF_FFFF;
     for &b in data {
         c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
@@ -50,6 +56,15 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn update_continues_across_any_split() {
+        let data = b"the quick brown fox jumps over the lazy dog";
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_update(crc32(a), b), crc32(data), "split at {cut}");
+        }
     }
 
     #[test]

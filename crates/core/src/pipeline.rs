@@ -13,9 +13,9 @@
 //!   `s % aggregators == self`, and is the *only* thread that ever locks
 //!   those shards. It drains its lanes in batches of up to
 //!   [`PipelineConfig::drain_batch`] events and applies them through
-//!   [`StatsService::handle_batch`](crate::StatsService::handle_batch), so
-//!   the per-shard mutex is uncontended by construction and the batched
-//!   collector path (gather + SIMD-friendly binning) does the heavy work.
+//!   [`StatsService::handle_batch`](crate::StatsService::handle_batch) —
+//!   the same two per-event hooks inline callers use — so the per-shard
+//!   mutex is uncontended by construction.
 //!
 //! Ordering: a lane is single-producer/single-consumer and routing is a
 //! pure function of the target, so all events one producer emits for one
@@ -30,8 +30,8 @@
 //! via [`StatsService::absorb_ring_sheds`](crate::StatsService::absorb_ring_sheds)
 //! so the conservation identity `ingested + sampled_out + shed == offered`
 //! holds end to end. Watchdog heartbeats come for free: the aggregator
-//! drains through the supervised `handle_batch` path, which beats the
-//! shard watchdog exactly as inline ingest does.
+//! drains through the same hooks, which beat the shard watchdog exactly
+//! as inline ingest does.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,8 +52,8 @@ pub struct PipelineConfig {
     /// of two by the ring.
     pub ring_capacity: usize,
     /// Maximum events an aggregator moves per lane visit. Small enough to
-    /// stay fair across lanes, large enough to amortize the shard lock
-    /// and feed the collector's batched ingest.
+    /// stay fair across lanes, large enough to amortize the ring's
+    /// shared-index traffic (one publish per drained batch).
     pub drain_batch: usize,
 }
 

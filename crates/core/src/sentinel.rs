@@ -23,6 +23,7 @@
 //! identity `ingested + sampled_out + shed == offered` holds by
 //! construction at every instant ([`LoadCounters::conserves`]).
 
+use simkit::splitmix64;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -273,16 +274,6 @@ pub struct SentinelState {
     pub counters: LoadCounters,
 }
 
-/// splitmix64: the same deterministic mixer faultkit uses for seeded
-/// decisions — pure in its input, excellent avalanche.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The sampling coin: pure in `(seed, key)`, so a command's issue and
 /// completion (both keyed by the request id) always agree, and the kept
 /// set at `SampledSeries` is an exact subset of the `Full` stream.
@@ -320,16 +311,8 @@ impl ShardSentinel {
         self.config = Some(config);
     }
 
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.config.is_some()
-    }
-
     pub(crate) fn generation(&self) -> u64 {
         self.generation
-    }
-
-    pub(crate) fn counters(&self) -> &LoadCounters {
-        &self.counters
     }
 
     /// Exports the governor's dynamic state (everything except the config,
@@ -761,11 +744,11 @@ mod tests {
     #[test]
     fn disabled_sentinel_ingests_everything_and_counts_nothing() {
         let mut s = ShardSentinel::default();
-        assert!(!s.is_enabled());
+        assert!(s.config.is_none());
         for i in 0..100 {
             assert_eq!(s.admit(i * 10, i), Admission::Ingest);
         }
-        assert_eq!(s.counters().offered, 0);
+        assert_eq!(s.counters.offered, 0);
     }
 
     #[test]
@@ -775,8 +758,8 @@ mod tests {
         // 5 events per 1000 ns window < full_max_rate of 10.
         let (adm, _) = burst(&mut s, 0, 50, 200);
         assert!(adm.iter().all(|&a| a == Admission::Ingest));
-        assert_eq!(s.counters().ingested, 50);
-        assert!(s.counters().conserves());
+        assert_eq!(s.counters.ingested, 50);
+        assert!(s.counters.conserves());
     }
 
     #[test]
@@ -787,7 +770,7 @@ mod tests {
         // the first window closes.
         let (_, t) = burst(&mut s, 0, 400, 10);
         assert_eq!(s.level, DegradeLevel::Shed);
-        assert!(s.counters().shed > 0);
+        assert!(s.counters.shed > 0);
         // Cool down: nearly idle windows. Each 2 000 ns step closes two
         // calm windows (one observed, one gap-credited) — exactly one
         // recovery rung per step, never a jump straight to Full.
@@ -799,7 +782,7 @@ mod tests {
         );
         let _ = burst(&mut s, t2, 20, 2_000);
         assert_eq!(s.level, DegradeLevel::Full);
-        assert!(s.counters().conserves());
+        assert!(s.counters.conserves());
     }
 
     #[test]
@@ -846,7 +829,7 @@ mod tests {
         s.note_quarantine();
         assert_eq!(s.generation(), 1);
         assert_eq!(s.admit(20, 2), Admission::Ingest);
-        assert!(s.counters().conserves());
+        assert!(s.counters.conserves());
     }
 
     #[test]
@@ -871,7 +854,7 @@ mod tests {
             t += if i % 97 < 90 { 3 } else { 5_000 };
             let _ = s.admit(t, i);
         }
-        let c = s.counters();
+        let c = s.counters;
         assert_eq!(c.offered, 5_000);
         assert!(c.conserves());
         assert_eq!(c.offered_at_level.iter().sum::<u64>(), c.offered);

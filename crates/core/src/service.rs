@@ -22,16 +22,15 @@
 //!   branch predictor makes free.
 //! * **Enabled path**: one atomic load plus one *shard* lock shared only
 //!   with targets that hash to the same shard.
-//! * **Batched ingestion** ([`StatsService::handle_batch`]): events are
-//!   grouped by shard and each shard lock is acquired at most once per
-//!   batch, amortizing even same-shard contention.
+//! * **Batched ingestion** ([`StatsService::handle_batch`]): a loop over
+//!   the two hooks in slice order — one ingest path, not two.
 //! * **Read path** ([`StatsService::summaries`],
 //!   [`StatsService::collector`], [`StatsService::collectors`]): locks one
 //!   shard at a time and clones collectors out, so report generation never
 //!   stalls ingestion on the other shards.
 
 use crate::checkpoint::{CheckpointHealth, ServiceCheckpoint, TargetCheckpoint};
-use crate::collector::{CollectorConfig, IoStatsCollector, INGEST_CHUNK};
+use crate::collector::{CollectorConfig, IoStatsCollector};
 use crate::metrics::{Lens, Metric};
 use crate::sentinel::{
     Admission, HealthSnapshot, SalvageRecord, SalvagedTarget, SentinelConfig, ShardHealth,
@@ -159,99 +158,6 @@ impl ShardState {
             tracer.on_complete(completion);
         }
     }
-
-    /// Applies a contiguous run of events that all belong to `target`,
-    /// resolving the target's state **once** instead of once per event.
-    /// `idxs` are `(shard, event-index)` pairs from the batch ordering.
-    ///
-    /// Matches the per-event paths exactly: completions alone never create
-    /// target state, an enabled issue creates the collector lazily, and a
-    /// disabled issue is visible only to an existing tracer.
-    fn apply_target_run(
-        &mut self,
-        enabled: bool,
-        config: &CollectorConfig,
-        target: TargetId,
-        events: &[VscsiEvent],
-        idxs: &[(u32, u32)],
-    ) {
-        self.apply_target_stream(
-            enabled,
-            config,
-            target,
-            idxs.iter().map(|&(_, i)| &events[i as usize]),
-        );
-    }
-
-    /// The run body behind [`ShardState::apply_target_run`], generic over
-    /// how the run is addressed so the single-target batch fast path can
-    /// feed a plain slice without building an index table.
-    fn apply_target_stream<'a, I>(
-        &mut self,
-        enabled: bool,
-        config: &CollectorConfig,
-        target: TargetId,
-        run: I,
-    ) where
-        I: Iterator<Item = &'a VscsiEvent> + Clone,
-    {
-        let has_issue = run.clone().any(|e| matches!(e, VscsiEvent::Issue(_)));
-        if enabled && has_issue && !self.targets.contains_key(&target) {
-            self.targets.entry(target).or_default();
-        }
-        let Some(state) = self.targets.get_mut(&target) else {
-            return;
-        };
-        // Tracer pass, per event in run order (tracer state is
-        // independent of the collector's, so the two passes commute).
-        if let Some(tracer) = &mut state.tracer {
-            for event in run.clone() {
-                match event {
-                    VscsiEvent::Issue(req) => tracer.on_issue(req),
-                    VscsiEvent::Complete(c) => tracer.on_complete(c),
-                }
-            }
-        }
-        // Collector pass, through the batched SIMD-friendly ingest.
-        // `live` reproduces the per-event path's lazy-creation semantics
-        // exactly: a completion only reaches the collector if it existed
-        // at that point in the run (pre-existing, or created by an
-        // earlier enabled issue); a disabled issue never reaches it.
-        let mut live = state.collector.is_some();
-        if !live && !(enabled && has_issue) {
-            return;
-        }
-        let Some(first) = run.clone().next() else {
-            return;
-        };
-        let collector = state
-            .collector
-            .get_or_insert_with(|| IoStatsCollector::new(config.clone()));
-        let mut buf = [*first; INGEST_CHUNK];
-        let mut n = 0;
-        for event in run {
-            match event {
-                VscsiEvent::Issue(_) => {
-                    if !enabled {
-                        continue;
-                    }
-                    live = true;
-                }
-                VscsiEvent::Complete(_) => {
-                    if !live {
-                        continue;
-                    }
-                }
-            }
-            buf[n] = *event;
-            n += 1;
-            if n == INGEST_CHUNK {
-                collector.ingest_events(&buf);
-                n = 0;
-            }
-        }
-        collector.ingest_events(&buf[..n]);
-    }
 }
 
 #[derive(Debug)]
@@ -316,8 +222,8 @@ impl Shard {
 /// assert_eq!(summary.mean_latency_us, Some(450.0));
 /// ```
 ///
-/// Batched ingestion groups events by shard and takes each shard lock at
-/// most once per batch:
+/// Batched ingestion is the same two hooks, called once per event in slice
+/// order:
 ///
 /// ```
 /// use simkit::SimTime;
@@ -599,121 +505,17 @@ impl StatsService {
         shard.state.lock().apply_complete(completion);
     }
 
-    /// Batched ingestion: applies a slice of events, grouping them by shard
-    /// so each shard lock is acquired at most once per batch. Events for
-    /// any one target keep their slice order (per-stream metrics — seek
-    /// distance, interarrival — depend on it).
+    /// Batched ingestion: feeds every event to [`Self::handle_issue`] or
+    /// [`Self::handle_complete`] in slice order. A convenience for callers
+    /// that already hold a slice of events — the per-event hooks are the
+    /// one ingest path, and this takes no lock and makes no decision of
+    /// its own.
     pub fn handle_batch(&self, events: &[VscsiEvent]) {
-        match events {
-            [] => return,
-            // A batch of one is the per-event path: same pipeline, no
-            // grouping allocation.
-            [VscsiEvent::Issue(req)] => return self.handle_issue(req),
-            [VscsiEvent::Complete(completion)] => return self.handle_complete(completion),
-            _ => {}
-        }
-        if self.sentinel_on.load(Ordering::Acquire) {
-            // Supervised ingestion gives up the lock-once-per-shard
-            // amortization: every event must pass the governor and carry
-            // its own panic fence, so the batch walks the per-event paths
-            // in slice order. That cost only exists once the sentinel is
-            // armed — the unsupervised batch path below is untouched.
-            for event in events {
-                match event {
-                    VscsiEvent::Issue(req) => self.handle_issue(req),
-                    VscsiEvent::Complete(completion) => self.handle_complete(completion),
-                }
+        for event in events {
+            match event {
+                VscsiEvent::Issue(req) => self.handle_issue(req),
+                VscsiEvent::Complete(completion) => self.handle_complete(completion),
             }
-            return;
-        }
-        let enabled = self.enabled.load(Ordering::Acquire);
-        // Fast path: the whole batch belongs to one target — the common
-        // shape, since a virtual disk's completion queue drains as a
-        // contiguous run. One shard lock, no index table, no sort.
-        let first_target = events[0].target();
-        if events.iter().all(|ev| ev.target() == first_target) {
-            let shard = self.shard(first_target);
-            let must_lock = enabled
-                || shard.tracers.load(Ordering::Acquire) > 0
-                || shard.occupied.load(Ordering::Acquire);
-            if must_lock {
-                shard.state.lock().apply_target_stream(
-                    enabled,
-                    &self.config,
-                    first_target,
-                    events.iter(),
-                );
-                if enabled {
-                    shard.occupied.store(true, Ordering::Release);
-                }
-            }
-            return;
-        }
-        // Mixed-target batch: order events by (shard, target). Small
-        // batches — the SPSC aggregator drains ≤ a few dozen events per
-        // lane visit — sort in a stack buffer; only oversized batches
-        // pay an allocation.
-        let mut stack_buf = [(0u32, 0u32); 64];
-        let mut heap_buf;
-        let order: &mut [(u32, u32)] = if events.len() <= stack_buf.len() {
-            let order = &mut stack_buf[..events.len()];
-            for (idx, ev) in events.iter().enumerate() {
-                order[idx] = (self.shard_index(ev.target()) as u32, idx as u32);
-            }
-            order
-        } else {
-            heap_buf = events
-                .iter()
-                .enumerate()
-                .map(|(idx, ev)| (self.shard_index(ev.target()) as u32, idx as u32))
-                .collect::<Vec<_>>();
-            &mut heap_buf
-        };
-        // Order by (shard, target, idx): events for one target stay in
-        // slice order (per-stream metrics — seek distance, interarrival —
-        // depend on it; the idx tiebreaker makes the unstable sort
-        // order-preserving), while grouping by target lets each run resolve
-        // its target state once and walk the collector's counter slab while
-        // it is cache-hot. Cross-target reordering within a shard is safe:
-        // collector and tracer state is per-target.
-        order.sort_unstable_by_key(|&(shard, idx)| (shard, events[idx as usize].target(), idx));
-
-        let mut run_start = 0;
-        while run_start < order.len() {
-            let shard_idx = order[run_start].0;
-            let mut run_end = run_start + 1;
-            while run_end < order.len() && order[run_end].0 == shard_idx {
-                run_end += 1;
-            }
-            let shard = &self.shards[shard_idx as usize];
-            let must_lock = enabled
-                || shard.tracers.load(Ordering::Acquire) > 0
-                || shard.occupied.load(Ordering::Acquire);
-            if must_lock {
-                let mut state = shard.state.lock();
-                // Split the shard run into per-target sub-runs.
-                let mut sub = run_start;
-                while sub < run_end {
-                    let target = events[order[sub].1 as usize].target();
-                    let mut sub_end = sub + 1;
-                    while sub_end < run_end && events[order[sub_end].1 as usize].target() == target
-                    {
-                        sub_end += 1;
-                    }
-                    state.apply_target_run(
-                        enabled,
-                        &self.config,
-                        target,
-                        events,
-                        &order[sub..sub_end],
-                    );
-                    sub = sub_end;
-                }
-                if enabled {
-                    shard.occupied.store(true, Ordering::Release);
-                }
-            }
-            run_start = run_end;
         }
     }
 

@@ -7,7 +7,7 @@ use simkit::SimTime;
 use std::sync::Arc;
 use std::thread;
 use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId, VDiskId, VmId};
-use vscsi_stats::{Lens, Metric, StatsService, VscsiEvent};
+use vscsi_stats::{Lens, Metric, SentinelConfig, StatsService, TraceCapacity, VscsiEvent};
 
 const PER_THREAD: u64 = 5_000;
 
@@ -235,8 +235,124 @@ fn events_for(vm: u32, script: &TargetScript) -> Vec<VscsiEvent> {
     events
 }
 
+/// Every script's event stream, indexed by VM number.
+fn per_target_events(scripts: &[TargetScript]) -> Vec<Vec<VscsiEvent>> {
+    scripts
+        .iter()
+        .enumerate()
+        .map(|(vm, s)| events_for(vm as u32, s))
+        .collect()
+}
+
+/// The two hooks, one event at a time.
+fn feed_per_event(service: &StatsService, events: &[VscsiEvent]) {
+    for ev in events {
+        match ev {
+            VscsiEvent::Issue(r) => service.handle_issue(r),
+            VscsiEvent::Complete(c) => service.handle_complete(c),
+        }
+    }
+}
+
+/// A service with collection on, the sentinel armed but calm (`Full`
+/// everywhere, thresholds no load can reach), and a tracer on every target
+/// whose bit is set in `traced`.
+fn supervised_service(targets: usize, traced: u8) -> StatsService {
+    let service = StatsService::default();
+    service.enable_all();
+    let mut cfg = SentinelConfig::new(7);
+    cfg.full_max_rate = u64::MAX;
+    cfg.sampled_max_rate = u64::MAX;
+    cfg.counters_max_rate = u64::MAX;
+    service.enable_sentinel(cfg);
+    for vm in (0..targets).filter(|vm| traced >> vm & 1 == 1) {
+        service.start_trace(
+            TargetId::new(VmId(vm as u32), VDiskId(0)),
+            TraceCapacity::Unbounded,
+        );
+    }
+    service
+}
+
+/// Feeds `events` in chunks of the scripted sizes (cycled), flipping
+/// collection off/on after every chunk whose flag is set. `batched` picks
+/// `handle_batch` per chunk over the two hooks per event.
+fn feed_chunked(
+    service: &StatsService,
+    events: &[VscsiEvent],
+    cuts: &[(usize, bool)],
+    batched: bool,
+) {
+    let mut rest = events;
+    for &(len, flip) in cuts.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, tail) = rest.split_at(len.min(rest.len()));
+        rest = tail;
+        if batched {
+            service.handle_batch(chunk);
+        } else {
+            feed_per_event(service, chunk);
+        }
+        if flip {
+            if service.is_enabled() {
+                service.disable_all();
+            } else {
+                service.enable_all();
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// `handle_batch` is the two hooks in slice order, whatever the slice:
+    /// a mixed-target stream cut into arbitrary chunks, with tracers on a
+    /// subset of targets, collection toggled between chunks and the
+    /// sentinel armed at `Full`, leaves the same collectors, the same
+    /// captured trace records and the same admission ledger as the
+    /// per-event feed.
+    #[test]
+    fn chunked_mixed_batches_match_the_per_event_feed(
+        scripts in prop::collection::vec(target_script(), 1..7),
+        cuts in prop::collection::vec((1..48usize, any::<bool>()), 1..12),
+        traced in any::<u8>(),
+    ) {
+        let per_target = per_target_events(&scripts);
+        // Round-robin interleave: every target keeps its own order.
+        let longest = per_target.iter().map(Vec::len).max().unwrap_or(0);
+        let mixed: Vec<VscsiEvent> = (0..longest)
+            .flat_map(|k| per_target.iter().filter_map(move |events| events.get(k).copied()))
+            .collect();
+
+        let per_event = supervised_service(scripts.len(), traced);
+        feed_chunked(&per_event, &mixed, &cuts, false);
+        let batched = supervised_service(scripts.len(), traced);
+        feed_chunked(&batched, &mixed, &cuts, true);
+
+        prop_assert_eq!(batched.targets(), per_event.targets());
+        prop_assert_eq!(batched.summaries(), per_event.summaries());
+        prop_assert_eq!(batched.health_snapshot(), per_event.health_snapshot());
+        for vm in 0..scripts.len() {
+            let target = TargetId::new(VmId(vm as u32), VDiskId(0));
+            let (cb, ce) = (batched.collector(target), per_event.collector(target));
+            prop_assert_eq!(cb.is_some(), ce.is_some(), "{}", target);
+            if let (Some(cb), Some(ce)) = (cb, ce) {
+                for metric in Metric::ALL {
+                    for lens in Lens::ALL {
+                        prop_assert_eq!(
+                            cb.histogram(metric, lens),
+                            ce.histogram(metric, lens),
+                            "{} {} {:?}", target, metric, lens
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(batched.stop_trace(target), per_event.stop_trace(target));
+        }
+    }
 
     /// DESIGN §7's "online == offline replay" invariant, extended to the
     /// concurrent case: however an event set is partitioned across threads
@@ -248,22 +364,13 @@ proptest! {
         scripts in prop::collection::vec(target_script(), 1..7),
         threads in 1..4usize,
     ) {
-        let per_target: Vec<Vec<VscsiEvent>> = scripts
-            .iter()
-            .enumerate()
-            .map(|(vm, s)| events_for(vm as u32, s))
-            .collect();
+        let per_target = per_target_events(&scripts);
 
         // Reference: one thread, per-event ingestion, target by target.
         let serial = StatsService::default();
         serial.enable_all();
         for events in &per_target {
-            for ev in events {
-                match ev {
-                    VscsiEvent::Issue(r) => serial.handle_issue(r),
-                    VscsiEvent::Complete(c) => serial.handle_complete(c),
-                }
-            }
+            feed_per_event(&serial, events);
         }
 
         // Concurrent: targets partitioned over `threads` workers, each

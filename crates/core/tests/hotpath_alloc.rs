@@ -11,8 +11,8 @@
 use simkit::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId};
-use vscsi_stats::{CollectorConfig, IoStatsCollector};
+use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId, VDiskId, VmId};
+use vscsi_stats::{CollectorConfig, IoStatsCollector, StatsService, VscsiEvent};
 
 struct CountingAllocator;
 
@@ -84,6 +84,38 @@ fn allocations_during_ingest(config: CollectorConfig, count: u64) -> u64 {
     after - before
 }
 
+/// A 256-event batch interleaving 8 targets (128 issue+complete pairs),
+/// command ids and clocks starting at `round * 128`.
+fn mixed_batch(round: u64) -> Vec<VscsiEvent> {
+    (round * 128..(round + 1) * 128)
+        .flat_map(|i| {
+            let mut req = mk(i, IoDirection::Read, (i * 97) % 5_000_000, 8, i * 40);
+            req.target = TargetId::new(VmId((i % 8) as u32), VDiskId(0));
+            [
+                VscsiEvent::Issue(req),
+                VscsiEvent::Complete(IoCompletion::new(req, SimTime::from_micros(i * 40 + 300))),
+            ]
+        })
+        .collect()
+}
+
+/// Heap allocations `StatsService::handle_batch` performs on a mixed-target
+/// batch once every target's collector exists.
+fn allocations_during_service_batch() -> u64 {
+    let service = StatsService::default();
+    service.enable_all();
+    service.handle_batch(&mixed_batch(0));
+    let batch = mixed_batch(1);
+    assert_eq!(batch.len(), 256);
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    service.handle_batch(&batch);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let completed: u64 = service.summaries().iter().map(|s| s.completed).sum();
+    assert_eq!(completed, 256);
+    after - before
+}
+
 /// One test function (not several) so no concurrently running sibling test
 /// can pollute the global allocation counter.
 #[test]
@@ -102,4 +134,13 @@ fn hot_path_performs_zero_heap_allocations() {
     };
     let allocs = allocations_during_ingest(correlate, 20_000);
     assert_eq!(allocs, 0, "correlating hot path allocated {allocs} times");
+
+    // The service front-end adds a shard lookup and a lock per event, and
+    // nothing else: a slice of events for many targets goes through the
+    // same two hooks without staging or sorting it anywhere.
+    let allocs = allocations_during_service_batch();
+    assert_eq!(
+        allocs, 0,
+        "mixed-target handle_batch allocated {allocs} times"
+    );
 }

@@ -18,12 +18,11 @@
 use std::collections::VecDeque;
 use vscsi_stats::spsc;
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// Next draw of the SplitMix64 stream at `state`.
+fn draw(state: &mut u64) -> u64 {
+    let out = simkit::splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    out
 }
 
 /// How many schedules to run: 16 locally, more in CI (the dedicated
@@ -37,7 +36,7 @@ fn seed_count() -> u64 {
 
 fn run_schedule(seed: u64) {
     let mut rng = seed;
-    let cap_pow = 1 + (splitmix64(&mut rng) % 5); // capacity 2..=32
+    let cap_pow = 1 + (draw(&mut rng) % 5); // capacity 2..=32
     let capacity = 1usize << cap_pow;
     let (mut prod, mut cons) = spsc::ring::<u64>(capacity);
     assert_eq!(prod.capacity(), capacity);
@@ -47,7 +46,7 @@ fn run_schedule(seed: u64) {
     let mut scratch: Vec<u64> = Vec::new();
 
     for step in 0..4_000 {
-        match splitmix64(&mut rng) % 6 {
+        match draw(&mut rng) % 6 {
             // try_push: succeeds iff the oracle has space.
             0 | 1 => {
                 let pushed = prod.try_push(next_in);
@@ -63,7 +62,7 @@ fn run_schedule(seed: u64) {
             }
             // push_batch: moves exactly the free space, no more.
             2 => {
-                let want = (splitmix64(&mut rng) % (2 * capacity as u64) + 1) as usize;
+                let want = (draw(&mut rng) % (2 * capacity as u64) + 1) as usize;
                 let vals: Vec<u64> = (next_in..next_in + want as u64).collect();
                 let n = prod.push_batch(&vals);
                 assert_eq!(
@@ -86,7 +85,7 @@ fn run_schedule(seed: u64) {
             }
             // pop_chunk: drains min(max, occupancy) in order.
             4 => {
-                let max = (splitmix64(&mut rng) % (capacity as u64 + 2)) as usize;
+                let max = (draw(&mut rng) % (capacity as u64 + 2)) as usize;
                 scratch.clear();
                 let n = cons.pop_chunk(&mut scratch, max);
                 assert_eq!(
@@ -141,7 +140,7 @@ fn two_thread_fifo_stress() {
             let mut next = 0u64;
             let mut rng = 0x5EEDu64 ^ capacity as u64;
             while next < TOTAL {
-                let want = 1 + (splitmix64(&mut rng) % batch as u64);
+                let want = 1 + (draw(&mut rng) % batch as u64);
                 let hi = (next + want).min(TOTAL);
                 let vals: Vec<u64> = (next..hi).collect();
                 let mut sent = 0;

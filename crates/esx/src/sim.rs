@@ -271,8 +271,8 @@ pub struct Simulation {
     retry_rng: simkit::SimRng,
     rng: simkit::SimRng,
     started: bool,
-    /// Reusable buffer for batched stats ingestion (one shard-lock
-    /// acquisition per issue burst instead of one per command).
+    /// Reusable buffer for an issue burst's events (thread-per-core
+    /// publishes a burst with one release store per lane run).
     event_buf: Vec<VscsiEvent>,
     /// Thread-per-core ingest, when enabled: events leave the simulation
     /// thread through lock-free SPSC lanes and aggregator workers apply
@@ -624,9 +624,9 @@ impl Simulation {
             runtime.pending.push(request);
         }
         // The vSCSI layer sees commands the moment the guest issues them —
-        // this is the paper's first hook point; the burst is ingested as
-        // one batch so the service takes each shard lock at most once (or,
-        // thread-per-core, is published with one release store per lane run).
+        // this is the paper's first hook point; the burst goes to the hooks
+        // in issue order (or, thread-per-core, is published with one release
+        // store per lane run).
         self.ingest(&events);
         events.clear();
         self.event_buf = events;
@@ -847,9 +847,7 @@ impl Simulation {
             .expect("delivered command is tracked");
         let request = cmd.request;
         let completion = IoCompletion::with_status(request, now, status);
-        // Second hook point: completion at the vSCSI layer, fed through the
-        // batched ingestion path (a batch of one takes the per-event route,
-        // so this stays allocation-free).
+        // Second hook point: completion at the vSCSI layer.
         self.ingest(&[VscsiEvent::Complete(completion)]);
         {
             let stats = &mut self.attachments[attach].stats;

@@ -45,6 +45,7 @@
 //! assert!(!faults.crashed());
 //! ```
 
+use simkit::splitmix64;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -131,14 +132,6 @@ pub enum FsWriteFault {
 pub struct FsFaultPlan {
     seed: u64,
     config: FsFaultConfig,
-}
-
-/// Same mixer as the command-path fault plans (`plan.rs`).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl FsFaultPlan {

@@ -2,7 +2,7 @@
 //! deterministic randomness.
 
 use serde::{Deserialize, Serialize};
-use simkit::SimTime;
+use simkit::{splitmix64, SimTime};
 use vscsi::{IoDirection, Lba};
 
 /// One injected fault. Build several into a [`FaultPlan`] to compose
@@ -217,15 +217,6 @@ impl FaultPlanBuilder {
             stats: FaultStats::default(),
         }
     }
-}
-
-/// SplitMix64 step — the same generator simkit seeds its RNG streams
-/// with, reused here so a draw depends only on (seed, consult index).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl FaultPlan {

@@ -46,7 +46,7 @@
 
 use crate::rollup::{AggSet, FleetView, HostId, HostView, TenantId};
 use crate::wire::{decode_frame, encode_frame, HostFrame, WireError};
-use simkit::{SimDuration, SimTime};
+use simkit::{splitmix64, SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vscsi_stats::StatsService;
@@ -209,16 +209,6 @@ impl HostEndpoint for FrameEndpoint {
             .pop_front()
             .unwrap_or(Err(FetchError::new("script exhausted")))
     }
-}
-
-/// splitmix64 — the workspace's standard seeded mixer, here deciding
-/// chaos outcomes purely in `(seed, host, poll index)`.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Exact ledger of what a [`ChaosEndpoint`] injected.
@@ -527,7 +517,7 @@ pub struct HostStatus {
     pub probe_failures: u64,
     /// The host's current epoch label: the wire epoch of the latest
     /// frame, or a local bump past it when a restart was detected by
-    /// counter regression alone (legacy v1 emitters).
+    /// counter regression alone (unsequenced emitters).
     pub epoch: u64,
     /// Epoch carried by the last accepted frame.
     pub wire_epoch: u64,
@@ -856,7 +846,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
                     }
                     Ok((frame, agg, targets)) => {
                         // Replay rejection: a sequenced frame must advance
-                        // within its epoch. seq 0 (legacy v1) is exempt.
+                        // within its epoch. seq 0 (unsequenced) is exempt.
                         if frame.seq != 0
                             && frame.epoch == s.wire_epoch
                             && s.last_seq != 0

@@ -8,7 +8,7 @@
 //!
 //! * [`wire`] — the `FetchAllHistograms` frame: every per-target,
 //!   per-(metric, lens) histogram snapshot of a host, delta-encoded as
-//!   varint counter vectors (reusing `tracestore::codec`) inside a
+//!   varint counter vectors (reusing `vscsi_stats::varint`) inside a
 //!   CRC-checked envelope. Decoding is total: corrupt, truncated, or
 //!   hostile bytes produce a [`WireError`], never a panic.
 //! * [`collector`] — virtual-clock polling: a [`FleetCollector`] fetches
@@ -53,6 +53,6 @@ pub use collector::{
 };
 pub use rollup::{AggSet, FleetView, HostId, HostView, RollupNode, TenantId};
 pub use wire::{
-    decode_frame, encode_frame, encode_frame_v1, layout_of, slot_index, slots, HostFrame,
-    TargetHistograms, WireError, FRAME_MAGIC, FRAME_MAGIC_V1, SLOTS_PER_TARGET,
+    decode_frame, encode_frame, layout_of, slot_index, slots, HostFrame, TargetHistograms,
+    WireError, FRAME_MAGIC, SLOTS_PER_TARGET,
 };

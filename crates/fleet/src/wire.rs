@@ -3,15 +3,15 @@
 //! A host answers a fetch with one **frame**: every (VM, disk) target's
 //! full histogram set — all [`Metric`] × [`Lens`] slots, in a fixed order
 //! both sides derive from [`slots`] — serialized as delta-encoded varint
-//! counter vectors. The integer primitives are
-//! [`tracestore::codec`]'s public LEB128/zigzag API, so this format and
-//! the trace segment format share one bit-level vocabulary.
+//! counter vectors. The integer primitives are [`vscsi_stats::varint`]'s
+//! LEB128/zigzag API, so this format, the trace segment format and the
+//! checkpoint format share one bit-level vocabulary.
 //!
 //! ```text
 //! magic[8] = "VFLHIST2"   payload_len:u32le   crc32(magic ‖ payload):u32le
 //! payload:
 //!   host_id:varint  captured_at_us:varint
-//!   epoch:varint  seq:varint              -- v2 only
+//!   epoch:varint  seq:varint
 //!   target_count:varint
 //!   per target:
 //!     vm:varint  disk:varint
@@ -22,16 +22,15 @@
 //!         sum:zz128 (lo:varint hi:varint)  min:zz  max:zz
 //! ```
 //!
-//! `VFLHIST2` adds two fields the restart-safe windowed rollup needs: the
-//! host's **epoch** (bumped by every deliberate counter regression — a
-//! stats reset or a host restart) and a **frame sequence number**
-//! (monotone per epoch, so a collector can reject replayed or reordered
-//! frames). Legacy `VFLHIST1` frames — identical except that the two
-//! fields are absent and the CRC covers the payload alone — still decode
-//! under the same reader, yielding epoch 0 and the unsequenced seq 0.
-//! Folding the magic into the v2 CRC keeps single-byte corruption of the
-//! version byte detectable in *both* directions: a v1 frame whose magic
-//! flips to `…2` fails the v2 CRC rule, and vice versa.
+//! The header carries the two fields the restart-safe windowed rollup
+//! needs: the host's **epoch** (bumped by every deliberate counter
+//! regression — a stats reset or a host restart) and a **frame sequence
+//! number** (monotone per epoch, so a collector can reject replayed or
+//! reordered frames). The CRC covers the magic as well as the payload.
+//! `VFLHIST2` is the only format: its predecessor `VFLHIST1` (no epoch or
+//! seq, CRC over the payload alone) has had no producer since the fields
+//! were added, and a frame carrying that magic is rejected like any other
+//! unknown magic.
 //!
 //! Counts across consecutive bins of a real histogram are close in
 //! magnitude (the distributions are peaky), so the zigzagged wrapping
@@ -45,19 +44,16 @@
 //! host and carries on.
 
 use histo::{Histogram, LayoutId};
-use tracestore::codec::{apply_delta, decode_u64, delta, encode_u64, unzigzag, zigzag};
-use tracestore::crc32::crc32;
 use vscsi::{TargetId, VDiskId, VmId};
+use vscsi_stats::crc32::{crc32, crc32_update};
+use vscsi_stats::varint::{
+    apply_delta, decode_u64, delta, encode_u64, unzigzag, unzigzag128, zigzag, zigzag128,
+};
 use vscsi_stats::{Lens, Metric, StatsService};
 
-/// Current frame magic: format name + version. [`encode_frame`] always
-/// emits this; [`decode_frame`] accepts it alongside [`FRAME_MAGIC_V1`].
+/// Frame magic: format name + version. The only one [`encode_frame`]
+/// emits and [`decode_frame`] accepts.
 pub const FRAME_MAGIC: [u8; 8] = *b"VFLHIST2";
-
-/// Legacy frame magic: the PR-7 format without epoch/seq. Still decoded
-/// (epoch and seq come back 0), never emitted except by
-/// [`encode_frame_v1`].
-pub const FRAME_MAGIC_V1: [u8; 8] = *b"VFLHIST1";
 
 /// Bytes of framing around the payload: magic + length + CRC.
 pub const FRAME_HEADER_BYTES: usize = 8 + 4 + 4;
@@ -139,11 +135,10 @@ pub struct HostFrame {
     pub captured_at_us: u64,
     /// The host's restart epoch ([`StatsService::epoch`]): bumped by every
     /// deliberate counter regression, so collectors re-base deltas instead
-    /// of booking the drop as corruption. 0 for legacy `VFLHIST1` frames.
+    /// of booking the drop as corruption.
     pub epoch: u64,
     /// Frame sequence number, monotone within an epoch. 0 means
-    /// *unsequenced* (a legacy `VFLHIST1` frame); sequenced emitters start
-    /// at 1.
+    /// *unsequenced*; sequenced emitters start at 1.
     pub seq: u64,
     /// Per-target histogram sets, sorted by target.
     pub targets: Vec<TargetHistograms>,
@@ -189,14 +184,6 @@ impl HostFrame {
             .map(Histogram::total)
             .sum()
     }
-}
-
-fn zigzag128(v: i128) -> u128 {
-    ((v << 1) ^ (v >> 127)) as u128
-}
-
-fn unzigzag128(v: u128) -> i128 {
-    ((v >> 1) as i128) ^ -((v & 1) as i128)
 }
 
 fn encode_histogram(h: &Histogram, expect: LayoutId, out: &mut Vec<u8>) -> Result<(), WireError> {
@@ -272,22 +259,10 @@ fn encode_targets(frame: &HostFrame, payload: &mut Vec<u8>) -> Result<(), WireEr
     Ok(())
 }
 
-fn seal(magic: [u8; 8], crc_covers_magic: bool, payload: Vec<u8>) -> Result<Vec<u8>, WireError> {
-    let len = u32::try_from(payload.len()).map_err(|_| err("payload exceeds frame size"))?;
-    let crc = if crc_covers_magic {
-        let mut covered = Vec::with_capacity(8 + payload.len());
-        covered.extend_from_slice(&magic);
-        covered.extend_from_slice(&payload);
-        crc32(&covered)
-    } else {
-        crc32(&payload)
-    };
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
+/// `crc32(magic ‖ payload)`: covering the magic means a flipped version
+/// byte can never leave a frame that still verifies.
+fn frame_crc(payload: &[u8]) -> u32 {
+    crc32_update(crc32(&FRAME_MAGIC), payload)
 }
 
 /// Serializes a frame: a `VFLHIST2` CRC-framed envelope around a
@@ -306,34 +281,21 @@ pub fn encode_frame(frame: &HostFrame) -> Result<Vec<u8>, WireError> {
     encode_u64(frame.epoch, &mut payload);
     encode_u64(frame.seq, &mut payload);
     encode_targets(frame, &mut payload)?;
-    seal(FRAME_MAGIC, true, payload)
+    let len = u32::try_from(payload.len()).map_err(|_| err("payload exceeds frame size"))?;
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    out.extend_from_slice(&FRAME_MAGIC);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&frame_crc(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    Ok(out)
 }
 
-/// Serializes a frame in the legacy `VFLHIST1` layout — what a host that
-/// predates the epoch/seq fields would ship. The frame's `epoch` and
-/// `seq` do **not** travel: decoding the result yields 0 for both. Kept
-/// so compatibility is a tested property, not an assumption.
-///
-/// # Errors
-///
-/// Same conditions as [`encode_frame`].
-pub fn encode_frame_v1(frame: &HostFrame) -> Result<Vec<u8>, WireError> {
-    let mut payload = Vec::with_capacity(64 + frame.targets.len() * 512);
-    encode_u64(frame.host_id, &mut payload);
-    encode_u64(frame.captured_at_us, &mut payload);
-    encode_targets(frame, &mut payload)?;
-    seal(FRAME_MAGIC_V1, false, payload)
-}
-
-/// Decodes one frame — current `VFLHIST2` or legacy `VFLHIST1` — after
-/// verifying magic, length, CRC, and every field.
+/// Decodes one `VFLHIST2` frame after verifying magic, length, CRC, and
+/// every field.
 ///
 /// Total: any malformed input — truncation anywhere, a flipped bit, an
 /// overlong varint, trailing garbage — returns a [`WireError`]. A decoded
-/// `VFLHIST2` frame is bit-exact: re-encoding it reproduces the input
-/// bytes. A `VFLHIST1` frame decodes with `epoch == 0` and `seq == 0`
-/// (the fields don't exist on that wire), so re-encoding upgrades it to
-/// `VFLHIST2`.
+/// frame is bit-exact: re-encoding it reproduces the input bytes.
 ///
 /// # Errors
 ///
@@ -342,11 +304,9 @@ pub fn decode_frame(buf: &[u8]) -> Result<HostFrame, WireError> {
     if buf.len() < FRAME_HEADER_BYTES {
         return Err(err("frame shorter than its header"));
     }
-    let v2 = match &buf[..8] {
-        m if *m == FRAME_MAGIC => true,
-        m if *m == FRAME_MAGIC_V1 => false,
-        _ => return Err(err("bad frame magic")),
-    };
+    if buf[..8] != FRAME_MAGIC {
+        return Err(err("bad frame magic"));
+    }
     let len = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")) as usize;
     let want_crc = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes"));
     let payload = &buf[FRAME_HEADER_BYTES..];
@@ -356,29 +316,14 @@ pub fn decode_frame(buf: &[u8]) -> Result<HostFrame, WireError> {
     if payload.len() > len {
         return Err(err("trailing bytes after frame"));
     }
-    let got_crc = if v2 {
-        // The v2 CRC covers the magic so version-byte flips are caught.
-        let mut hasher_input = Vec::with_capacity(8 + payload.len());
-        hasher_input.extend_from_slice(&buf[..8]);
-        hasher_input.extend_from_slice(payload);
-        crc32(&hasher_input)
-    } else {
-        crc32(payload)
-    };
-    if got_crc != want_crc {
+    if frame_crc(payload) != want_crc {
         return Err(err("payload CRC mismatch"));
     }
     let mut pos = 0usize;
     let host_id = decode_u64(payload, &mut pos).ok_or(err("truncated host id"))?;
     let captured_at_us = decode_u64(payload, &mut pos).ok_or(err("truncated capture time"))?;
-    let (epoch, seq) = if v2 {
-        (
-            decode_u64(payload, &mut pos).ok_or(err("truncated epoch"))?,
-            decode_u64(payload, &mut pos).ok_or(err("truncated frame seq"))?,
-        )
-    } else {
-        (0, 0)
-    };
+    let epoch = decode_u64(payload, &mut pos).ok_or(err("truncated epoch"))?;
+    let seq = decode_u64(payload, &mut pos).ok_or(err("truncated frame seq"))?;
     let target_count = decode_u64(payload, &mut pos).ok_or(err("truncated target count"))?;
     // Each target needs at least 2 id bytes + one byte per slot, so this
     // bound rejects absurd counts before any allocation.
@@ -466,54 +411,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_decode_with_zero_epoch_and_seq() {
-        let frame = sample_frame();
-        let bytes = encode_frame_v1(&frame).unwrap();
-        assert_eq!(&bytes[..8], &FRAME_MAGIC_V1);
-        let back = decode_frame(&bytes).unwrap();
-        // Epoch and seq never traveled on the v1 wire.
-        assert_eq!(back.epoch, 0);
-        assert_eq!(back.seq, 0);
-        let mut expect = frame;
-        expect.epoch = 0;
-        expect.seq = 0;
-        assert_eq!(back, expect);
-    }
-
-    #[test]
-    fn every_v1_truncation_and_flip_errors() {
-        let bytes = encode_frame_v1(&sample_frame()).unwrap();
-        for cut in 0..bytes.len() {
-            assert!(decode_frame(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        for i in 0..bytes.len() {
-            for flip in [0x01u8, 0x03, 0x40] {
-                let mut bad = bytes.clone();
-                bad[i] ^= flip;
-                assert!(decode_frame(&bad).is_err(), "flip {flip:#x} at byte {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn version_byte_flips_never_cross_decode() {
-        // "VFLHIST1" and "VFLHIST2" differ by one bit in the last magic
-        // byte; the v2 CRC covers the magic so neither direction of that
-        // flip yields a valid frame of the *other* version.
-        let v2 = encode_frame(&sample_frame()).unwrap();
-        let mut as_v1 = v2.clone();
-        as_v1[7] = b'1';
-        assert_eq!(
-            decode_frame(&as_v1).unwrap_err().msg,
-            "payload CRC mismatch"
-        );
-        let v1 = encode_frame_v1(&sample_frame()).unwrap();
-        let mut as_v2 = v1.clone();
-        as_v2[7] = b'2';
-        assert_eq!(
-            decode_frame(&as_v2).unwrap_err().msg,
-            "payload CRC mismatch"
-        );
+    fn legacy_v1_magic_is_rejected() {
+        // "VFLHIST1" is one bit away from the current magic and was once a
+        // decodable format; it is now just another unknown magic.
+        let mut bytes = encode_frame(&sample_frame()).unwrap();
+        bytes[..8].copy_from_slice(b"VFLHIST1");
+        assert_eq!(decode_frame(&bytes).unwrap_err().msg, "bad frame magic");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! arbitrary corruption with exact per-host failure accounting.
 
 use fleet::{
-    decode_frame, encode_frame, encode_frame_v1, layout_of, slots, AggSet, FetchError,
-    FleetCollector, FrameEndpoint, HostFrame, PollConfig, TargetHistograms, SLOTS_PER_TARGET,
+    decode_frame, encode_frame, layout_of, slots, AggSet, FetchError, FleetCollector,
+    FrameEndpoint, HostFrame, PollConfig, TargetHistograms, SLOTS_PER_TARGET,
 };
 use histo::Histogram;
 use proptest::collection::vec;
@@ -64,15 +64,6 @@ fn arb_frame() -> impl Strategy<Value = HostFrame> {
             seq,
             targets,
         })
-}
-
-/// A legacy frame: `VFLHIST1` has no epoch/seq fields, so they are 0.
-fn arb_frame_v1() -> impl Strategy<Value = HostFrame> {
-    arb_frame().prop_map(|mut f| {
-        f.epoch = 0;
-        f.seq = 0;
-        f
-    })
 }
 
 /// One-target frame for host 1 holding `records` in every slot, stamped
@@ -317,30 +308,5 @@ proptest! {
         prop_assert!(rebuilt.same_counters(s.windowed_total()));
         let tv = collector.windowed_total_view(SimTime::from_secs(windows - 1));
         prop_assert!(tv.conserves());
-    }
-
-    /// Legacy `VFLHIST1` frames decode bit-exactly under the `VFLHIST2`
-    /// reader (epoch/seq read back as 0), and corrupting them still
-    /// never mis-decodes.
-    #[test]
-    fn v1_frames_decode_under_v2_reader(frame in arb_frame_v1()) {
-        let bytes = encode_frame_v1(&frame).unwrap();
-        let back = decode_frame(&bytes).unwrap();
-        prop_assert_eq!(&back, &frame);
-        prop_assert_eq!((back.epoch, back.seq), (0, 0));
-    }
-
-    /// Any single-byte corruption of a v1 frame is rejected by the v2
-    /// reader — including flips that turn the magic into `VFLHIST2`.
-    #[test]
-    fn v1_byte_flips_never_decode(
-        frame in arb_frame_v1(),
-        at in any::<prop::sample::Index>(),
-        flip in 1u8..=255,
-    ) {
-        let mut bytes = encode_frame_v1(&frame).unwrap();
-        let at = at.index(bytes.len());
-        bytes[at] ^= flip;
-        prop_assert!(decode_frame(&bytes).is_err());
     }
 }

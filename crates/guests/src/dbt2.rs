@@ -123,7 +123,7 @@ impl Dbt2Workload {
     /// multiple, database smaller than a page).
     pub fn new(name: &str, params: Dbt2Params, rng: SimRng) -> Self {
         assert!(params.connections > 0);
-        assert!(params.page_bytes % SECTOR_SIZE == 0);
+        assert!(params.page_bytes.is_multiple_of(SECTOR_SIZE));
         assert!(params.db_bytes >= params.page_bytes * 1024);
         let pages = params.db_bytes / params.page_bytes;
         Dbt2Workload {
@@ -281,7 +281,6 @@ impl Dbt2Workload {
 
 impl Workload for Dbt2Workload {
     fn start(&mut self, now: SimTime) -> Poll {
-        let mut ios = Vec::new();
         // Stagger connection start over the first think interval.
         for c in 0..self.params.connections {
             let delay = self.params.think.sample(&mut self.rng);
@@ -293,7 +292,7 @@ impl Workload for Dbt2Workload {
         self.arm(now + self.params.bgwriter_interval, TimerKind::Bgwriter);
         self.arm(now + self.params.checkpoint_interval, TimerKind::Checkpoint);
         Poll {
-            issue: ios.drain(..).collect::<Vec<_>>(),
+            issue: Vec::new(),
             timer: self.next_timer(),
         }
     }

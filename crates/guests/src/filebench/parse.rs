@@ -62,7 +62,6 @@ impl Lexer {
         let mut toks = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("");
-            let mut chars = line.chars().peekable();
             let mut word = String::new();
             let lineno = lineno + 1;
             let flush = |word: &mut String, toks: &mut Vec<(usize, Tok)>| {
@@ -70,7 +69,7 @@ impl Lexer {
                     toks.push((lineno, Tok::Word(std::mem::take(word))));
                 }
             };
-            while let Some(c) = chars.next() {
+            for c in line.chars() {
                 match c {
                     '=' => {
                         flush(&mut word, &mut toks);

@@ -90,7 +90,7 @@ impl FileCopyWorkload {
     /// Panics if the chunk size is zero/unaligned, larger than the file, or
     /// the pipeline is empty.
     pub fn new(name: &str, params: FileCopyParams) -> Self {
-        assert!(params.chunk_bytes > 0 && params.chunk_bytes % SECTOR_SIZE == 0);
+        assert!(params.chunk_bytes > 0 && params.chunk_bytes.is_multiple_of(SECTOR_SIZE));
         assert!(params.file_bytes >= params.chunk_bytes);
         assert!(params.pipeline > 0);
         let chunks_per_file = params.file_bytes / params.chunk_bytes;

@@ -64,7 +64,7 @@ impl Ext3 {
     ///
     /// Panics on non-sector-multiple sizes or a journal exceeding capacity.
     pub fn new(params: Ext3Params) -> Self {
-        assert!(params.block_bytes % SECTOR_SIZE == 0);
+        assert!(params.block_bytes.is_multiple_of(SECTOR_SIZE));
         assert!(params.journal_bytes < params.capacity_bytes);
         // Journal lives at the front of the device region.
         let journal_base = 0;
@@ -160,7 +160,7 @@ impl Filesystem for Ext3 {
                 }
             }
             let commit_sectors = (block / SECTOR_SIZE).max(8);
-            let meta = self.dirty_metadata.min(4).max(1);
+            let meta = self.dirty_metadata.clamp(1, 4);
             self.dirty_metadata = 0;
             out.push(Extent::new(
                 IoDirection::Write,

@@ -71,7 +71,7 @@ impl Ntfs {
     ///
     /// Panics on non-sector-multiple sizes or regions exceeding capacity.
     pub fn new(params: NtfsParams) -> Self {
-        assert!(params.cluster_bytes % SECTOR_SIZE == 0);
+        assert!(params.cluster_bytes.is_multiple_of(SECTOR_SIZE));
         assert!(params.run_bytes >= params.cluster_bytes);
         assert!(
             params.mft_zone_bytes + params.logfile_bytes < params.capacity_bytes,

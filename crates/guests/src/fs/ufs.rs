@@ -54,8 +54,8 @@ impl Ufs {
     /// Panics if sizes are not sector multiples or the chunk is smaller
     /// than a block.
     pub fn new(params: UfsParams) -> Self {
-        assert!(params.frag_bytes % vscsi::SECTOR_SIZE == 0);
-        assert!(params.block_bytes % params.frag_bytes == 0);
+        assert!(params.frag_bytes.is_multiple_of(vscsi::SECTOR_SIZE));
+        assert!(params.block_bytes.is_multiple_of(params.frag_bytes));
         assert!(params.chunk_bytes >= params.block_bytes);
         assert!(params.capacity_bytes >= params.chunk_bytes * 4);
         Ufs { params }

@@ -78,7 +78,7 @@ impl Zfs {
     ///
     /// Panics on non-sector-multiple sizes or a frontier outside capacity.
     pub fn new(params: ZfsParams) -> Self {
-        assert!(params.record_bytes % SECTOR_SIZE == 0);
+        assert!(params.record_bytes.is_multiple_of(SECTOR_SIZE));
         assert!(params.aggregate_bytes >= params.record_bytes);
         assert!(params.frontier_start < params.capacity_bytes);
         let frontier_sector = params.frontier_start / SECTOR_SIZE;

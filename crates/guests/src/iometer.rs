@@ -99,7 +99,7 @@ impl IometerWorkload {
     /// Panics if the spec is degenerate (zero/unaligned block size, zero
     /// outstanding, region smaller than one block).
     pub fn new(name: &str, spec: AccessSpec, rng: SimRng) -> Self {
-        assert!(spec.block_bytes > 0 && spec.block_bytes % SECTOR_SIZE == 0);
+        assert!(spec.block_bytes > 0 && spec.block_bytes.is_multiple_of(SECTOR_SIZE));
         assert!(spec.outstanding > 0, "need at least one outstanding I/O");
         assert!(spec.region_bytes >= spec.block_bytes);
         assert!((0.0..=1.0).contains(&spec.read_fraction));

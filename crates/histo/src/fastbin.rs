@@ -212,9 +212,7 @@ impl FastBinner {
     /// elementwise (the `fastbin_props` proptest pins the equivalence);
     /// the point is the *shape*: a counted loop over a stack array of
     /// branch-free lane computations, which the compiler can unroll and
-    /// autovectorize, where the one-at-a-time call sites cannot. The
-    /// collector's batched ingest path runs each metric's gathered
-    /// values through this before a single slab-apply pass.
+    /// autovectorize, where the one-at-a-time call sites cannot.
     ///
     /// Indices are returned as `u16` (layouts never exceed `u16::MAX`
     /// edges by construction), which quarters the result footprint and

@@ -48,6 +48,6 @@ mod time;
 
 pub use dist::Dist;
 pub use event::{EventQueue, Scheduled};
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use stats::{quantile, IntervalCounter, OnlineStats};
 pub use time::{SimDuration, SimTime};

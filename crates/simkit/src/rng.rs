@@ -9,14 +9,33 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// SplitMix64: the de-facto standard seed expander (Steele et al., 2014).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 (Steele et al., 2014) as a pure mixer: the output of the
+/// generator whose state is `x`. The workspace's one seeded-decision
+/// primitive — keyed coins, jitter, and synthetic streams are all
+/// `splitmix64(seed ^ key)`, so a decision depends on nothing but its key.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(simkit::splitmix64(0), 0xE220_A839_7B1D_CDAF);
+/// ```
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The stateful form, the de-facto standard seed expander: returns the
+/// stream's next output and advances `state`.
+#[inline]
+fn expand(state: &mut u64) -> u64 {
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    out
 }
 
 /// A deterministic RNG with cheap independent sub-stream derivation.
@@ -46,7 +65,7 @@ impl SimRng {
         let mut state = seed;
         let mut bytes = [0u8; 32];
         for chunk in bytes.chunks_exact_mut(8) {
-            chunk.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
+            chunk.copy_from_slice(&expand(&mut state).to_le_bytes());
         }
         SimRng {
             inner: StdRng::from_seed(bytes),
@@ -68,9 +87,9 @@ impl SimRng {
     pub fn fork(&self, label: &str) -> SimRng {
         let mut state = self.seed ^ 0xA076_1D64_78BD_642F;
         for b in label.as_bytes() {
-            state = splitmix64(&mut state) ^ u64::from(*b);
+            state = expand(&mut state) ^ u64::from(*b);
         }
-        SimRng::seed_from(splitmix64(&mut state))
+        SimRng::seed_from(expand(&mut state))
     }
 
     /// Uniform `f64` in `[0, 1)`.

@@ -83,8 +83,7 @@ impl RaidConfig {
                     // Left-symmetric: parity on disk (disks-1 - row % disks);
                     // data columns shift around it.
                     let parity = self.disks - 1 - (row as usize % self.disks);
-                    let d = (parity + 1 + col) % self.disks;
-                    d
+                    (parity + 1 + col) % self.disks
                 }
             };
             let disk_lba = row * self.stripe_sectors + offset_in_unit;

@@ -15,7 +15,7 @@
 //! * `flags` bit 0: write (vs read); bit 1: record carries a completion;
 //!   bit 2: target differs from the previous record (then `vm`/`disk`
 //!   follow).
-//! * `zz` fields are zigzagged wrapping deltas ([`crate::varint::delta`]):
+//! * `zz` fields are zigzagged wrapping deltas ([`delta`]):
 //!   serial and LBA against the previous record, issue time against the
 //!   previous issue time, latency against the record's own issue time,
 //!   completion sequence against the record's own serial.
@@ -31,6 +31,7 @@
 
 use std::fmt;
 
+use vscsi::{IoDirection, Lba, TargetId, VDiskId, VmId};
 /// The codec's integer primitives, re-exported as a public, stable API.
 ///
 /// These are the building blocks of every multi-byte field in the trace
@@ -38,11 +39,9 @@ use std::fmt;
 /// truncated and non-canonical overlong encodings), the zigzag mapping
 /// ([`zigzag`]/[`unzigzag`]) that keeps small negative values small on the
 /// wire, and wrapping zigzagged deltas ([`delta`]/[`apply_delta`]) that
-/// round-trip *any* `u64` pair. Other wire formats in the workspace — the
-/// fleet aggregation plane's `FetchAllHistograms` frames in particular —
-/// reuse them instead of duplicating the bit-twiddling.
-pub use crate::varint::{apply_delta, decode_u64, delta, encode_u64, unzigzag, zigzag};
-use vscsi::{IoDirection, Lba, TargetId, VDiskId, VmId};
+/// round-trip *any* `u64` pair. They live in [`vscsi_stats::varint`], which
+/// the checkpoint and fleet wire formats share.
+pub use vscsi_stats::varint::{apply_delta, decode_u64, delta, encode_u64, unzigzag, zigzag};
 use vscsi_stats::TraceRecord;
 
 /// Flag bit: the command is a write.
@@ -306,7 +305,7 @@ mod tests {
         TraceRecord {
             serial,
             target: TargetId::new(VmId(1), VDiskId(0)),
-            direction: if serial % 2 == 0 {
+            direction: if serial.is_multiple_of(2) {
                 IoDirection::Read
             } else {
                 IoDirection::Write

@@ -29,13 +29,14 @@
 //! failure lands in the corruption ledger — never silently excluded.
 
 use crate::codec::{decode_block_into, decode_u64, encode_u64};
-use crate::crc32::crc32;
 use crate::segment::{walk_frames, FrameEvent, SegmentError};
+use simkit::splitmix64;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use vscsi::{IoDirection, TargetId};
+use vscsi_stats::crc32::crc32;
 use vscsi_stats::TraceRecord;
 
 /// Leading bytes of every index sidecar.
@@ -92,15 +93,6 @@ impl Default for ZoneStats {
     fn default() -> Self {
         ZoneStats::empty()
     }
-}
-
-/// SplitMix64 finalizer — the same cheap avalanche the rest of the
-/// workspace uses for seeding and sharding.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl ZoneStats {
@@ -473,7 +465,7 @@ mod tests {
         TraceRecord {
             serial,
             target: TargetId::new(VmId((serial % 3) as u32), VDiskId(0)),
-            direction: if serial % 2 == 0 {
+            direction: if serial.is_multiple_of(2) {
                 IoDirection::Read
             } else {
                 IoDirection::Write

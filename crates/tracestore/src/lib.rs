@@ -52,14 +52,12 @@
 //! ```
 
 pub mod codec;
-pub mod crc32;
 pub mod index;
 pub mod query;
 pub mod reader;
 pub mod ring;
 pub mod segment;
 pub mod store;
-mod varint;
 
 pub use codec::{
     decode_block, decode_block_into, encode_block, BlockBuilder, CodecError, MAX_RECORD_BYTES,

@@ -37,11 +37,11 @@
 //!   exactly as the capture side conserves appended records.
 
 use crate::codec::decode_block_into;
-use crate::crc32::crc32;
 use crate::index::{load_or_build, IndexSource, SegmentIndex, ZoneStats};
 use crate::index::{KIND_COMPLETED, KIND_INFLIGHT, KIND_READ, KIND_WRITE};
 use crate::reader::{list_segments, IntegrityReport};
 use crate::segment::{walk_frames, FrameEvent, SegmentError, BLOCK_HEADER_BYTES, BLOCK_MAGIC};
+use simkit::splitmix64;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -49,6 +49,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use vscsi::{IoDirection, TargetId};
+use vscsi_stats::crc32::crc32;
 use vscsi_stats::spsc;
 use vscsi_stats::{replay, CollectorConfig, IoStatsCollector, Lens, Metric, TraceRecord};
 
@@ -368,12 +369,7 @@ struct Routed {
 /// target so every scanner routes consistently.
 fn shard(target: TargetId, shards: usize) -> usize {
     let key = (u64::from(target.vm.0) << 32) | u64::from(target.disk.0);
-    // SplitMix64 finalizer (same mix as the index bloom).
-    let mut x = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    (x % shards as u64) as usize
+    (splitmix64(key) % shards as u64) as usize
 }
 
 struct LoadedSegment {
@@ -780,7 +776,7 @@ mod tests {
         TraceRecord {
             serial,
             target: TargetId::new(VmId((serial % 3) as u32), VDiskId(0)),
-            direction: if serial % 2 == 0 {
+            direction: if serial.is_multiple_of(2) {
                 IoDirection::Read
             } else {
                 IoDirection::Write

@@ -20,11 +20,11 @@
 //!   and yields every record up to the cut.
 
 use crate::codec::decode_block_into;
-use crate::crc32::crc32;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
+use vscsi_stats::crc32::crc32;
 use vscsi_stats::TraceRecord;
 
 /// Leading bytes of every segment file.

@@ -24,7 +24,6 @@
 //! always accounted.
 
 use crate::codec::BlockBuilder;
-use crate::crc32::crc32;
 use crate::index::{encode_index, index_path, tmp_index_path, BlockEntry, SegmentIndex, ZoneStats};
 use crate::ring::{BackpressurePolicy, ChunkRing, DropStats, Msg};
 use crate::segment::{write_block_with_crc, write_segment_header, SEGMENT_EXTENSION};
@@ -38,6 +37,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+use vscsi_stats::crc32::crc32;
 use vscsi_stats::{SinkHealth, TraceRecord, TraceSink};
 
 /// Name of the sidecar capture-summary file a finished store writes next
@@ -669,7 +669,7 @@ mod tests {
         TraceRecord {
             serial,
             target: TargetId::default(),
-            direction: if serial % 3 == 0 {
+            direction: if serial.is_multiple_of(3) {
                 IoDirection::Write
             } else {
                 IoDirection::Read

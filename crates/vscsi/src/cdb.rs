@@ -54,6 +54,7 @@ pub enum RwVariant {
 
 impl RwVariant {
     /// Encoded size in bytes.
+    #[allow(clippy::len_without_is_empty)] // a CDB is never empty
     pub const fn len(self) -> usize {
         match self {
             RwVariant::Six => 6,

@@ -59,10 +59,10 @@ fn fig4_dbt2_shape() {
         h.count(h.mode_bin().unwrap()) as f64 / h.total() as f64
     };
     assert!(
-        peak_frac(ow) > peak_frac(or),
+        peak_frac(&ow) > peak_frac(&or),
         "write OIO should be more concentrated: writes {:.2} vs reads {:.2}",
-        peak_frac(ow),
-        peak_frac(or)
+        peak_frac(&ow),
+        peak_frac(&or)
     );
     let w = c.histogram(Metric::SeekDistance, Lens::Writes);
     let near = w.fraction_in(-5_000, 5_000);

@@ -31,12 +31,11 @@ step vscsi_stats rustc $E --crate-type lib --crate-name vscsi_stats crates/core/
     $X_SERDE --extern simkit=$LIB/libsimkit.rlib --extern histo=$LIB/libhisto.rlib \
     --extern vscsi=$LIB/libvscsi.rlib --extern parking_lot=$LIB/libparking_lot.rlib
 step tracestore rustc $E --crate-type lib --crate-name tracestore crates/tracestore/src/lib.rs \
-    --extern vscsi=$LIB/libvscsi.rlib --extern vscsi_stats=$LIB/libvscsi_stats.rlib \
+    --extern simkit=$LIB/libsimkit.rlib --extern vscsi=$LIB/libvscsi.rlib --extern vscsi_stats=$LIB/libvscsi_stats.rlib \
     --extern parking_lot=$LIB/libparking_lot.rlib
 step fleet rustc $E --crate-type lib --crate-name fleet crates/fleet/src/lib.rs \
     --extern simkit=$LIB/libsimkit.rlib --extern histo=$LIB/libhisto.rlib \
-    --extern vscsi=$LIB/libvscsi.rlib --extern vscsi_stats=$LIB/libvscsi_stats.rlib \
-    --extern tracestore=$LIB/libtracestore.rlib
+    --extern vscsi=$LIB/libvscsi.rlib --extern vscsi_stats=$LIB/libvscsi_stats.rlib
 step faultkit rustc $E --crate-type lib --crate-name faultkit crates/faultkit/src/lib.rs \
     $X_SERDE --extern simkit=$LIB/libsimkit.rlib --extern vscsi=$LIB/libvscsi.rlib \
     --extern vscsi_stats=$LIB/libvscsi_stats.rlib --extern tracestore=$LIB/libtracestore.rlib

@@ -31,17 +31,26 @@ pub mod test_runner {
     #[derive(Debug, Clone)]
     pub struct Config {
         pub cases: u32,
+        /// Unused (nothing shrinks here); present, as in the real crate, so
+        /// `Config { cases, ..Config::default() }` is not a no-op update.
+        pub max_shrink_iters: u32,
     }
 
     impl Config {
         pub fn with_cases(cases: u32) -> Self {
-            Config { cases }
+            Config {
+                cases,
+                ..Config::default()
+            }
         }
     }
 
     impl Default for Config {
         fn default() -> Self {
-            Config { cases: 256 }
+            Config {
+                cases: 256,
+                max_shrink_iters: 0,
+            }
         }
     }
 
@@ -139,6 +148,50 @@ pub mod strategy {
     }
     int_ranges!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
+    /// Uniform in `[0, 1)`.
+    pub(crate) fn unit_f64(rng: &mut TestRng) -> f64 {
+        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    impl Strategy for core::ops::Range<f64> {
+        type Value = f64;
+        fn sample(&self, rng: &mut TestRng) -> f64 {
+            assert!(self.start < self.end, "empty range strategy");
+            self.start + unit_f64(rng) * (self.end - self.start)
+        }
+    }
+    impl Strategy for core::ops::RangeInclusive<f64> {
+        type Value = f64;
+        fn sample(&self, rng: &mut TestRng) -> f64 {
+            let (lo, hi) = (*self.start(), *self.end());
+            assert!(lo <= hi, "empty range strategy");
+            lo + unit_f64(rng) * (hi - lo)
+        }
+    }
+
+    pub fn boxed<S: Strategy + 'static>(s: S) -> Box<dyn Strategy<Value = S::Value>> {
+        Box::new(s)
+    }
+
+    /// What `prop_oneof!` builds: weighted, type-erased alternatives.
+    pub struct Union<T>(pub Vec<(u32, Box<dyn Strategy<Value = T>>)>);
+
+    impl<T> Strategy for Union<T> {
+        type Value = T;
+        fn sample(&self, rng: &mut TestRng) -> T {
+            let total: u64 = self.0.iter().map(|(w, _)| u64::from(*w)).sum();
+            assert!(total > 0, "prop_oneof! with no weight");
+            let mut pick = rng.next_u64() % total;
+            for (w, s) in &self.0 {
+                if pick < u64::from(*w) {
+                    return s.sample(rng);
+                }
+                pick -= u64::from(*w);
+            }
+            unreachable!("pick < total")
+        }
+    }
+
     macro_rules! tuple_strategy {
         ($($s:ident/$v:ident),+) => {
             impl<$($s: Strategy),+> Strategy for ($($s,)+) {
@@ -190,7 +243,7 @@ pub mod arbitrary {
 
     impl Arbitrary for f64 {
         fn arbitrary(rng: &mut TestRng) -> f64 {
-            (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+            crate::strategy::unit_f64(rng)
         }
     }
 
@@ -220,6 +273,30 @@ pub mod arbitrary {
     pub fn any<T: Arbitrary>() -> Any<T> {
         Any(core::marker::PhantomData)
     }
+}
+
+pub mod bool {
+    use crate::strategy::Strategy;
+    use crate::test_runner::TestRng;
+
+    /// `true` with the given probability.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Weighted(f64);
+
+    impl Strategy for Weighted {
+        type Value = bool;
+        fn sample(&self, rng: &mut TestRng) -> bool {
+            crate::strategy::unit_f64(rng) < self.0
+        }
+    }
+
+    pub fn weighted(probability: f64) -> Weighted {
+        assert!((0.0..=1.0).contains(&probability), "weighted({probability})");
+        Weighted(probability)
+    }
+
+    /// A fair coin.
+    pub const ANY: Weighted = Weighted(0.5);
 }
 
 pub mod collection {
@@ -337,6 +414,7 @@ pub mod option {
 
 /// The `prop::` module-alias namespace (`prop::sample::Index`, …).
 pub mod prop {
+    pub use crate::bool;
     pub use crate::collection;
     pub use crate::sample;
     pub use crate::strategy;
@@ -347,7 +425,9 @@ pub mod prelude {
     pub use crate::prop;
     pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::Config as ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 #[macro_export]
@@ -371,6 +451,16 @@ macro_rules! prop_assume {
         if !($cond) {
             return ::core::result::Result::Err($crate::test_runner::Reject);
         }
+    };
+}
+
+#[macro_export]
+macro_rules! prop_oneof {
+    ($($weight:literal => $strat:expr),+ $(,)?) => {
+        $crate::strategy::Union(vec![$(($weight, $crate::strategy::boxed($strat))),+])
+    };
+    ($($strat:expr),+ $(,)?) => {
+        $crate::prop_oneof![$(1 => $strat),+]
     };
 }
 

@@ -22,11 +22,11 @@ t vscsi crates/vscsi/src/lib.rs $X_SERDE --extern simkit=$LIB/libsimkit.rlib \
 t vscsi_stats crates/core/src/lib.rs $X_SERDE --extern simkit=$LIB/libsimkit.rlib \
   --extern histo=$LIB/libhisto.rlib --extern vscsi=$LIB/libvscsi.rlib \
   --extern parking_lot=$LIB/libparking_lot.rlib
-t tracestore crates/tracestore/src/lib.rs --extern vscsi=$LIB/libvscsi.rlib \
+t tracestore crates/tracestore/src/lib.rs --extern simkit=$LIB/libsimkit.rlib --extern vscsi=$LIB/libvscsi.rlib \
   --extern vscsi_stats=$LIB/libvscsi_stats.rlib --extern parking_lot=$LIB/libparking_lot.rlib
 t fleet crates/fleet/src/lib.rs --extern simkit=$LIB/libsimkit.rlib \
   --extern histo=$LIB/libhisto.rlib --extern vscsi=$LIB/libvscsi.rlib \
-  --extern vscsi_stats=$LIB/libvscsi_stats.rlib --extern tracestore=$LIB/libtracestore.rlib
+  --extern vscsi_stats=$LIB/libvscsi_stats.rlib
 t faultkit crates/faultkit/src/lib.rs $X_SERDE --extern simkit=$LIB/libsimkit.rlib \
   --extern vscsi=$LIB/libvscsi.rlib --extern vscsi_stats=$LIB/libvscsi_stats.rlib \
   --extern tracestore=$LIB/libtracestore.rlib
