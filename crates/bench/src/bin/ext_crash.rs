@@ -51,7 +51,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
-use tracestore::{read_segment, FsBackend, TraceStore, TraceStoreConfig, SEGMENT_EXTENSION};
+use tracestore::{read_segment, TraceStore, TraceStoreConfig, SEGMENT_EXTENSION};
 use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId, VDiskId, VmId};
 use vscsi_stats::{
     load_latest, CheckpointConfig, CheckpointDaemon, CollectorConfig, FsMedium, ServiceCheckpoint,
@@ -325,9 +325,8 @@ fn run_scenario(
     } else {
         sc.chunk_bytes.0
     };
-    let store =
-        TraceStore::create_with_backend(store_config.clone(), faults_seg.backend(FsBackend))
-            .expect("trace store");
+    let store = TraceStore::create_with_medium(store_config.clone(), faults_seg.medium(FsMedium))
+        .expect("trace store");
     for t in 0..TARGETS {
         service.start_trace_streaming(target(t), Box::new(store.handle()));
     }
@@ -490,14 +489,11 @@ fn run_scenario(
     // Restore and re-attach traces at the checkpointed watermarks: the
     // restored service must be bit-identical to the decoded checkpoint.
     let restored = Arc::new(StatsService::from_checkpoint(&rec.checkpoint, None));
-    let store2 = TraceStore::create_with_backend(
-        {
-            let mut cfg = store_config.clone();
-            cfg.dir = trace1.clone();
-            cfg
-        },
-        FsBackend,
-    )
+    let store2 = TraceStore::create({
+        let mut cfg = store_config.clone();
+        cfg.dir = trace1.clone();
+        cfg
+    })
     .expect("restart trace store");
     let watermarks: BTreeMap<TargetId, u64> = rec
         .checkpoint

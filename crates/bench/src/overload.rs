@@ -11,13 +11,11 @@ use crate::scenarios::{prepare_interference, InterferenceMode, Prepared};
 use simkit::SimTime;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
-use tracestore::{
-    BackpressurePolicy, SegmentBackend, SegmentWrite, StoreReport, TraceStore, TraceStoreConfig,
-};
+use tracestore::{BackpressurePolicy, StoreReport, TraceStore, TraceStoreConfig};
 use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId, VDiskId, VmId};
 use vscsi_stats::{
-    ChaosSpec, CollectorConfig, DegradeLevel, HealthSnapshot, SentinelConfig, StatsService,
-    TraceRecord, TraceSink,
+    ChaosSpec, CollectorConfig, DegradeLevel, HealthSnapshot, Medium, MediumFile, SentinelConfig,
+    StatsService, TraceRecord, TraceSink,
 };
 
 /// One constant-rate stretch of the ingest storm.
@@ -206,7 +204,7 @@ impl StallGate {
     }
 }
 
-/// A [`SegmentBackend`] whose writes hang on a [`StallGate`] — the bench
+/// A [`Medium`] whose writes hang on a [`StallGate`] — the bench
 /// stand-in for a dead disk or a hung fsync, used to force the trace
 /// store's watchdog demotion path.
 #[derive(Debug)]
@@ -234,14 +232,14 @@ impl std::io::Write for StallSegment {
     }
 }
 
-impl SegmentWrite for StallSegment {
+impl MediumFile for StallSegment {
     fn sync_all(&mut self) -> std::io::Result<()> {
         Ok(())
     }
 }
 
-impl SegmentBackend for StallBackend {
-    fn create(&mut self, _path: &Path) -> std::io::Result<Box<dyn SegmentWrite>> {
+impl Medium for StallBackend {
+    fn create(&mut self, _path: &Path) -> std::io::Result<Box<dyn MediumFile>> {
         Ok(Box::new(StallSegment(self.gate.clone())))
     }
 }
@@ -301,7 +299,7 @@ pub fn run_slow_sink(dir: &Path) -> (SlowSinkOutcome, StoreReport) {
     config.block_budget = std::time::Duration::from_millis(50);
 
     let gate = StallGate::default();
-    let store = TraceStore::create_with_backend(config, StallBackend::new(gate.clone()))
+    let store = TraceStore::create_with_medium(config, StallBackend::new(gate.clone()))
         .expect("open slow-sink store");
     let mut sink = store.handle();
 

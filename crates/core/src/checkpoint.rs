@@ -16,9 +16,10 @@
 //!
 //! # Write discipline
 //!
-//! Every write follows the classic atomic-replace protocol:
+//! Every write follows the classic atomic-replace protocol
+//! ([`publish_atomic`]):
 //!
-//! 1. encode the full frame (`VSCKPT1` magic ‖ length ‖ CRC ‖ payload);
+//! 1. encode the full [`frame`] (`VSCKPT1` magic ‖ length ‖ CRC ‖ payload);
 //! 2. write it to a `.tmp` sibling;
 //! 3. `fsync` the `.tmp` file;
 //! 4. `rename` it over the final `ckpt-<seq>.vsckpt` name.
@@ -26,7 +27,7 @@
 //! A crash at any point leaves either the previous checkpoint intact or a
 //! `.tmp` orphan that recovery ignores. A torn write, a dropped fsync, or
 //! a reordered rename (all injectable through
-//! [`CheckpointMedium`] — `faultkit` wraps it) at worst produces a file
+//! [`Medium`] — `faultkit` wraps it) at worst produces a file
 //! whose CRC does not verify; [`load_latest`] skips it and falls back to
 //! the next-newest durable checkpoint, so recovery *never* panics and
 //! never loads a half-written snapshot.
@@ -35,9 +36,10 @@
 //!
 //! Every attempt is booked in exactly one [`CheckpointLedger`] bucket:
 //! `written + torn + fsync_dropped + io_errors == attempts`, always. The
-//! taint channel ([`CheckpointWrite::taint`]) is how a fault-injecting
-//! medium reports — for accounting only — that an apparently successful
-//! write was silently sabotaged; the filesystem medium never taints.
+//! taint channel ([`MediumFile::taint`](crate::MediumFile::taint)) is how a
+//! fault-injecting medium reports — for accounting only — that an
+//! apparently successful write was silently sabotaged; the filesystem
+//! medium never taints.
 //!
 //! # Recovery invariant
 //!
@@ -53,13 +55,12 @@
 //! it is booked as lost — never silently absorbed.
 
 use crate::collector::{CollectorConfig, CollectorState, HistogramState};
-use crate::crc32::{crc32, crc32_update};
+use crate::frame;
+use crate::medium::{publish_atomic, FsMedium, Medium, WriteTaint};
 use crate::sentinel::{DegradeLevel, LoadCounters, SalvageRecord, SalvagedTarget, SentinelState};
 use crate::service::StatsService;
 use crate::varint::{self, unzigzag, unzigzag128, zigzag, zigzag128};
-use std::fmt;
-use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -453,15 +454,10 @@ fn get_sentinel_state(d: &mut Dec<'_>) -> Result<SentinelState, String> {
     })
 }
 
-/// `crc32(magic ‖ payload)`, the frame's integrity word.
-fn frame_crc(payload: &[u8]) -> u32 {
-    crc32_update(crc32(&CHECKPOINT_MAGIC), payload)
-}
-
 impl ServiceCheckpoint {
     /// Encodes this checkpoint (tagged with the monotonic checkpoint
     /// sequence number `seq`) as a complete self-verifying `VSCKPT1`
-    /// frame: magic ‖ `payload_len:u32le` ‖
+    /// [`frame`]: magic ‖ `payload_len:u32le` ‖
     /// `crc32(magic ‖ payload):u32le` ‖ payload.
     pub fn encode(&self, seq: u64) -> Vec<u8> {
         let mut p = Vec::with_capacity(4096);
@@ -508,12 +504,7 @@ impl ServiceCheckpoint {
             }
             put_opt_u64(t.tracer_watermark, &mut p);
         }
-        let mut out = Vec::with_capacity(16 + p.len());
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        out.extend_from_slice(&frame_crc(&p).to_le_bytes());
-        out.extend_from_slice(&p);
-        out
+        frame::seal(&CHECKPOINT_MAGIC, &p).expect("checkpoint payload fits the frame's u32 length")
     }
 
     /// Decodes a `VSCKPT1` frame into `(seq, checkpoint)`. Total: every
@@ -521,28 +512,8 @@ impl ServiceCheckpoint {
     /// structurally impossible states — returns `Err`, never panics, so a
     /// torn or sabotaged checkpoint file is safely skippable.
     pub fn decode(bytes: &[u8]) -> Result<(u64, ServiceCheckpoint), String> {
-        if bytes.len() < 16 {
-            return Err(format!("file too short ({} bytes)", bytes.len()));
-        }
-        if bytes[..8] != CHECKPOINT_MAGIC {
-            return Err("bad magic".to_owned());
-        }
-        let payload_len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let crc_stored = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-        let payload = bytes
-            .get(16..16 + payload_len)
-            .ok_or_else(|| "truncated payload".to_owned())?;
-        if bytes.len() != 16 + payload_len {
-            return Err(format!(
-                "{} trailing bytes after frame",
-                bytes.len() - 16 - payload_len
-            ));
-        }
-        if frame_crc(payload) != crc_stored {
-            return Err("CRC mismatch".to_owned());
-        }
         let mut d = Dec {
-            buf: payload,
+            buf: frame::open(&CHECKPOINT_MAGIC, bytes)?,
             pos: 0,
         };
         let seq = d.u64()?;
@@ -645,111 +616,6 @@ impl ServiceCheckpoint {
                 targets,
             },
         ))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Medium: the injectable I/O seam
-// ---------------------------------------------------------------------------
-
-/// How a fault-injecting medium classifies a write it silently sabotaged.
-/// Purely an *accounting* channel: the sabotage itself (truncated bytes,
-/// no-op fsync) is invisible at the I/O level, exactly as on real broken
-/// storage, but the [`CheckpointLedger`] still partitions every attempt
-/// honestly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteTaint {
-    /// Some of the written bytes never reached the file (torn/short
-    /// write).
-    Torn,
-    /// `sync_all` reported success without durably flushing.
-    FsyncDropped,
-}
-
-/// An open checkpoint file being written.
-pub trait CheckpointWrite: Write + Send {
-    /// Durably flushes the file (`File::sync_all` on the real medium).
-    fn sync_all(&mut self) -> io::Result<()>;
-
-    /// For fault-injecting media only: whether this handle silently
-    /// sabotaged the write, and how. The filesystem medium returns `None`.
-    fn taint(&self) -> Option<WriteTaint> {
-        None
-    }
-}
-
-/// The storage seam the checkpoint daemon writes and recovery reads
-/// through. [`FsMedium`] is the real filesystem; `faultkit` wraps any
-/// medium to inject torn writes, dropped fsyncs, read errors, and
-/// rename reordering, all deterministically.
-pub trait CheckpointMedium: Send {
-    /// Creates (truncating) a file for writing.
-    fn create(&mut self, path: &Path) -> io::Result<Box<dyn CheckpointWrite>>;
-
-    /// Atomically replaces `to` with `from`.
-    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()>;
-
-    /// Reads an entire file.
-    fn read(&mut self, path: &Path) -> io::Result<Vec<u8>>;
-
-    /// Lists the files in a directory (any order; callers sort).
-    fn list(&mut self, dir: &Path) -> io::Result<Vec<PathBuf>>;
-
-    /// Removes a file (retention trimming; best-effort at call sites).
-    fn remove(&mut self, path: &Path) -> io::Result<()>;
-}
-
-impl fmt::Debug for dyn CheckpointMedium {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("dyn CheckpointMedium")
-    }
-}
-
-/// The real filesystem medium.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FsMedium;
-
-struct FsCheckpointFile(fs::File);
-
-impl Write for FsCheckpointFile {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
-    }
-}
-
-impl CheckpointWrite for FsCheckpointFile {
-    fn sync_all(&mut self) -> io::Result<()> {
-        self.0.sync_all()
-    }
-}
-
-impl CheckpointMedium for FsMedium {
-    fn create(&mut self, path: &Path) -> io::Result<Box<dyn CheckpointWrite>> {
-        Ok(Box::new(FsCheckpointFile(fs::File::create(path)?)))
-    }
-
-    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
-        fs::rename(from, to)
-    }
-
-    fn read(&mut self, path: &Path) -> io::Result<Vec<u8>> {
-        fs::read(path)
-    }
-
-    fn list(&mut self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(dir)? {
-            out.push(entry?.path());
-        }
-        Ok(out)
-    }
-
-    fn remove(&mut self, path: &Path) -> io::Result<()> {
-        fs::remove_file(path)
     }
 }
 
@@ -983,7 +849,7 @@ impl CheckpointConfig {
 pub struct CheckpointDaemon {
     service: Arc<StatsService>,
     config: CheckpointConfig,
-    medium: Box<dyn CheckpointMedium>,
+    medium: Box<dyn Medium>,
     health: Arc<CheckpointHealth>,
     next_seq: u64,
     next_due_ns: Option<u64>,
@@ -1002,7 +868,7 @@ impl CheckpointDaemon {
     pub fn with_medium(
         service: Arc<StatsService>,
         config: CheckpointConfig,
-        mut medium: Box<dyn CheckpointMedium>,
+        mut medium: Box<dyn Medium>,
     ) -> Self {
         let next_seq = medium
             .list(&config.dir)
@@ -1079,14 +945,7 @@ impl CheckpointDaemon {
         let bytes = snapshot.encode(seq);
         let final_path = self.config.dir.join(CheckpointFile::name(seq));
         let tmp_path = final_path.with_extension(format!("{CHECKPOINT_EXTENSION}.tmp"));
-        let mut file = self.medium.create(&tmp_path)?;
-        file.write_all(&bytes)?;
-        file.flush()?;
-        file.sync_all()?;
-        let taint = file.taint();
-        drop(file);
-        self.medium.rename(&tmp_path, &final_path)?;
-        match taint {
+        match publish_atomic(self.medium.as_mut(), &tmp_path, &final_path, &bytes)? {
             None => {
                 self.health.written.fetch_add(1, Ordering::AcqRel);
                 self.health.last_durable_seq.store(seq, Ordering::Release);
@@ -1222,9 +1081,9 @@ pub struct RecoveredCheckpoint {
 /// Finds and decodes the newest durable checkpoint in `dir`, newest
 /// first, skipping (and counting) anything that fails to read or decode.
 /// Total: torn files, CRC mismatches, and read errors all fall through
-/// to the next-newest candidate; `Ok(None)` means no durable checkpoint
+/// to the next-newest candidate; `None` means no durable checkpoint
 /// exists (including a missing directory — the cold-start case).
-pub fn load_latest(medium: &mut dyn CheckpointMedium, dir: &Path) -> Option<RecoveredCheckpoint> {
+pub fn load_latest(medium: &mut dyn Medium, dir: &Path) -> Option<RecoveredCheckpoint> {
     let paths = medium.list(dir).unwrap_or_default();
     let mut files: Vec<CheckpointFile> = paths
         .iter()
@@ -1256,6 +1115,7 @@ mod tests {
     use super::*;
     use crate::service::VscsiEvent;
     use simkit::SimTime;
+    use std::fs;
     use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId};
 
     fn target(vm: u32, disk: u32) -> TargetId {

@@ -4,8 +4,8 @@
 //! one 1 KiB table computed at compile time, one XOR + shift per byte.
 //!
 //! Lives here (alongside [`varint`](crate::varint)) because this crate is
-//! the lowest one that frames bytes: the checkpoint plane, `tracestore`
-//! and `fleet` all call it.
+//! the lowest one that frames bytes: [`frame`](crate::frame) (checkpoints
+//! and `fleet` frames) and `tracestore` call it.
 
 const fn make_table() -> [u32; 256] {
     let mut table = [0u32; 256];

@@ -62,7 +62,9 @@ pub mod checkpoint;
 mod collector;
 pub mod crc32;
 pub mod fingerprint;
+pub mod frame;
 mod inflight;
+pub mod medium;
 mod metrics;
 pub mod pipeline;
 pub mod report;
@@ -74,14 +76,15 @@ pub mod varint;
 
 pub use checkpoint::{
     load_latest, CheckpointConfig, CheckpointDaemon, CheckpointFile, CheckpointHealth,
-    CheckpointLedger, CheckpointMedium, CheckpointSupervisor, CheckpointWrite, FsMedium,
-    RecoveredCheckpoint, ServiceCheckpoint, TargetCheckpoint, WriteTaint,
+    CheckpointLedger, CheckpointSupervisor, RecoveredCheckpoint, ServiceCheckpoint,
+    TargetCheckpoint,
 };
 pub use collector::{
     AggState, CollectorConfig, CollectorState, HistogramState, IoStatsCollector, LatencyPercentiles,
 };
 pub use fingerprint::{recommendations, FingerprintLibrary, WorkloadClass, WorkloadFingerprint};
 pub use inflight::InflightTable;
+pub use medium::{publish_atomic, FsMedium, Medium, MediumFile, WriteTaint};
 pub use metrics::{Lens, Metric};
 pub use pipeline::{IngestPipeline, PipelineConfig, PipelineProducer, PipelineReport};
 pub use sentinel::{

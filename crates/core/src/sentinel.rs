@@ -595,7 +595,7 @@ pub struct SalvagedTarget {
 }
 
 /// Health of a trace sink's writer pipeline, surfaced through
-/// [`TraceSink::sink_health`](crate::TraceSink::sink_health).
+/// [`TraceSink::health`](crate::TraceSink::health).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkHealth {
     /// Whether the sink's backpressure policy was demoted (stuck writer →

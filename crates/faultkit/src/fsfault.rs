@@ -1,10 +1,9 @@
-//! Deterministic filesystem fault injection for the durability seams.
+//! Deterministic filesystem fault injection for the durability seam.
 //!
 //! The checkpoint plane ([`vscsi_stats::checkpoint`]) and the trace
-//! store both funnel every byte they persist through a narrow trait —
-//! [`CheckpointMedium`] and [`SegmentBackend`] respectively. This module
-//! wraps either seam with a fault layer that misbehaves the way real
-//! disks and filesystems do across power loss:
+//! store both funnel every byte they persist through one narrow trait,
+//! [`Medium`]. This module wraps it with a fault layer that misbehaves
+//! the way real disks and filesystems do across power loss:
 //!
 //! * **Torn / short write** — only a prefix of the file reaches the
 //!   medium; everything reports success.
@@ -20,12 +19,14 @@
 //! is exactly as reproducible as a healthy one — the property the
 //! `ext_crash` experiment and its CI determinism gate rely on.
 //!
-//! Sabotage is *silent* on the write path, as in life. The checkpoint
-//! seam additionally carries an accounting side-channel
-//! ([`CheckpointWrite::taint`]) so the daemon's [`CheckpointLedger`]
-//! can partition attempts exactly (`written + torn + fsync_dropped +
-//! io_errors == attempts`) without being able to *act* on the taint —
-//! recovery still has to survive on CRCs alone.
+//! Sabotage is *silent* on the write path, as in life. The seam
+//! additionally carries an accounting side-channel
+//! ([`MediumFile::taint`]) so the checkpoint daemon's
+//! [`CheckpointLedger`] can partition attempts exactly (`written + torn +
+//! fsync_dropped + io_errors == attempts`) without being able to *act* on
+//! the taint — recovery still has to survive on CRCs alone. The trace
+//! store keeps no such ledger and ignores it: its CRC-framed blocks and
+//! total decoding are what keep queries honest.
 //!
 //! A [`CrashSchedule`] turns the layer into a guillotine: at a chosen
 //! create-op index the simulated kernel dies mid-write, between fsync
@@ -40,7 +41,8 @@
 //!
 //! let faults = FsFaults::new(42, FsFaultConfig::hostile());
 //! let medium = faults.medium(vscsi_stats::FsMedium);
-//! // hand `Box::new(medium)` to CheckpointDaemon::with_medium(...)
+//! // hand `Box::new(medium)` to CheckpointDaemon::with_medium(...), or
+//! // `medium` itself to TraceStore::create_with_medium(...)
 //! # let _ = medium;
 //! assert!(!faults.crashed());
 //! ```
@@ -50,9 +52,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use tracestore::{SegmentBackend, SegmentWrite};
 use vscsi_stats::checkpoint::CheckpointLedger;
-use vscsi_stats::{CheckpointMedium, CheckpointWrite, WriteTaint};
+use vscsi_stats::{Medium, MediumFile, WriteTaint};
 
 /// Per-mille rates for each filesystem fault class, plus the torn-write
 /// cut bound. All-zero ([`FsFaultConfig::healthy`]) makes the layer a
@@ -262,8 +263,7 @@ struct FaultCore {
 
 /// Shared handle to one fault layer: the plan, the op counters, the
 /// stats ledger, and the crash guillotine. Clone it into as many
-/// [`FaultyMedium`]s / [`FaultyBackend`]s as should share one op-index
-/// sequence.
+/// [`FaultyMedium`]s as should share one op-index sequence.
 #[derive(Debug, Clone)]
 pub struct FsFaults {
     core: Arc<Mutex<FaultCore>>,
@@ -311,23 +311,16 @@ impl FsFaults {
     /// Kills the layer immediately, without waiting for a scheduled
     /// crash op. A harness uses this to correlate death across seams:
     /// when the guillotine fires on one fault layer (say the checkpoint
-    /// medium), the same power cut takes the trace store's backend with
+    /// medium), the same power cut takes the trace store's medium with
     /// it.
     pub fn kill(&self) {
         self.set_crashed();
     }
 
-    /// Wraps a checkpoint medium with this fault layer.
-    pub fn medium<M: CheckpointMedium + 'static>(&self, inner: M) -> FaultyMedium<M> {
+    /// Wraps a medium — the checkpoint daemon's or the trace store's —
+    /// with this fault layer.
+    pub fn medium<M: Medium + 'static>(&self, inner: M) -> FaultyMedium<M> {
         FaultyMedium {
-            faults: self.clone(),
-            inner,
-        }
-    }
-
-    /// Wraps a tracestore segment backend with this fault layer.
-    pub fn backend<B: SegmentBackend>(&self, inner: B) -> FaultyBackend<B> {
-        FaultyBackend {
             faults: self.clone(),
             inner,
         }
@@ -434,51 +427,46 @@ enum WriteMode {
     CrashMidWrite { keep: usize },
 }
 
-/// Passes through at most `keep - passed` bytes, always reporting the
-/// full length as written (the sabotage is silent).
-fn pass_prefix<W: Write + ?Sized>(
-    inner: &mut W,
-    keep: usize,
-    passed: &mut usize,
-    buf: &[u8],
-) -> io::Result<usize> {
-    let room = keep.saturating_sub(*passed);
-    let n = room.min(buf.len());
-    if n > 0 {
-        inner.write_all(&buf[..n])?;
-    }
-    *passed += buf.len();
-    Ok(buf.len())
-}
-
-/// [`CheckpointMedium`] wrapper injecting this module's fault
-/// vocabulary. Build via [`FsFaults::medium`].
+/// [`Medium`] wrapper injecting this module's fault vocabulary into
+/// checkpoint, segment and sidecar writes alike. Build via
+/// [`FsFaults::medium`].
 #[derive(Debug)]
-pub struct FaultyMedium<M: CheckpointMedium> {
+pub struct FaultyMedium<M: Medium> {
     faults: FsFaults,
     inner: M,
 }
 
-struct FaultyCkptFile {
-    inner: Box<dyn CheckpointWrite>,
+struct FaultyFile {
+    inner: Box<dyn MediumFile>,
     mode: WriteMode,
     faults: FsFaults,
     passed: usize,
 }
 
-impl Write for FaultyCkptFile {
+impl FaultyFile {
+    /// Passes through at most `keep - passed` bytes, always reporting the
+    /// full length as written (the sabotage is silent).
+    fn pass_prefix(&mut self, keep: usize, buf: &[u8]) -> io::Result<usize> {
+        let n = keep.saturating_sub(self.passed).min(buf.len());
+        if n > 0 {
+            self.inner.write_all(&buf[..n])?;
+        }
+        self.passed += buf.len();
+        Ok(buf.len())
+    }
+}
+
+impl Write for FaultyFile {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self.mode {
             WriteMode::Clean => self.inner.write(buf),
-            WriteMode::Torn { keep } | WriteMode::Reorder { keep } => {
-                pass_prefix(&mut *self.inner, keep, &mut self.passed, buf)
-            }
+            WriteMode::Torn { keep } | WriteMode::Reorder { keep } => self.pass_prefix(keep, buf),
             WriteMode::DropAll => {
                 self.passed += buf.len();
                 Ok(buf.len())
             }
             WriteMode::CrashMidWrite { keep } => {
-                let _ = pass_prefix(&mut *self.inner, keep, &mut self.passed, buf);
+                let _ = self.pass_prefix(keep, buf);
                 let _ = self.inner.flush();
                 self.faults.set_crashed();
                 Err(crash_err())
@@ -497,7 +485,7 @@ impl Write for FaultyCkptFile {
     }
 }
 
-impl CheckpointWrite for FaultyCkptFile {
+impl MediumFile for FaultyFile {
     fn sync_all(&mut self) -> io::Result<()> {
         match self.mode {
             WriteMode::Clean | WriteMode::Torn { .. } | WriteMode::Reorder { .. } => {
@@ -518,11 +506,11 @@ impl CheckpointWrite for FaultyCkptFile {
     }
 }
 
-impl<M: CheckpointMedium> CheckpointMedium for FaultyMedium<M> {
-    fn create(&mut self, path: &Path) -> io::Result<Box<dyn CheckpointWrite>> {
+impl<M: Medium> Medium for FaultyMedium<M> {
+    fn create(&mut self, path: &Path) -> io::Result<Box<dyn MediumFile>> {
         let mode = self.faults.next_create()?;
         let inner = self.inner.create(path)?;
-        Ok(Box::new(FaultyCkptFile {
+        Ok(Box::new(FaultyFile {
             inner,
             mode,
             faults: self.faults.clone(),
@@ -552,89 +540,6 @@ impl<M: CheckpointMedium> CheckpointMedium for FaultyMedium<M> {
     fn remove(&mut self, path: &Path) -> io::Result<()> {
         self.faults.refuse_if_crashed()?;
         self.inner.remove(path)
-    }
-}
-
-/// [`SegmentBackend`] wrapper injecting the same fault vocabulary into
-/// the trace store's segment and sidecar writes. Build via
-/// [`FsFaults::backend`]. Unlike the checkpoint seam there is no taint
-/// side-channel here: sabotage is fully silent and the store's
-/// CRC-framed blocks and total decoding are what keep queries honest.
-#[derive(Debug)]
-pub struct FaultyBackend<B: SegmentBackend> {
-    faults: FsFaults,
-    inner: B,
-}
-
-struct FaultySegment {
-    inner: Box<dyn SegmentWrite>,
-    mode: WriteMode,
-    faults: FsFaults,
-    passed: usize,
-}
-
-impl Write for FaultySegment {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self.mode {
-            WriteMode::Clean => self.inner.write(buf),
-            WriteMode::Torn { keep } | WriteMode::Reorder { keep } => {
-                pass_prefix(&mut *self.inner, keep, &mut self.passed, buf)
-            }
-            WriteMode::DropAll => {
-                self.passed += buf.len();
-                Ok(buf.len())
-            }
-            WriteMode::CrashMidWrite { keep } => {
-                let _ = pass_prefix(&mut *self.inner, keep, &mut self.passed, buf);
-                let _ = self.inner.flush();
-                self.faults.set_crashed();
-                Err(crash_err())
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self.mode {
-            WriteMode::Clean | WriteMode::Torn { .. } | WriteMode::Reorder { .. } => {
-                self.inner.flush()
-            }
-            WriteMode::DropAll => Ok(()),
-            WriteMode::CrashMidWrite { .. } => Err(crash_err()),
-        }
-    }
-}
-
-impl SegmentWrite for FaultySegment {
-    fn sync_all(&mut self) -> io::Result<()> {
-        match self.mode {
-            WriteMode::Clean | WriteMode::Torn { .. } | WriteMode::Reorder { .. } => {
-                self.inner.sync_all()
-            }
-            WriteMode::DropAll => Ok(()),
-            WriteMode::CrashMidWrite { .. } => Err(crash_err()),
-        }
-    }
-}
-
-impl<B: SegmentBackend> SegmentBackend for FaultyBackend<B> {
-    fn create(&mut self, path: &Path) -> io::Result<Box<dyn SegmentWrite>> {
-        let mode = self.faults.next_create()?;
-        let inner = self.inner.create(path)?;
-        Ok(Box::new(FaultySegment {
-            inner,
-            mode,
-            faults: self.faults.clone(),
-            passed: 0,
-        }))
-    }
-
-    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
-        let die_after = self.faults.next_rename()?;
-        let result = self.inner.rename(from, to);
-        if die_after {
-            self.faults.set_crashed();
-        }
-        result
     }
 }
 
@@ -824,7 +729,7 @@ mod tests {
 
     #[test]
     fn faulty_backend_keeps_store_and_queries_alive() {
-        use tracestore::{FsBackend, IndexSource, TraceStore, TraceStoreConfig};
+        use tracestore::{IndexSource, TraceStore, TraceStoreConfig};
         use vscsi_stats::{TraceRecord, TraceSink};
 
         let dir = tmpdir("backend");
@@ -832,8 +737,7 @@ mod tests {
         let mut config = TraceStoreConfig::new(&dir);
         config.segment_max_bytes = 4 << 10;
         config.chunk_bytes = 1 << 10;
-        let store =
-            TraceStore::create_with_backend(config, faults.backend(FsBackend)).expect("store");
+        let store = TraceStore::create_with_medium(config, faults.medium(FsMedium)).expect("store");
         let mut handle = store.handle();
         for i in 0..5000u64 {
             handle.append(&TraceRecord {
@@ -866,6 +770,89 @@ mod tests {
         }
         assert!(loaded > 0, "some segments must survive a hostile run");
         let _ = report;
+    }
+
+    /// What a path holds after a publish attempt.
+    #[derive(Debug, Clone, Copy)]
+    enum Left {
+        Absent,
+        Whole,
+        /// A pseudorandom prefix strictly shorter than this.
+        Under(u64),
+    }
+
+    #[test]
+    fn publish_atomic_under_every_fate_for_both_planes() {
+        use vscsi_stats::publish_atomic;
+        use Left::{Absent, Under, Whole};
+
+        const PAYLOAD: [u8; 100] = [0x5A; 100]; // well past torn_keep_bound
+        let calm = FsFaultConfig::healthy();
+        let (mut tear, mut lose, mut swap) = (calm, calm, calm);
+        tear.torn_write_permille = 1000;
+        lose.dropped_fsync_permille = 1000;
+        swap.rename_reorder_permille = 1000;
+        let mid = Some(CrashPhase::MidWrite);
+        let synced = Some(CrashPhase::AfterFsync);
+        let renamed = Some(CrashPhase::AfterRename);
+        let torn = Ok(Some(WriteTaint::Torn));
+        let dropped = Ok(Some(WriteTaint::FsyncDropped));
+        let died = Err(io::ErrorKind::BrokenPipe);
+        // (fate, weather, crash phase, taint or error, tmp, final, renames)
+        let table = [
+            ("clean", calm, None, Ok(None), Absent, Whole, 1),
+            ("torn", tear, None, torn, Absent, Under(24), 1),
+            ("lost fsync", lose, None, dropped, Absent, Under(1), 1),
+            ("reorder", swap, None, torn, Absent, Under(24), 1),
+            ("mid-write", calm, mid, died, Under(16), Absent, 0),
+            ("after fsync", calm, synced, died, Whole, Absent, 1),
+            ("after rename", calm, renamed, Ok(None), Absent, Whole, 1),
+        ];
+        for target in ["ckpt-0000000000.vsckpt", "trace-00000.vidx"] {
+            for (fate, weather, crash, want, want_tmp, want_final, renames) in table {
+                let what = format!("{target} / {fate}");
+                let dir = tmpdir("publish");
+                let final_path = dir.join(target);
+                let tmp_path = dir.join(format!("{target}.tmp"));
+                let faults = FsFaults::new(5, weather);
+                if let Some(phase) = crash {
+                    faults.schedule_crash(CrashSchedule {
+                        at_create_op: 0,
+                        phase,
+                    });
+                }
+                let got = publish_atomic(
+                    &mut faults.medium(FsMedium),
+                    &tmp_path,
+                    &final_path,
+                    &PAYLOAD,
+                );
+                assert_eq!(got.map_err(|e| e.kind()), want, "{what}");
+                for (path, want) in [(&tmp_path, want_tmp), (&final_path, want_final)] {
+                    let len = fs::metadata(path).ok().map(|m| m.len());
+                    let ok = match want {
+                        Absent => len.is_none(),
+                        Whole => len == Some(PAYLOAD.len() as u64),
+                        Under(bound) => len.is_some_and(|n| n < bound),
+                    };
+                    assert!(
+                        ok,
+                        "{what}: {} holds {len:?}, want {want:?}",
+                        path.display()
+                    );
+                }
+                let stats = faults.stats();
+                assert!(stats.conserves(), "{what}: {stats:?}");
+                assert_eq!((stats.create_ops, stats.rename_ops), (1, renames), "{what}");
+                assert_eq!(
+                    stats.injected_writes(),
+                    u64::from(weather != calm),
+                    "{what}"
+                );
+                assert_eq!(faults.crashed(), crash.is_some(), "{what}");
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]

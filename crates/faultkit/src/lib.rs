@@ -27,11 +27,11 @@
 //!   timeout/abort machinery can reclaim it.
 //!
 //! The [`fsfault`] module extends the same discipline to the
-//! *filesystem* seams the durability planes write through: torn/short
+//! *filesystem* seam the durability planes write through: torn/short
 //! writes, dropped fsyncs, `EIO` on read, rename-before-data
-//! reordering, and a schedulable crash guillotine — behind the trace
-//! store's `SegmentBackend` and the checkpoint plane's
-//! `CheckpointMedium`.
+//! reordering, and a schedulable crash guillotine — one wrapper around
+//! `vscsi_stats::Medium`, which both the trace store and the checkpoint
+//! plane persist through.
 //!
 //! # Examples
 //!
@@ -56,7 +56,7 @@ pub mod fsfault;
 mod plan;
 
 pub use fsfault::{
-    CrashPhase, CrashSchedule, FaultyBackend, FaultyMedium, FsFaultConfig, FsFaultPlan,
-    FsFaultStats, FsFaults, FsWriteFault,
+    CrashPhase, CrashSchedule, FaultyMedium, FsFaultConfig, FsFaultPlan, FsFaultStats, FsFaults,
+    FsWriteFault,
 };
 pub use plan::{FaultDecision, FaultOutcome, FaultPlan, FaultPlanBuilder, FaultSpec, FaultStats};

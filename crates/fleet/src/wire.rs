@@ -5,7 +5,8 @@
 //! both sides derive from [`slots`] — serialized as delta-encoded varint
 //! counter vectors. The integer primitives are [`vscsi_stats::varint`]'s
 //! LEB128/zigzag API, so this format, the trace segment format and the
-//! checkpoint format share one bit-level vocabulary.
+//! checkpoint format share one bit-level vocabulary; the envelope is
+//! [`vscsi_stats::frame`]'s, shared with the checkpoint format.
 //!
 //! ```text
 //! magic[8] = "VFLHIST2"   payload_len:u32le   crc32(magic ‖ payload):u32le
@@ -45,7 +46,7 @@
 
 use histo::{Histogram, LayoutId};
 use vscsi::{TargetId, VDiskId, VmId};
-use vscsi_stats::crc32::{crc32, crc32_update};
+use vscsi_stats::frame as envelope;
 use vscsi_stats::varint::{
     apply_delta, decode_u64, delta, encode_u64, unzigzag, unzigzag128, zigzag, zigzag128,
 };
@@ -56,7 +57,7 @@ use vscsi_stats::{Lens, Metric, StatsService};
 pub const FRAME_MAGIC: [u8; 8] = *b"VFLHIST2";
 
 /// Bytes of framing around the payload: magic + length + CRC.
-pub const FRAME_HEADER_BYTES: usize = 8 + 4 + 4;
+pub const FRAME_HEADER_BYTES: usize = envelope::HEADER_BYTES;
 
 /// Number of histogram slots per target (every metric × lens pair).
 pub const SLOTS_PER_TARGET: usize = Metric::ALL.len() * Lens::ALL.len();
@@ -259,12 +260,6 @@ fn encode_targets(frame: &HostFrame, payload: &mut Vec<u8>) -> Result<(), WireEr
     Ok(())
 }
 
-/// `crc32(magic ‖ payload)`: covering the magic means a flipped version
-/// byte can never leave a frame that still verifies.
-fn frame_crc(payload: &[u8]) -> u32 {
-    crc32_update(crc32(&FRAME_MAGIC), payload)
-}
-
 /// Serializes a frame: a `VFLHIST2` CRC-framed envelope around a
 /// delta-varint payload. The CRC covers the magic too, so flipping the
 /// version byte of a sealed frame can never produce another valid frame.
@@ -281,13 +276,7 @@ pub fn encode_frame(frame: &HostFrame) -> Result<Vec<u8>, WireError> {
     encode_u64(frame.epoch, &mut payload);
     encode_u64(frame.seq, &mut payload);
     encode_targets(frame, &mut payload)?;
-    let len = u32::try_from(payload.len()).map_err(|_| err("payload exceeds frame size"))?;
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&frame_crc(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
+    envelope::seal(&FRAME_MAGIC, &payload).map_err(err)
 }
 
 /// Decodes one `VFLHIST2` frame after verifying magic, length, CRC, and
@@ -301,24 +290,7 @@ pub fn encode_frame(frame: &HostFrame) -> Result<Vec<u8>, WireError> {
 ///
 /// Returns a [`WireError`] naming the first malformed field.
 pub fn decode_frame(buf: &[u8]) -> Result<HostFrame, WireError> {
-    if buf.len() < FRAME_HEADER_BYTES {
-        return Err(err("frame shorter than its header"));
-    }
-    if buf[..8] != FRAME_MAGIC {
-        return Err(err("bad frame magic"));
-    }
-    let len = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")) as usize;
-    let want_crc = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes"));
-    let payload = &buf[FRAME_HEADER_BYTES..];
-    if payload.len() < len {
-        return Err(err("frame truncated mid-payload"));
-    }
-    if payload.len() > len {
-        return Err(err("trailing bytes after frame"));
-    }
-    if frame_crc(payload) != want_crc {
-        return Err(err("payload CRC mismatch"));
-    }
+    let payload = envelope::open(&FRAME_MAGIC, buf).map_err(err)?;
     let mut pos = 0usize;
     let host_id = decode_u64(payload, &mut pos).ok_or(err("truncated host id"))?;
     let captured_at_us = decode_u64(payload, &mut pos).ok_or(err("truncated capture time"))?;

@@ -37,7 +37,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use vscsi::{IoDirection, TargetId};
 use vscsi_stats::crc32::crc32;
-use vscsi_stats::TraceRecord;
+use vscsi_stats::{publish_atomic, FsMedium, TraceRecord};
 
 /// Leading bytes of every index sidecar.
 pub const INDEX_MAGIC: [u8; 8] = *b"VSTRIDX1";
@@ -425,21 +425,15 @@ pub fn load_or_build(
         }
     }
     let index = build_index(data)?;
-    let _ = write_sidecar_atomic(&sidecar, &encode_index(&index));
+    // Published atomically, so a crash leaves the previous sidecar (or
+    // none) or the complete new one — never a torn `VSTRIDX1`.
+    let _ = publish_atomic(
+        &mut FsMedium,
+        &tmp_index_path(&sidecar),
+        &sidecar,
+        &encode_index(&index),
+    );
     Ok((index, IndexSource::Rebuilt))
-}
-
-/// Writes `bytes` to the sidecar durably: stage at the `.tmp` sibling,
-/// fsync, then rename over the final path. A crash at any point leaves
-/// either the previous sidecar (or none) or the complete new one —
-/// never a torn `VSTRIDX1` that a later load would have to reject.
-fn write_sidecar_atomic(sidecar: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_index_path(sidecar);
-    let mut file = fs::File::create(&tmp)?;
-    io::Write::write_all(&mut file, bytes)?;
-    file.sync_all()?;
-    drop(file);
-    fs::rename(&tmp, sidecar)
 }
 
 /// [`load_or_build`] reading the segment from disk too.

@@ -77,6 +77,5 @@ pub use segment::{
     parse_segment, read_segment, SegmentError, SegmentIntegrity, SEGMENT_EXTENSION, SEGMENT_VERSION,
 };
 pub use store::{
-    read_meta, FsBackend, SegmentBackend, SegmentWrite, StoreReport, TraceStore, TraceStoreConfig,
-    TraceStoreHandle, META_FILE,
+    read_meta, StoreReport, TraceStore, TraceStoreConfig, TraceStoreHandle, META_FILE,
 };

@@ -29,8 +29,8 @@ use crate::ring::{BackpressurePolicy, ChunkRing, DropStats, Msg};
 use crate::segment::{write_block_with_crc, write_segment_header, SEGMENT_EXTENSION};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
-use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
+use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -38,78 +38,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use vscsi_stats::crc32::crc32;
-use vscsi_stats::{SinkHealth, TraceRecord, TraceSink};
+use vscsi_stats::{
+    publish_atomic, FsMedium, Medium, MediumFile, SinkHealth, TraceRecord, TraceSink,
+};
 
 /// Name of the sidecar capture-summary file a finished store writes next
 /// to its segments. `key=value` lines; read back with [`read_meta`]. The
 /// replay side uses it to surface capture-time accounting — notably the
 /// per-policy drop counts — that the segments themselves cannot carry.
 pub const META_FILE: &str = "trace-meta.txt";
-
-/// Where segment bytes land: the real filesystem by default
-/// ([`FsBackend`]), or a test double injected through
-/// [`TraceStore::create_with_backend`] to exercise the writer thread's
-/// error absorption without touching a real disk.
-pub trait SegmentBackend: Send + 'static {
-    /// Opens a fresh segment at `path` for writing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates whatever the backing medium reports; the writer thread
-    /// absorbs the failure and accounts the chunk as lost.
-    fn create(&mut self, path: &Path) -> io::Result<Box<dyn SegmentWrite>>;
-
-    /// Atomically replaces `to` with `from` — the commit step of the
-    /// write-tmp → fsync → rename discipline used for index sidecars.
-    /// Defaults to the real filesystem rename so simple test backends
-    /// only implement [`SegmentBackend::create`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the medium's failure; the writer records it.
-    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
-        fs::rename(from, to)
-    }
-}
-
-/// One open segment: buffered writes plus explicit durability.
-pub trait SegmentWrite: Write + Send {
-    /// Forces everything written so far to stable storage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the medium's failure; the writer records it.
-    fn sync_all(&mut self) -> io::Result<()>;
-}
-
-/// The default backend: buffered files in the store directory.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FsBackend;
-
-struct FsSegment(BufWriter<File>);
-
-impl Write for FsSegment {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
-    }
-}
-
-impl SegmentWrite for FsSegment {
-    fn sync_all(&mut self) -> io::Result<()> {
-        self.0.flush()?;
-        self.0.get_ref().sync_all()
-    }
-}
-
-impl SegmentBackend for FsBackend {
-    fn create(&mut self, path: &Path) -> io::Result<Box<dyn SegmentWrite>> {
-        Ok(Box::new(FsSegment(BufWriter::new(File::create(path)?))))
-    }
-}
 
 /// Configuration for a [`TraceStore`].
 #[derive(Debug, Clone)]
@@ -292,7 +229,7 @@ fn record_error(stats: &Mutex<WriterStats>, err: &std::io::Error, lost_records: 
 }
 
 struct OpenSegment {
-    file: Box<dyn SegmentWrite>,
+    file: Box<dyn MediumFile>,
     bytes: usize,
     path: PathBuf,
     /// One zone-map entry per block written, for the index sidecar
@@ -301,11 +238,11 @@ struct OpenSegment {
 }
 
 /// Flushes a finished segment and drops its `VSTRIDX1` sidecar next to
-/// it, through the same backend (so injected-failure tests cover the
+/// it, through the same medium (so injected-failure tests cover the
 /// index path too). Sidecar failure is absorbed like any other I/O error
 /// — the segment itself is already durable, and queries rebuild missing
 /// sidecars on first scan.
-fn close_segment(shared: &Shared, backend: &mut dyn SegmentBackend, mut seg: OpenSegment) {
+fn close_segment(shared: &Shared, medium: &mut dyn Medium, mut seg: OpenSegment) {
     if let Err(e) = seg.file.flush() {
         record_error(&shared.stats, &e, 0);
     }
@@ -316,22 +253,13 @@ fn close_segment(shared: &Shared, backend: &mut dyn SegmentBackend, mut seg: Ope
         entries: seg.entries,
     };
     let bytes = encode_index(&index);
-    // Atomic sidecar commit: write-tmp → fsync → rename. A crash mid-write
-    // can leave a `.tmp` orphan but never a half-written `.vstridx` — a
-    // reader that finds a sidecar can trust its length, and one that finds
-    // none rebuilds from the (already durable) segment.
+    // A crash mid-publish can leave a `.tmp` orphan but never a
+    // half-written `.vidx` — a reader that finds a sidecar can trust its
+    // length, and one that finds none rebuilds from the (already durable)
+    // segment.
     let final_path = index_path(&seg.path);
-    let tmp_path = tmp_index_path(&final_path);
-    let result = (|| {
-        let mut file = backend.create(&tmp_path)?;
-        file.write_all(&bytes)?;
-        file.flush()?;
-        file.sync_all()?;
-        drop(file);
-        backend.rename(&tmp_path, &final_path)
-    })();
-    match result {
-        Ok(()) => {
+    match publish_atomic(medium, &tmp_index_path(&final_path), &final_path, &bytes) {
+        Ok(_) => {
             let mut stats = shared.stats.lock();
             stats.indexes += 1;
             stats.index_bytes += bytes.len() as u64;
@@ -340,7 +268,7 @@ fn close_segment(shared: &Shared, backend: &mut dyn SegmentBackend, mut seg: Ope
     }
 }
 
-fn writer_loop(shared: &Shared, config: &TraceStoreConfig, backend: &mut dyn SegmentBackend) {
+fn writer_loop(shared: &Shared, config: &TraceStoreConfig, medium: &mut dyn Medium) {
     let _guard = CloseGuard(&shared.ring);
     let mut current: Option<OpenSegment> = None;
     let mut next_index = 0u64;
@@ -362,7 +290,7 @@ fn writer_loop(shared: &Shared, config: &TraceStoreConfig, backend: &mut dyn Seg
                                 .dir
                                 .join(format!("trace-{next_index:05}.{SEGMENT_EXTENSION}"));
                             next_index += 1;
-                            let mut file = backend.create(&path)?;
+                            let mut file = medium.create(&path)?;
                             let header = write_segment_header(&mut file)?;
                             let mut stats = shared.stats.lock();
                             stats.segments += 1;
@@ -397,7 +325,7 @@ fn writer_loop(shared: &Shared, config: &TraceStoreConfig, backend: &mut dyn Seg
                     Ok(roll) => {
                         if roll {
                             if let Some(seg) = current.take() {
-                                close_segment(shared, backend, seg);
+                                close_segment(shared, medium, seg);
                             }
                         }
                     }
@@ -429,7 +357,7 @@ fn writer_loop(shared: &Shared, config: &TraceStoreConfig, backend: &mut dyn Seg
         }
     }
     if let Some(seg) = current.take() {
-        close_segment(shared, backend, seg);
+        close_segment(shared, medium, seg);
     }
 }
 
@@ -449,25 +377,25 @@ pub struct TraceStore {
 
 impl TraceStore {
     /// Creates the segment directory and starts the writer thread against
-    /// the default filesystem backend.
+    /// the real filesystem ([`FsMedium`]).
     ///
     /// # Errors
     ///
     /// If the directory cannot be created or the thread cannot spawn.
     pub fn create(config: TraceStoreConfig) -> std::io::Result<TraceStore> {
-        TraceStore::create_with_backend(config, FsBackend)
+        TraceStore::create_with_medium(config, FsMedium)
     }
 
-    /// Like [`TraceStore::create`], but with an explicit [`SegmentBackend`]
-    /// — the seam tests use to inject failing media and prove the writer
+    /// Like [`TraceStore::create`], but with an explicit [`Medium`] — the
+    /// seam tests use to inject failing media and prove the writer
     /// absorbs I/O errors without ever blocking producers.
     ///
     /// # Errors
     ///
     /// If the directory cannot be created or the thread cannot spawn.
-    pub fn create_with_backend(
+    pub fn create_with_medium(
         config: TraceStoreConfig,
-        backend: impl SegmentBackend,
+        medium: impl Medium + 'static,
     ) -> std::io::Result<TraceStore> {
         fs::create_dir_all(&config.dir)?;
         let shared = Arc::new(Shared {
@@ -478,10 +406,10 @@ impl TraceStore {
         let thread = {
             let shared = Arc::clone(&shared);
             let config = config.clone();
-            let mut backend = backend;
+            let mut medium = medium;
             std::thread::Builder::new()
                 .name("tracestore-writer".into())
-                .spawn(move || writer_loop(&shared, &config, &mut backend))?
+                .spawn(move || writer_loop(&shared, &config, &mut medium))?
         };
         Ok(TraceStore {
             shared,
@@ -644,6 +572,7 @@ impl Drop for TraceStoreHandle {
 mod tests {
     use super::*;
     use crate::reader::read_trace;
+    use std::io;
     use vscsi::{IoDirection, Lba, TargetId};
 
     struct TempDir(PathBuf);
@@ -778,7 +707,7 @@ mod tests {
         assert_eq!(sink.dropped_records(), 1);
     }
 
-    /// Backend whose segments report failure on every write.
+    /// Medium whose segments report failure on every write.
     struct FailingBackend;
 
     struct FailingSegment;
@@ -793,19 +722,19 @@ mod tests {
         }
     }
 
-    impl SegmentWrite for FailingSegment {
+    impl MediumFile for FailingSegment {
         fn sync_all(&mut self) -> io::Result<()> {
             Ok(())
         }
     }
 
-    impl SegmentBackend for FailingBackend {
-        fn create(&mut self, _: &Path) -> io::Result<Box<dyn SegmentWrite>> {
+    impl Medium for FailingBackend {
+        fn create(&mut self, _: &Path) -> io::Result<Box<dyn MediumFile>> {
             Ok(Box::new(FailingSegment))
         }
     }
 
-    /// Backend whose segments share a byte budget; once spent, every
+    /// Medium whose segments share a byte budget; once spent, every
     /// write fails — a disk filling up mid-capture.
     struct BudgetBackend(Arc<AtomicUsize>);
 
@@ -826,19 +755,19 @@ mod tests {
         }
     }
 
-    impl SegmentWrite for BudgetSegment {
+    impl MediumFile for BudgetSegment {
         fn sync_all(&mut self) -> io::Result<()> {
             Ok(())
         }
     }
 
-    impl SegmentBackend for BudgetBackend {
-        fn create(&mut self, _: &Path) -> io::Result<Box<dyn SegmentWrite>> {
+    impl Medium for BudgetBackend {
+        fn create(&mut self, _: &Path) -> io::Result<Box<dyn MediumFile>> {
             Ok(Box::new(BudgetSegment(Arc::clone(&self.0))))
         }
     }
 
-    /// Backend whose segments block every write until the shared gate
+    /// Medium whose segments block every write until the shared gate
     /// opens — a hung disk / dead iSCSI session.
     struct StuckBackend(Arc<(Mutex<bool>, parking_lot::Condvar)>);
 
@@ -859,14 +788,14 @@ mod tests {
         }
     }
 
-    impl SegmentWrite for StuckSegment {
+    impl MediumFile for StuckSegment {
         fn sync_all(&mut self) -> io::Result<()> {
             Ok(())
         }
     }
 
-    impl SegmentBackend for StuckBackend {
-        fn create(&mut self, _: &Path) -> io::Result<Box<dyn SegmentWrite>> {
+    impl Medium for StuckBackend {
+        fn create(&mut self, _: &Path) -> io::Result<Box<dyn MediumFile>> {
             Ok(Box::new(StuckSegment(Arc::clone(&self.0))))
         }
     }
@@ -882,7 +811,7 @@ mod tests {
         config.block_budget = Duration::from_millis(50);
         let gate = Arc::new((Mutex::new(false), parking_lot::Condvar::new()));
         let store =
-            TraceStore::create_with_backend(config, StuckBackend(Arc::clone(&gate))).unwrap();
+            TraceStore::create_with_medium(config, StuckBackend(Arc::clone(&gate))).unwrap();
         let mut sink = store.handle();
         // The writer picks up the first sealed chunk and hangs inside
         // write(); the ring fills behind it. No append or flush below may
@@ -915,7 +844,7 @@ mod tests {
         let mut config = TraceStoreConfig::new(&dir.0);
         config.chunk_bytes = 256; // many chunks, many failed writes
         config.policy = BackpressurePolicy::Block; // worst case for liveness
-        let store = TraceStore::create_with_backend(config, FailingBackend).unwrap();
+        let store = TraceStore::create_with_medium(config, FailingBackend).unwrap();
         let mut sink = store.handle();
         let appended = 2_000u64;
         for i in 0..appended {
@@ -939,11 +868,9 @@ mod tests {
         let dir = TempDir::new("budget");
         let mut config = TraceStoreConfig::new(&dir.0);
         config.chunk_bytes = 256;
-        let store = TraceStore::create_with_backend(
-            config,
-            BudgetBackend(Arc::new(AtomicUsize::new(4096))),
-        )
-        .unwrap();
+        let store =
+            TraceStore::create_with_medium(config, BudgetBackend(Arc::new(AtomicUsize::new(4096))))
+                .unwrap();
         let mut sink = store.handle();
         let appended = 5_000u64;
         for i in 0..appended {

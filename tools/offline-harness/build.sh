@@ -38,7 +38,7 @@ step fleet rustc $E --crate-type lib --crate-name fleet crates/fleet/src/lib.rs 
     --extern vscsi=$LIB/libvscsi.rlib --extern vscsi_stats=$LIB/libvscsi_stats.rlib
 step faultkit rustc $E --crate-type lib --crate-name faultkit crates/faultkit/src/lib.rs \
     $X_SERDE --extern simkit=$LIB/libsimkit.rlib --extern vscsi=$LIB/libvscsi.rlib \
-    --extern vscsi_stats=$LIB/libvscsi_stats.rlib --extern tracestore=$LIB/libtracestore.rlib
+    --extern vscsi_stats=$LIB/libvscsi_stats.rlib
 step storage rustc $E --crate-type lib --crate-name storage crates/storage/src/lib.rs \
     $X_SERDE --extern simkit=$LIB/libsimkit.rlib --extern vscsi=$LIB/libvscsi.rlib \
     --extern faultkit=$LIB/libfaultkit.rlib
