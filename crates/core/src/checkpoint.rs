@@ -814,8 +814,9 @@ pub struct CheckpointConfig {
     pub dir: PathBuf,
     /// Virtual-clock cadence between checkpoints.
     pub interval_ns: u64,
-    /// Durable checkpoints to retain (older ones are trimmed;
-    /// minimum 1).
+    /// Checkpoint files to retain (older ones are trimmed; minimum 1).
+    /// The newest durable checkpoint survives however many tainted
+    /// writes follow it.
     pub retain: usize,
     /// Watchdog budget: a write stuck in the medium longer than this
     /// (virtual time) demotes the daemon.
@@ -962,9 +963,16 @@ impl CheckpointDaemon {
     }
 
     /// Removes final checkpoint files beyond the retention count, oldest
-    /// first. Best-effort: removal failures are ignored (the files are
-    /// merely stale, and recovery skips anything corrupt anyway).
+    /// first — but only files older than the durable frontier: a run of
+    /// tainted writes must never push out the one checkpoint recovery can
+    /// still load, and until this daemon has written something durable no
+    /// file on disk is known to be superseded. Best-effort: removal
+    /// failures are ignored (the files are merely stale, and recovery
+    /// skips anything corrupt anyway).
     fn trim_retention(&mut self) {
+        let Some(frontier) = self.health.last_durable_seq() else {
+            return;
+        };
         let Ok(paths) = self.medium.list(&self.config.dir) else {
             return;
         };
@@ -973,12 +981,9 @@ impl CheckpointDaemon {
             .filter_map(|p| CheckpointFile::parse(p))
             .collect();
         files.sort();
-        let retain = self.config.retain.max(1);
-        if files.len() > retain {
-            let excess = files.len() - retain;
-            for f in &files[..excess] {
-                let _ = self.medium.remove(&f.path);
-            }
+        let excess = files.len().saturating_sub(self.config.retain.max(1));
+        for f in files[..excess].iter().filter(|f| f.seq < frontier) {
+            let _ = self.medium.remove(&f.path);
         }
     }
 
@@ -1113,6 +1118,7 @@ pub fn load_latest(medium: &mut dyn Medium, dir: &Path) -> Option<RecoveredCheck
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::medium::MediumFile;
     use crate::service::VscsiEvent;
     use simkit::SimTime;
     use std::fs;
@@ -1235,6 +1241,89 @@ mod tests {
         assert_eq!(rec.seq, 2);
         assert_eq!(rec.skipped_corrupt, 0);
         assert_eq!(rec.checkpoint, service.checkpoint_snapshot());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A medium that tears every write while `tear` is set: half the
+    /// bytes land, the handle reports the taint.
+    struct TearingMedium {
+        tear: Arc<AtomicBool>,
+    }
+
+    struct TearingFile {
+        inner: Box<dyn MediumFile>,
+        torn: bool,
+    }
+
+    impl io::Write for TearingFile {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let keep = if self.torn { buf.len() / 2 } else { buf.len() };
+            self.inner.write_all(&buf[..keep])?;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl MediumFile for TearingFile {
+        fn sync_all(&mut self) -> io::Result<()> {
+            self.inner.sync_all()
+        }
+
+        fn taint(&self) -> Option<WriteTaint> {
+            self.torn.then_some(WriteTaint::Torn)
+        }
+    }
+
+    impl Medium for TearingMedium {
+        fn create(&mut self, path: &Path) -> io::Result<Box<dyn MediumFile>> {
+            Ok(Box::new(TearingFile {
+                inner: FsMedium.create(path)?,
+                torn: self.tear.load(Ordering::Acquire),
+            }))
+        }
+    }
+
+    #[test]
+    fn retention_never_trims_the_durable_frontier() {
+        let dir = std::env::temp_dir().join(format!("vsckpt-retain-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        let service = busy_service();
+        let mut cfg = CheckpointConfig::new(&dir);
+        cfg.retain = 2;
+        let tear = Arc::new(AtomicBool::new(false));
+        let medium = TearingMedium {
+            tear: Arc::clone(&tear),
+        };
+        let mut daemon = CheckpointDaemon::with_medium(Arc::clone(&service), cfg, Box::new(medium));
+        let good = service.checkpoint_snapshot();
+        daemon.checkpoint_now(0).expect("clean write");
+        // `retain` torn writes in a row: by sequence alone, seq 0 is now
+        // the excess file — and the only one recovery can load.
+        tear.store(true, Ordering::Release);
+        daemon.checkpoint_now(1).expect("torn write");
+        daemon.checkpoint_now(2).expect("torn write");
+        let health = daemon.health();
+        assert_eq!(health.ledger().written, 1);
+        assert_eq!(health.ledger().torn, 2);
+        assert_eq!(health.last_durable_seq(), Some(0));
+        let rec = load_latest(&mut FsMedium, &dir).expect("the frontier survives");
+        assert_eq!(rec.seq, 0);
+        assert_eq!(rec.skipped_corrupt, 2);
+        assert_eq!(rec.checkpoint, good);
+        // The next durable write moves the frontier and trimming resumes.
+        tear.store(false, Ordering::Release);
+        daemon.checkpoint_now(3).expect("clean write");
+        let mut seqs: Vec<u64> = fs::read_dir(&dir)
+            .expect("readdir")
+            .filter_map(|e| CheckpointFile::parse(&e.expect("entry").path()))
+            .map(|f| f.seq)
+            .collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, [2, 3]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -23,8 +23,8 @@
 //! the pipeline is therefore *bit-identical* to calling `handle_batch`
 //! inline (the `pipeline_props` proptest pins this).
 //!
-//! Backpressure: ring occupancy is the overload signal. The blocking
-//! offers yield until space frees; the lossy [`PipelineProducer::offer`]
+//! Backpressure: a full lane is the overload signal. The blocking
+//! offer yields until space frees; the lossy [`PipelineProducer::offer`]
 //! drops on a full lane and books the drop per shard, and
 //! [`IngestPipeline::finish`] folds those drops into the sentinel ledger
 //! via [`StatsService::absorb_ring_sheds`](crate::StatsService::absorb_ring_sheds)
@@ -68,13 +68,10 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Counters shared between producers, aggregators, and the pipeline
-/// handle. `pushed`/`processed` drive [`IngestPipeline::wait_idle`];
-/// the rest feed the final [`PipelineReport`].
+/// Counters and flags shared between producers, aggregators, and the
+/// pipeline handle; the counters feed the final [`PipelineReport`].
 #[derive(Debug)]
 struct PipelineShared {
-    /// Events successfully published into some lane.
-    pushed: AtomicU64,
     /// Events the aggregators have applied via `handle_batch`.
     processed: AtomicU64,
     /// Events offered to any producer handle (pushed + shed).
@@ -135,28 +132,12 @@ impl PipelineProducer {
     pub fn offer(&mut self, event: VscsiEvent) -> bool {
         let (shard, lane) = self.route(&event);
         self.shared.offered.fetch_add(1, Ordering::Relaxed);
-        if self.lanes[lane].try_push(event) {
-            self.shared.pushed.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
+        let published = self.lanes[lane].try_push(event);
+        if !published {
             self.shared.sheds_by_shard[shard].fetch_add(1, Ordering::Relaxed);
             self.shared.shed.fetch_add(1, Ordering::Relaxed);
-            false
         }
-    }
-
-    /// Blocking offer: yields until the destination lane has space.
-    /// Loses nothing; used by the simulator and benches where the
-    /// workload is a finite script rather than a live device.
-    pub fn offer_blocking(&mut self, event: VscsiEvent) {
-        let (_, lane) = self.route(&event);
-        self.shared.offered.fetch_add(1, Ordering::Relaxed);
-        while !self.lanes[lane].try_push(event) {
-            // One-CPU CI containers: spin_loop() never cedes the core, so
-            // the aggregator could starve forever. Yield the timeslice.
-            thread::yield_now();
-        }
-        self.shared.pushed.fetch_add(1, Ordering::Relaxed);
+        published
     }
 
     /// Blocking batch offer: groups consecutive same-lane events and
@@ -177,28 +158,16 @@ impl PipelineProducer {
                 .fetch_add(run.len() as u64, Ordering::Relaxed);
             while !run.is_empty() {
                 let pushed = self.lanes[lane].push_batch(run);
-                self.shared
-                    .pushed
-                    .fetch_add(pushed as u64, Ordering::Relaxed);
                 run = &run[pushed..];
                 if !run.is_empty() {
+                    // One-CPU CI containers: spin_loop() never cedes the
+                    // core, so the aggregator could starve forever. Yield
+                    // the timeslice.
                     thread::yield_now();
                 }
             }
             i = j;
         }
-    }
-
-    /// Highest fill fraction across this producer's lanes, in percent —
-    /// the pipeline's overload signal (a sustained high value means the
-    /// aggregators are not keeping up and lossy offers will start
-    /// shedding).
-    pub fn occupancy_pct(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.len() as u64 * 100 / l.capacity() as u64)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -215,7 +184,6 @@ impl IngestPipeline {
         let aggregators = config.aggregators.max(1);
         let drain_batch = config.drain_batch.clamp(1, 1024);
         let shared = Arc::new(PipelineShared {
-            pushed: AtomicU64::new(0),
             processed: AtomicU64::new(0),
             offered: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -278,17 +246,6 @@ impl IngestPipeline {
     /// Resumes draining after [`IngestPipeline::pause`].
     pub fn resume(&self) {
         self.shared.paused.store(false, Ordering::Release);
-    }
-
-    /// Blocks (yielding) until every event published so far has been
-    /// applied by an aggregator. Call before reading histograms or health
-    /// snapshots mid-run; the producers may keep publishing afterwards.
-    pub fn wait_idle(&self) {
-        while self.shared.processed.load(Ordering::Acquire)
-            < self.shared.pushed.load(Ordering::Acquire)
-        {
-            thread::yield_now();
-        }
     }
 
     /// Events dropped at full lanes so far.
@@ -441,26 +398,6 @@ mod tests {
             assert_eq!(a.issued_commands(), b.issued_commands());
             assert_eq!(a.completed_commands(), b.completed_commands());
         }
-    }
-
-    #[test]
-    fn wait_idle_sees_all_published_events() {
-        let events = event_script(2, 50);
-        let service = Arc::new(StatsService::new(CollectorConfig::default()));
-        service.enable_all();
-        let (pipeline, mut producers) = IngestPipeline::start(
-            Arc::clone(&service),
-            PipelineConfig {
-                ring_capacity: 16,
-                ..PipelineConfig::default()
-            },
-        );
-        producers[0].offer_batch_blocking(&events);
-        pipeline.wait_idle();
-        let summaries = service.summaries();
-        let total: u64 = summaries.iter().map(|s| s.issued).sum();
-        assert_eq!(total, events.len() as u64 / 2);
-        pipeline.finish(producers);
     }
 
     #[test]

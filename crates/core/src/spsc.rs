@@ -1,11 +1,11 @@
 //! Bounded lock-free single-producer/single-consumer rings.
 //!
 //! The thread-per-core ingest pipeline ([`crate::pipeline`]) moves
-//! fixed-size [`crate::VscsiEvent`] records from producer threads
-//! (simulated vCPUs, bench drivers) to aggregator workers without ever
-//! taking a lock on the hot path. Each lane of the pipeline is one of
-//! these rings: exactly one producer handle and one consumer handle, a
-//! power-of-two slot array, and the classic Lamport protocol —
+//! fixed-size [`crate::VscsiEvent`] records from producer threads to
+//! aggregator workers without ever taking a lock on the hot path. Each
+//! lane of the pipeline is one of these rings: exactly one producer
+//! handle and one consumer handle, a power-of-two slot array, and the
+//! classic Lamport protocol —
 //!
 //! * the producer owns `tail` (it alone stores it, with `Release`);
 //! * the consumer owns `head` (it alone stores it, with `Release`);
@@ -29,13 +29,12 @@
 //! never dropped, which keeps both sides trivially panic-safe (a slot
 //! that was written but not yet published is just bytes).
 //!
-//! Closure is cooperative and one-directional per side: dropping the
-//! [`Producer`] marks the ring producer-closed (the consumer drains the
-//! backlog and then sees [`Consumer::is_closed`]); dropping the
-//! [`Consumer`] marks it consumer-closed so a producer can stop offering
-//! into the void. The `spsc_interleave` integration test drives the
-//! protocol through a seeded model checker (random interleavings against
-//! a `VecDeque` oracle) plus a two-thread FIFO stress run.
+//! Closure is cooperative and flows one way: dropping the [`Producer`]
+//! marks the ring closed (the consumer drains the backlog and then sees
+//! [`Consumer::is_closed`]). The `spsc_interleave` integration test
+//! drives the protocol through a seeded model checker (random
+//! interleavings against a `VecDeque` oracle) plus a two-thread FIFO
+//! stress run.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -55,7 +54,6 @@ struct Ring<T> {
     /// producer (`Release`), read by the consumer (`Acquire`).
     tail: CachePadded<AtomicU64>,
     producer_closed: AtomicBool,
-    consumer_closed: AtomicBool,
     mask: u64,
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
 }
@@ -100,7 +98,6 @@ pub fn ring<T: Copy>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         head: CachePadded(AtomicU64::new(0)),
         tail: CachePadded(AtomicU64::new(0)),
         producer_closed: AtomicBool::new(false),
-        consumer_closed: AtomicBool::new(false),
         mask: cap as u64 - 1,
         slots,
     });
@@ -169,13 +166,6 @@ impl<T: Copy> Producer<T> {
             free = self.ring.capacity() - (self.tail - self.cached_head);
         }
         free
-    }
-
-    /// Whether the consumer endpoint has been dropped; pushes after that
-    /// would never be drained.
-    #[inline]
-    pub fn consumer_gone(&self) -> bool {
-        self.ring.consumer_closed.load(Ordering::Acquire)
     }
 
     /// Attempts to enqueue one value. Returns `false` if the ring is
@@ -273,12 +263,6 @@ impl<T: Copy> Consumer<T> {
     }
 }
 
-impl<T> Drop for Consumer<T> {
-    fn drop(&mut self) {
-        self.ring.consumer_closed.store(true, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,16 +316,6 @@ mod tests {
         // Backlog survives the close.
         assert_eq!(c.try_pop(), Some(7));
         assert_eq!(c.try_pop(), None);
-    }
-
-    #[test]
-    fn consumer_drop_flags_producer() {
-        let (mut p, c) = ring::<u8>(4);
-        assert!(!p.consumer_gone());
-        drop(c);
-        assert!(p.consumer_gone());
-        // Pushing is still memory-safe, just pointless.
-        assert!(p.try_push(1));
     }
 
     #[test]

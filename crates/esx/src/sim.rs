@@ -15,10 +15,7 @@ use std::sync::Arc;
 use storage::{StorageArray, Submission};
 use vscsi::SECTOR_SIZE;
 use vscsi::{IoCompletion, IoRequest, RequestId, ScsiStatus};
-use vscsi_stats::{
-    InflightTable, IngestPipeline, PipelineConfig, PipelineProducer, PipelineReport, StatsService,
-    VscsiEvent,
-};
+use vscsi_stats::{InflightTable, StatsService};
 
 /// Per-attachment runtime counters, the `esxtop`-style view (§5.2).
 #[derive(Debug, Clone)]
@@ -271,22 +268,6 @@ pub struct Simulation {
     retry_rng: simkit::SimRng,
     rng: simkit::SimRng,
     started: bool,
-    /// Reusable buffer for an issue burst's events (thread-per-core
-    /// publishes a burst with one release store per lane run).
-    event_buf: Vec<VscsiEvent>,
-    /// Thread-per-core ingest, when enabled: events leave the simulation
-    /// thread through lock-free SPSC lanes and aggregator workers apply
-    /// them; `None` means inline `handle_batch` (the default).
-    tpc: Option<TpcHandle>,
-}
-
-/// Owns the pipeline pieces in drop order: the producer first (closing
-/// every lane), then the pipeline handle (whose `Drop` joins the
-/// aggregators after they drain the closed lanes).
-#[derive(Debug)]
-struct TpcHandle {
-    producer: PipelineProducer,
-    pipeline: IngestPipeline,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -320,46 +301,6 @@ impl Simulation {
             retry_rng: rng.fork("retry"),
             rng,
             started: false,
-            event_buf: Vec::new(),
-            tpc: None,
-        }
-    }
-
-    /// Switches stats ingestion to the thread-per-core pipeline: the
-    /// simulation thread becomes the (single) producer writing events
-    /// into lock-free SPSC lanes, and `config.aggregators` workers apply
-    /// them through the batched service path. Ingestion is lossless (the
-    /// simulation blocks when a lane is full) and, with one producer,
-    /// bit-identical to inline ingestion. Call before the first
-    /// [`Simulation::run_until`]; call [`Simulation::finish_ingest`] (or
-    /// drop the simulation) before reading histograms from the service.
-    pub fn enable_thread_per_core(&mut self, config: PipelineConfig) {
-        let config = PipelineConfig {
-            producers: 1,
-            ..config
-        };
-        let (pipeline, mut producers) = IngestPipeline::start(Arc::clone(&self.service), config);
-        let producer = producers.pop().expect("one producer configured");
-        self.tpc = Some(TpcHandle { producer, pipeline });
-    }
-
-    /// Drains and shuts down the thread-per-core pipeline, returning its
-    /// event accounting (`None` if it was never enabled). After this,
-    /// ingestion reverts to the inline path and every event the
-    /// simulation produced is visible in the service's histograms.
-    pub fn finish_ingest(&mut self) -> Option<PipelineReport> {
-        self.tpc
-            .take()
-            .map(|tpc| tpc.pipeline.finish(vec![tpc.producer]))
-    }
-
-    /// Feeds a burst of events to the stats service by whichever path is
-    /// active: the thread-per-core pipeline's SPSC lanes, or the inline
-    /// batched call.
-    fn ingest(&mut self, events: &[VscsiEvent]) {
-        match &mut self.tpc {
-            Some(tpc) => tpc.producer.offer_batch_blocking(events),
-            None => self.service.handle_batch(events),
         }
     }
 
@@ -463,11 +404,6 @@ impl Simulation {
     /// watchdog against the simulated clock so stuck-shard detection
     /// keys off virtual rather than wall time.
     pub fn health_snapshot(&self) -> vscsi_stats::HealthSnapshot {
-        // With thread-per-core ingest the snapshot must not race the
-        // aggregators: wait until everything published so far is applied.
-        if let Some(tpc) = &self.tpc {
-            tpc.pipeline.wait_idle();
-        }
         self.service.watchdog_check(self.now().as_nanos());
         self.service.health_snapshot()
     }
@@ -586,7 +522,6 @@ impl Simulation {
     }
 
     fn apply_poll(&mut self, attach: usize, now: SimTime, poll: Poll) {
-        let mut events = std::mem::take(&mut self.event_buf);
         for io in poll.issue {
             let id = RequestId(self.next_request_id);
             self.next_request_id += 1;
@@ -608,7 +543,9 @@ impl Simulation {
                 io.sectors,
                 now,
             );
-            events.push(VscsiEvent::Issue(request));
+            // The vSCSI layer sees commands the moment the guest issues
+            // them — this is the paper's first hook point.
+            self.service.handle_issue(&request);
             runtime.stats.issued += 1;
             runtime.cmds.insert(
                 id.0,
@@ -623,13 +560,6 @@ impl Simulation {
             );
             runtime.pending.push(request);
         }
-        // The vSCSI layer sees commands the moment the guest issues them —
-        // this is the paper's first hook point; the burst goes to the hooks
-        // in issue order (or, thread-per-core, is published with one release
-        // store per lane run).
-        self.ingest(&events);
-        events.clear();
-        self.event_buf = events;
         if let Some(at) = poll.timer {
             let runtime = &mut self.attachments[attach];
             runtime.timer_generation += 1;
@@ -848,7 +778,7 @@ impl Simulation {
         let request = cmd.request;
         let completion = IoCompletion::with_status(request, now, status);
         // Second hook point: completion at the vSCSI layer.
-        self.ingest(&[VscsiEvent::Complete(completion)]);
+        self.service.handle_complete(&completion);
         {
             let stats = &mut self.attachments[attach].stats;
             match status {
@@ -939,47 +869,6 @@ mod tests {
         assert_eq!(c.completed_commands(), stats);
         assert!(c.issued_commands() >= stats);
         assert_eq!(c.histogram(Metric::Latency, Lens::All).total(), stats);
-    }
-
-    #[test]
-    fn thread_per_core_ingest_matches_inline() {
-        let spec = AccessSpec::random_read_8k(8, 2 * 1024 * 1024 * 1024);
-        let (mut inline_sim, inline_service) = sim_with_iometer(spec.clone());
-        inline_sim.run_until(SimTime::from_millis(300));
-
-        let (mut tpc_sim, tpc_service) = sim_with_iometer(spec);
-        tpc_sim.enable_thread_per_core(PipelineConfig {
-            aggregators: 2,
-            ring_capacity: 64,
-            drain_batch: 8,
-            ..PipelineConfig::default()
-        });
-        tpc_sim.run_until(SimTime::from_millis(300));
-        let report = tpc_sim.finish_ingest().expect("pipeline was enabled");
-        assert_eq!(report.shed, 0, "blocking ingest must not drop");
-        assert_eq!(report.ingested, report.offered);
-
-        let target = inline_sim.attachment_target(0);
-        let a = inline_service.collector(target).unwrap();
-        let b = tpc_service.collector(target).unwrap();
-        for metric in Metric::ALL {
-            for lens in [Lens::All, Lens::Reads, Lens::Writes] {
-                assert_eq!(
-                    a.histogram(metric, lens),
-                    b.histogram(metric, lens),
-                    "{metric} diverged"
-                );
-            }
-        }
-        assert_eq!(a.issued_commands(), b.issued_commands());
-        assert_eq!(a.completed_commands(), b.completed_commands());
-    }
-
-    #[test]
-    fn finish_ingest_without_pipeline_is_none() {
-        let (mut sim, _service) = sim_with_iometer(AccessSpec::seq_read_4k(2, 1024 * 1024 * 1024));
-        sim.run_until(SimTime::from_millis(50));
-        assert!(sim.finish_ingest().is_none());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! failure lands in the corruption ledger — never silently excluded.
 
 use crate::codec::{decode_block_into, decode_u64, encode_u64};
-use crate::segment::{walk_frames, FrameEvent, SegmentError};
+use crate::segment::{walk_frames, FrameEvent, SegmentError, BLOCK_HEADER_BYTES};
 use simkit::splitmix64;
 use std::fmt;
 use std::fs;
@@ -295,6 +295,12 @@ pub fn decode_index(data: &[u8]) -> Result<SegmentIndex, IndexError> {
         let payload_len = narrow(decode_u64(payload, &mut pos).ok_or_else(truncated)?)?;
         let record_count = narrow(decode_u64(payload, &mut pos).ok_or_else(truncated)?)?;
         let block_crc = narrow(decode_u64(payload, &mut pos).ok_or_else(truncated)?)?;
+        // A scanner slices `offset + header .. + payload_len` out of the
+        // segment; an entry reaching past it describes no block there.
+        offset
+            .checked_add(BLOCK_HEADER_BYTES as u64 + u64::from(payload_len))
+            .filter(|end| *end <= segment_bytes)
+            .ok_or_else(|| IndexError::new("block extends past the segment"))?;
         let entry_flags = *payload.get(pos).ok_or_else(truncated)?;
         pos += 1;
         let stats = if entry_flags & ENTRY_FLAG_STATS != 0 {
@@ -534,6 +540,14 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(decode_index(&extended).is_err());
+        // A CRC-valid entry whose block would not fit in the segment is
+        // rejected — up to an offset that overflows once a scanner adds
+        // the header to it.
+        let mut index = decode_index(&bytes).unwrap();
+        index.entries[0].offset = index.segment_bytes - 4;
+        assert!(decode_index(&encode_index(&index)).is_err());
+        index.entries[0].offset = u64::MAX - 4;
+        assert!(decode_index(&encode_index(&index)).is_err());
     }
 
     #[test]
@@ -542,8 +556,7 @@ mod tests {
         let b: Vec<TraceRecord> = (10..20).map(rec).collect();
         let mut image = segment_with_blocks(&[&a, &b]);
         // Flip a payload byte in block a: still framed, CRC now bad.
-        image[crate::segment::SEGMENT_HEADER_BYTES + crate::segment::BLOCK_HEADER_BYTES + 2] ^=
-            0x20;
+        image[crate::segment::SEGMENT_HEADER_BYTES + BLOCK_HEADER_BYTES + 2] ^= 0x20;
         let index = build_index(&image).unwrap();
         assert_eq!(index.entries.len(), 2);
         assert!(index.entries[0].stats.is_none(), "bad CRC → no stats");

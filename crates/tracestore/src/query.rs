@@ -12,25 +12,30 @@
 //!                     |
 //!      work spans  <--+-- load_or_build (backfills legacy segments)
 //!         |
-//!   [scanner 0..T)  --- zone maps prune blocks; survivors decode into
-//!         |             a reused scratch, records predicate-filtered
-//!     spsc mesh     --- matched records routed by target shard
-//!         |
-//!  [aggregator 0..T) -- shard-owned targets, records sorted back into
-//!         |             file order, replayed into histogram sets
+//!   phase 1: scan   --- T workers claim spans from a shared cursor; zone
+//!         |             maps prune blocks, survivors decode into a reused
+//!         |             scratch, matches are grouped per target per span
+//!   spans by index  --- a target's groups, concatenated in span order,
+//!         |             are its matched records in file order
+//!   phase 2: replay --- the same T workers claim targets from a second
+//!         |             cursor and replay each into a histogram set
 //!      QueryOutcome --- per-target collectors + conservation ledger
 //! ```
+//!
+//! The T workers are T−1 scoped threads plus the calling thread, so a
+//! one-thread run spawns nothing.
 //!
 //! Three properties are load-bearing and tested:
 //!
 //! * **Pushdown is only ever a skip.** A zone map can prove a block
 //!   irrelevant; it can never fabricate a match. Blocks without stats
 //!   (corrupt at index time, or hand-built empties) are always scanned.
-//! * **Parallelism is invisible in the result.** Matched records carry
-//!   their `(segment, block, position)` coordinates; each aggregator
-//!   sorts its targets' records back into file order before replaying,
-//!   so the histograms are bit-identical to a serial scan no matter the
-//!   thread count or arrival interleaving.
+//! * **Parallelism is invisible in the result.** Spans are numbered in
+//!   file order and a worker scans the span it claimed front to back, so
+//!   laying the spans' per-target groups end to end by span number *is*
+//!   file order — no coordinates to carry, nothing to sort. Which worker
+//!   scanned which span never reaches the histograms: they are
+//!   bit-identical to a serial scan at any thread count.
 //! * **The ledger closes.** For every file and in total:
 //!   `scanned + skipped_by_index + skipped_by_corruption == total
 //!   blocks`, with damaged blocks accounted (never silently dropped),
@@ -41,7 +46,6 @@ use crate::index::{load_or_build, IndexSource, SegmentIndex, ZoneStats};
 use crate::index::{KIND_COMPLETED, KIND_INFLIGHT, KIND_READ, KIND_WRITE};
 use crate::reader::{list_segments, IntegrityReport};
 use crate::segment::{walk_frames, FrameEvent, SegmentError, BLOCK_HEADER_BYTES, BLOCK_MAGIC};
-use simkit::splitmix64;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -50,7 +54,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use vscsi::{IoDirection, TargetId};
 use vscsi_stats::crc32::crc32;
-use vscsi_stats::spsc;
 use vscsi_stats::{replay, CollectorConfig, IoStatsCollector, Lens, Metric, TraceRecord};
 
 /// A command-kind predicate leg.
@@ -152,8 +155,8 @@ impl Predicate {
 /// Tuning for a [`QueryEngine`] run.
 #[derive(Debug, Clone)]
 pub struct QueryConfig {
-    /// Scanner (and aggregator) threads; `0` means one per available
-    /// core.
+    /// Worker threads (the calling thread is one of them); `0` means one
+    /// per available core.
     pub threads: usize,
     /// Load/backfill `VSTRIDX1` sidecars and push predicates down to
     /// zone maps. `false` is the naive baseline: every block decoded,
@@ -162,8 +165,6 @@ pub struct QueryConfig {
     /// Blocks per work item claimed from the shared cursor; small enough
     /// to balance, large enough to amortize the claim.
     pub span_blocks: u32,
-    /// Capacity of each scanner→aggregator ring, in records.
-    pub ring_capacity: usize,
     /// Histogram configuration for the per-target collectors.
     pub collector: CollectorConfig,
 }
@@ -174,7 +175,6 @@ impl Default for QueryConfig {
             threads: 0,
             use_index: true,
             span_blocks: 64,
-            ring_capacity: 1024,
             collector: CollectorConfig::paper_figures(),
         }
     }
@@ -355,23 +355,6 @@ pub struct QueryOutcome {
     pub report: QueryReport,
 }
 
-/// A matched record with its file-order coordinates, `Copy` so it rides
-/// the lock-free rings.
-#[derive(Debug, Clone, Copy)]
-struct Routed {
-    seg: u32,
-    block: u32,
-    pos: u32,
-    rec: TraceRecord,
-}
-
-/// Which aggregator owns a target. Must be a pure function of the
-/// target so every scanner routes consistently.
-fn shard(target: TargetId, shards: usize) -> usize {
-    let key = (u64::from(target.vm.0) << 32) | u64::from(target.disk.0);
-    (splitmix64(key) % shards as u64) as usize
-}
-
 struct LoadedSegment {
     path: PathBuf,
     data: Vec<u8>,
@@ -435,23 +418,45 @@ fn invalid_data(path: &Path, e: SegmentError) -> io::Error {
     )
 }
 
+/// One span's matched records, grouped per target; each group is in file
+/// order because the span was scanned front to back.
+type SpanMatches = BTreeMap<TargetId, Vec<TraceRecord>>;
+
+/// Runs `work` on `threads` workers — `threads - 1` scoped threads plus
+/// the calling thread — and returns every worker's result.
+fn run_workers<R: Send>(threads: usize, work: impl Fn() -> R + Sync) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(&work)).collect();
+        let mut results = vec![work()];
+        results.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("query worker panicked")),
+        );
+        results
+    })
+}
+
+/// Phase 1: claims spans until the cursor runs out. Returns this worker's
+/// per-segment counters and, keyed by span number, the matches of every
+/// span it scanned.
 fn scan_worker(
     segments: &[LoadedSegment],
     spans: &[Span],
     cursor: &AtomicUsize,
     predicate: &Predicate,
-    mut producers: Vec<spsc::Producer<Routed>>,
-) -> Vec<LocalScan> {
-    let shards = producers.len();
+) -> (Vec<LocalScan>, Vec<(usize, SpanMatches)>) {
     let mut stats = vec![LocalScan::default(); segments.len()];
+    let mut found = Vec::new();
     let mut scratch: Vec<TraceRecord> = Vec::new();
-    'work: loop {
+    loop {
         let item = cursor.fetch_add(1, Ordering::Relaxed);
         let Some(span) = spans.get(item) else {
             break;
         };
         let seg = &segments[span.seg as usize];
         let local = &mut stats[span.seg as usize];
+        let mut matches = SpanMatches::new();
         for block in span.start..span.end {
             let entry = &seg.index.entries[block as usize];
             if !predicate.zone_check(entry.stats.as_ref()) {
@@ -487,74 +492,33 @@ fn scan_worker(
             }
             local.scanned_blocks += 1;
             local.records_scanned += scratch.len() as u64;
-            for (pos, rec) in scratch.iter().enumerate() {
-                if !predicate.matches(rec) {
-                    continue;
-                }
+            for rec in scratch.iter().filter(|rec| predicate.matches(rec)) {
                 local.records_matched += 1;
-                let routed = Routed {
-                    seg: span.seg,
-                    block,
-                    pos: pos as u32,
-                    rec: *rec,
-                };
-                let producer = &mut producers[shard(rec.target, shards)];
-                while !producer.try_push(routed) {
-                    if producer.consumer_gone() {
-                        // Aggregator died (panic); our join will see it.
-                        break 'work;
-                    }
-                    std::thread::yield_now();
-                }
+                matches.entry(rec.target).or_default().push(*rec);
             }
         }
+        found.push((item, matches));
     }
-    stats
+    (stats, found)
 }
 
-fn aggregate_worker(
-    mut consumers: Vec<spsc::Consumer<Routed>>,
+/// Phase 2: claims targets until the cursor runs out and replays each
+/// one's matched records, laid end to end in span order.
+fn replay_worker(
+    targets: &[(TargetId, Vec<Vec<TraceRecord>>)],
+    cursor: &AtomicUsize,
     collector: &CollectorConfig,
 ) -> Vec<TargetQueryResult> {
-    let mut buckets: BTreeMap<TargetId, Vec<Routed>> = BTreeMap::new();
-    let mut chunk: Vec<Routed> = Vec::with_capacity(256);
-    loop {
-        let mut progress = false;
-        let mut all_done = true;
-        for consumer in &mut consumers {
-            if consumer.pop_chunk(&mut chunk, 256) > 0 {
-                progress = true;
-                for routed in chunk.drain(..) {
-                    buckets.entry(routed.rec.target).or_default().push(routed);
-                }
-            }
-            // Order matters: observe the close *before* the final
-            // emptiness check, so a producer that pushed then closed is
-            // never declared done while its records sit in the ring.
-            if !(consumer.is_closed() && consumer.backlog() == 0) {
-                all_done = false;
-            }
-        }
-        if all_done {
-            break;
-        }
-        if !progress {
-            std::thread::yield_now();
-        }
+    let mut rows = Vec::new();
+    while let Some((target, groups)) = targets.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+        let records = groups.concat();
+        rows.push(TargetQueryResult {
+            target: *target,
+            records: records.len() as u64,
+            collector: replay(&records, collector.clone()),
+        });
     }
-    buckets
-        .into_iter()
-        .map(|(target, mut routed)| {
-            // Back into file order: parallel arrival order is noise.
-            routed.sort_unstable_by_key(|r| (r.seg, r.block, r.pos));
-            let records: Vec<TraceRecord> = routed.iter().map(|r| r.rec).collect();
-            TargetQueryResult {
-                target,
-                records: records.len() as u64,
-                collector: replay(&records, collector.clone()),
-            }
-        })
-        .collect()
+    rows
 }
 
 /// The indexed, parallel scan engine. Construct once, run queries
@@ -639,52 +603,37 @@ impl QueryEngine {
             }
         }
 
-        let threads = self.resolved_threads().max(1);
+        let threads = self.resolved_threads();
         let cursor = AtomicUsize::new(0);
-        // Full scanner×aggregator mesh of SPSC rings: T² rings, but each
-        // is single-producer single-consumer so the hot path stays
-        // wait-free (same topology as the ingestion pipeline's
-        // producer→binner fan-in).
-        let mut producers: Vec<Vec<spsc::Producer<Routed>>> =
-            (0..threads).map(|_| Vec::with_capacity(threads)).collect();
-        let mut consumers: Vec<Vec<spsc::Consumer<Routed>>> =
-            (0..threads).map(|_| Vec::with_capacity(threads)).collect();
-        for scanner_producers in producers.iter_mut() {
-            for aggregator_consumers in consumers.iter_mut() {
-                let (p, c) = spsc::ring(self.config.ring_capacity.max(2));
-                scanner_producers.push(p);
-                aggregator_consumers.push(c);
-            }
+        let (scan_stats, found): (Vec<_>, Vec<_>) = run_workers(threads.min(spans.len()), || {
+            scan_worker(&segments, &spans, &cursor, predicate)
+        })
+        .into_iter()
+        .unzip();
+
+        // Whoever scanned it, a span's matches go to the slot with its
+        // number; walking the slots in order then hands every target its
+        // groups in file order.
+        let mut by_span = vec![SpanMatches::new(); spans.len()];
+        for (item, matches) in found.into_iter().flatten() {
+            by_span[item] = matches;
         }
+        let mut by_target: BTreeMap<TargetId, Vec<Vec<TraceRecord>>> = BTreeMap::new();
+        for (target, group) in by_span.into_iter().flatten() {
+            by_target.entry(target).or_default().push(group);
+        }
+        let by_target: Vec<_> = by_target.into_iter().collect();
 
-        let (scan_stats, mut target_rows) = std::thread::scope(|scope| {
-            let segments = &segments;
-            let spans = &spans[..];
-            let cursor = &cursor;
-            let collector = &self.config.collector;
-            let aggregators: Vec<_> = consumers
-                .drain(..)
-                .map(|mine| scope.spawn(move || aggregate_worker(mine, collector)))
-                .collect();
-            let scanners: Vec<_> = producers
-                .drain(..)
-                .map(|mine| {
-                    scope.spawn(move || scan_worker(segments, spans, cursor, predicate, mine))
-                })
-                .collect();
-            let scan_stats: Vec<Vec<LocalScan>> = scanners
-                .into_iter()
-                .map(|h| h.join().expect("scanner panicked"))
-                .collect();
-            let rows: Vec<TargetQueryResult> = aggregators
-                .into_iter()
-                .flat_map(|h| h.join().expect("aggregator panicked"))
-                .collect();
-            (scan_stats, rows)
-        });
-
-        // Shards own disjoint targets, so concatenation has no
-        // duplicates; sort for a deterministic, id-ordered answer.
+        let cursor = AtomicUsize::new(0);
+        let mut target_rows: Vec<TargetQueryResult> =
+            run_workers(threads.min(by_target.len()), || {
+                replay_worker(&by_target, &cursor, &self.config.collector)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        // Targets were claimed in id order but finish in any; sort for a
+        // deterministic, id-ordered answer.
         target_rows.sort_by_key(|row| row.target);
 
         let mut report = QueryReport::default();
@@ -848,7 +797,10 @@ mod tests {
             reference_scan(&dir.0, &Predicate::True, &CollectorConfig::paper_figures()).unwrap();
         assert!(integrity.is_clean());
         let expected = digests(&reference);
-        for (threads, use_index) in [(1, true), (4, true), (1, false), (4, false)] {
+        // 64 asks for more workers than there are spans (1,200 records in
+        // 256-byte chunks, 4 blocks a span) and far more than the 3
+        // targets: each phase must settle for one worker per item.
+        for (threads, use_index) in [(1, true), (4, true), (64, true), (1, false), (4, false)] {
             let outcome = engine(threads, use_index)
                 .run(&dir.0, &Predicate::True)
                 .unwrap();

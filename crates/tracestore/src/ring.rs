@@ -446,6 +446,11 @@ mod tests {
                 }
             })
         };
+        // Drain only once the producer has filled both slots and stalled
+        // on the third chunk, so the stall is certain rather than likely.
+        while ring.drops().block_waits == 0 {
+            std::thread::yield_now();
+        }
         let mut seen = Vec::new();
         while seen.len() < 20 {
             if let Some(Msg::Chunk { payload, .. }) = ring.pop() {

@@ -198,7 +198,7 @@ proptest! {
         let expected = digests(&reference);
         let expected_matched: u64 = reference.iter().map(|r| r.records).sum();
 
-        for (threads, use_index) in [(1, true), (3, true), (1, false), (2, false)] {
+        for (threads, use_index) in [(1, true), (3, true), (8, true), (1, false), (2, false)] {
             let engine = QueryEngine::new(QueryConfig {
                 threads,
                 use_index,
@@ -223,6 +223,18 @@ proptest! {
                 prop_assert_eq!(outcome.report.skipped_by_index, 0);
             }
         }
+
+        // A predicate matching nothing leaves the replay phase no target
+        // to claim: zero rows, and the ledger still closes.
+        let engine = QueryEngine::new(QueryConfig {
+            threads: 8,
+            span_blocks: 2,
+            ..QueryConfig::default()
+        });
+        let nothing = engine.run(&dir, &Predicate::Or(vec![])).unwrap();
+        prop_assert!(nothing.targets.is_empty());
+        prop_assert_eq!(nothing.report.records_matched, 0);
+        prop_assert!(nothing.report.conserves(), "{}", nothing.report);
 
         fs::remove_dir_all(&dir).ok();
     }
