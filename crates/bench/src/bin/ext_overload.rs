@@ -13,9 +13,9 @@
 //!   `BENCH_overload.json`.
 //! * **Phase B (watchdog)** — a trace store's writer thread hangs on a
 //!   stalled backend. The flush must time out and demote the ring to
-//!   `DropOldest`, after which a 2 000-record flood must drain without
-//!   blocking the producer: capture degrades to a lossy flight recorder
-//!   instead of wedging the workload. Only booleans are reported — the
+//!   evicting its oldest chunk, after which a 2 000-record flood must
+//!   drain without blocking the producer: capture degrades to a lossy
+//!   flight recorder instead of wedging the workload. Only booleans are reported — the
 //!   watchdog runs on real time, so raw counts are not replay-stable.
 //! * **Phase C (quarantine)** — the two-VM interference scenario runs
 //!   with a one-shot chaos panic wired to VM 0. The panicking shard must

@@ -333,7 +333,8 @@ fn main() {
         VMS * DISKS
     );
 
-    // Capture, losslessly: the store's Block policy means every generated
+    // Capture, losslessly: the store blocks producers on a full ring until
+    // demoted, and nothing here stalls the writer, so every generated
     // record reaches disk, so the on-disk archive and the in-memory
     // stream describe the same workload.
     let stream = generate(seed, records);

@@ -29,7 +29,6 @@ use vscsi_stats::{
     fingerprint, replay, report, CollectorConfig, IoStatsCollector, TraceRecord,
     WorkloadFingerprint,
 };
-use vscsistats_bench::percommand;
 use vscsistats_bench::scenarios::{
     prepare_dbt2, prepare_filebench_oltp, prepare_filecopy, prepare_interference, CopyOs, FsKind,
     InterferenceMode, Prepared,
@@ -59,9 +58,6 @@ struct Args {
     list: bool,
     trace_out: Option<PathBuf>,
     replay: Option<PathBuf>,
-    bench_overhead: bool,
-    bench_out: Option<PathBuf>,
-    bench_commands: usize,
     health: bool,
     fetch_all: bool,
     checkpoint_dir: Option<PathBuf>,
@@ -79,9 +75,6 @@ fn parse_args() -> Result<Args, String> {
         list: false,
         trace_out: None,
         replay: None,
-        bench_overhead: false,
-        bench_out: Some(PathBuf::from("BENCH_percommand.json")),
-        bench_commands: 100_000,
         health: false,
         fetch_all: false,
         checkpoint_dir: None,
@@ -115,18 +108,6 @@ fn parse_args() -> Result<Args, String> {
             "--replay" => {
                 args.replay = Some(PathBuf::from(it.next().ok_or("--replay needs a path")?));
             }
-            "--bench-overhead" => args.bench_overhead = true,
-            "--bench-commands" => {
-                args.bench_commands = it
-                    .next()
-                    .ok_or("--bench-commands needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--bench-commands: {e}"))?;
-            }
-            "--bench-out" => {
-                let v = it.next().ok_or("--bench-out needs a path (or '-')")?;
-                args.bench_out = (v != "-").then(|| PathBuf::from(v));
-            }
             "--checkpoint-dir" => {
                 args.checkpoint_dir = Some(PathBuf::from(
                     it.next().ok_or("--checkpoint-dir needs a directory")?,
@@ -159,7 +140,6 @@ fn print_help() {
     println!("       vscsistats --replay <path> [--report] [--csv] [--fingerprint]");
     println!("       vscsistats --restore <dir> [--report] [--csv] [--fingerprint]");
     println!("       vscsistats query <path> [predicate flags] [--threads N] [--no-index] [--json] [--report]");
-    println!("       vscsistats --bench-overhead [--bench-commands N] [--bench-out PATH|-]");
     println!("       vscsistats --list\n");
     println!("workloads:");
     for (name, desc) in WORKLOADS {
@@ -175,8 +155,6 @@ fn print_help() {
     println!("  --replay P     rebuild histograms from a trace file/directory instead of running");
     println!("  --checkpoint-dir D  write a durable VSCKPT1 checkpoint of the run into D");
     println!("  --restore D    rebuild histograms from the newest durable checkpoint in D");
-    println!("  --bench-overhead  measure ns/command per collection config (Table 2) and write");
-    println!("                    BENCH_percommand.json (override with --bench-out, '-' = stdout)");
     println!("\nquery predicate flags (legs AND together; omit all for a full scan):");
     println!("  --from-us N / --to-us N    issue-time window, microseconds since capture start");
     println!("  --lba-min N / --lba-max N  first-sector LBA band, inclusive");
@@ -241,15 +219,13 @@ fn print_capture_meta(path: &Path) {
             .map_or("?", |(_, v)| v.as_str())
     };
     eprintln!(
-        "capture: {} record(s) in {} segment(s), policy {}",
+        "capture: {} record(s) in {} segment(s)",
         get("records"),
-        get("segments"),
-        get("policy")
+        get("segments")
     );
     eprintln!(
-        "capture drops: oldest={} newest={} closed={} (records); block_waits={}",
+        "capture drops: oldest={} closed={} (records); block_waits={}",
         get("dropped_oldest_records"),
-        get("dropped_newest_records"),
         get("dropped_closed_records"),
         get("block_waits")
     );
@@ -348,38 +324,6 @@ fn run_restore(dir: &Path, args: &Args) -> Result<(), String> {
         print_views(collector, args, want_report);
     }
     Ok(())
-}
-
-/// `--bench-overhead`: the Table 2 reproduction. Measures nanoseconds per
-/// command (issue + completion hooks) for each collection configuration
-/// plus the pre-slab baseline, prints the table, and writes the JSON
-/// artifact.
-fn run_bench_overhead(args: &Args) {
-    const REPEATS: usize = 5;
-    let commands = args.bench_commands.max(1_000);
-    eprintln!(
-        "measuring per-command overhead: {commands} commands x {REPEATS} repeats per config..."
-    );
-    let rows = percommand::measure_all(commands, REPEATS);
-    println!("--- per-command overhead (Table 2 shape) ---");
-    for row in &rows {
-        println!(
-            "{:<20} {:>8.1} ns/command",
-            row.mode.name(),
-            row.ns_per_command
-        );
-    }
-    let json = percommand::to_json(&rows, commands, REPEATS);
-    match args.bench_out.as_deref() {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(2);
-            }
-            eprintln!("wrote {}", path.display());
-        }
-        None => print!("{json}"),
-    }
 }
 
 /// `vscsistats query <path> ...`: the indexed parallel analytics engine
@@ -591,10 +535,6 @@ fn main() {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
-        return;
-    }
-    if args.bench_overhead {
-        run_bench_overhead(&args);
         return;
     }
     let Some(workload) = args.workload.as_deref() else {

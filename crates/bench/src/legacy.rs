@@ -1,91 +1,17 @@
-//! Superseded hot-path implementations, preserved as measurement baselines.
+//! Test oracle for the per-disk collector.
 //!
-//! Two generations live here:
-//!
-//! * [`GlobalLockService`] — the original `StatsService` design: one global
-//!   `Mutex<BTreeMap<…>>` that every issue and completion from every
-//!   (VM, vdisk) pair serializes through, with the collector configuration
-//!   cloned on each issue. The `service_contention` Criterion bench and the
-//!   `contention_multi_vm` driver measure what the sharded rewrite buys.
-//! * [`LegacyCollector`] — the original per-disk collector: one
-//!   `Vec<Histogram>` indexed by (metric, lens), each lens recorded with
-//!   its own `Histogram::record` call (so the bin index for a value is
-//!   computed twice per event), and a linear-scan `Vec` for in-flight
-//!   seek tracking. The `table2_overhead` bench and the `vscsistats
-//!   --bench-overhead` driver measure what the flat-slab index-once
-//!   rewrite buys per command.
-//!
-//! Neither is part of the library proper and neither should be used
-//! outside benchmarks.
+//! [`LegacyCollector`] is the original, obviously-correct implementation
+//! of the §3 metrics: one `Vec<Histogram>` indexed by (metric, lens), each
+//! lens recorded with its own `Histogram::record` call (so the bin index
+//! for a value is computed twice per event), and a linear-scan `Vec` for
+//! in-flight seek tracking. It is kept as the reference the flat-slab
+//! [`IoStatsCollector`](vscsi_stats::IoStatsCollector) is tested against
+//! (`legacy_collector_matches_slab_collector` below) — not as a speed
+//! baseline, and not for use outside tests.
 
 use histo::{layouts, signed_distance, Histogram, Histogram2d, HistogramSeries, SeekWindow};
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use vscsi::{IoCompletion, IoRequest, RequestId, TargetId};
-use vscsi_stats::{CollectorConfig, IoStatsCollector, Lens, Metric, VscsiEvent};
-
-struct Inner {
-    enabled: bool,
-    config: CollectorConfig,
-    targets: BTreeMap<TargetId, IoStatsCollector>,
-}
-
-/// Global-single-lock statistics service (the seed implementation).
-pub struct GlobalLockService {
-    inner: Mutex<Inner>,
-}
-
-impl Default for GlobalLockService {
-    fn default() -> Self {
-        GlobalLockService::new(CollectorConfig::default())
-    }
-}
-
-impl GlobalLockService {
-    /// Creates a disabled service that builds collectors with `config`.
-    pub fn new(config: CollectorConfig) -> Self {
-        GlobalLockService {
-            inner: Mutex::new(Inner {
-                enabled: false,
-                config,
-                targets: BTreeMap::new(),
-            }),
-        }
-    }
-
-    /// Turns collection on.
-    pub fn enable_all(&self) {
-        self.inner.lock().enabled = true;
-    }
-
-    /// Hot-path hook: command issue. Takes the one global lock and clones
-    /// the config, exactly as the seed implementation did.
-    pub fn handle_issue(&self, req: &IoRequest) {
-        let mut inner = self.inner.lock();
-        if !inner.enabled {
-            return;
-        }
-        let config = inner.config.clone();
-        inner
-            .targets
-            .entry(req.target)
-            .or_insert_with(|| IoStatsCollector::new(config))
-            .on_issue(req);
-    }
-
-    /// Hot-path hook: command completion. Takes the one global lock.
-    pub fn handle_complete(&self, completion: &IoCompletion) {
-        let mut inner = self.inner.lock();
-        if let Some(collector) = inner.targets.get_mut(&completion.request.target) {
-            collector.on_complete(completion);
-        }
-    }
-
-    /// Clones out a target's collector, blocking all ingestion meanwhile.
-    pub fn collector(&self, target: TargetId) -> Option<IoStatsCollector> {
-        self.inner.lock().targets.get(&target).cloned()
-    }
-}
+use vscsi::{IoCompletion, IoRequest, RequestId};
+use vscsi_stats::{CollectorConfig, Lens, Metric};
 
 const LENSES: usize = 3;
 
@@ -134,10 +60,10 @@ fn direction_lens(req: &IoRequest) -> Lens {
 /// index by scanning the edge list), and in-flight seek tracking through a
 /// linearly scanned `Vec<(RequestId, i64)>`.
 ///
-/// The `legacy_collector_matches_slab_collector` test pins this
-/// implementation to [`IoStatsCollector`]: identical histogram counts on a
-/// shared request stream, so the `table2_overhead` numbers compare two
-/// routes to the same answer.
+/// The `legacy_collector_matches_slab_collector` property pins
+/// [`IoStatsCollector`](vscsi_stats::IoStatsCollector) to this
+/// implementation: identical histograms and counters on any shared
+/// request stream.
 #[derive(Debug, Clone)]
 pub struct LegacyCollector {
     /// `histograms[metric * 3 + lens]`.
@@ -158,12 +84,6 @@ pub struct LegacyCollector {
     outstanding_series: Option<HistogramSeries>,
     inflight_seeks: Vec<(RequestId, i64)>,
     seek_latency: Option<Histogram2d>,
-}
-
-impl Default for LegacyCollector {
-    fn default() -> Self {
-        LegacyCollector::new(CollectorConfig::default())
-    }
 }
 
 impl LegacyCollector {
@@ -355,110 +275,58 @@ impl LegacyCollector {
     }
 }
 
-/// A uniform ingestion front-end so drivers and benches can run the same
-/// workload against either service implementation.
-pub trait IngestionPath: Sync {
-    /// Applies one event.
-    fn ingest(&self, event: &VscsiEvent);
-
-    /// Applies a slice of events (defaults to per-event ingestion; the
-    /// sharded service routes it through `handle_batch`).
-    fn ingest_batch(&self, events: &[VscsiEvent]) {
-        for event in events {
-            self.ingest(event);
-        }
-    }
-
-    /// Total commands issued for `target`, for end-of-run verification.
-    fn issued(&self, target: TargetId) -> u64;
-}
-
-impl IngestionPath for GlobalLockService {
-    fn ingest(&self, event: &VscsiEvent) {
-        match event {
-            VscsiEvent::Issue(req) => self.handle_issue(req),
-            VscsiEvent::Complete(completion) => self.handle_complete(completion),
-        }
-    }
-
-    fn issued(&self, target: TargetId) -> u64 {
-        self.collector(target).map_or(0, |c| c.issued_commands())
-    }
-}
-
-impl IngestionPath for vscsi_stats::StatsService {
-    fn ingest(&self, event: &VscsiEvent) {
-        match event {
-            VscsiEvent::Issue(req) => self.handle_issue(req),
-            VscsiEvent::Complete(completion) => self.handle_complete(completion),
-        }
-    }
-
-    fn ingest_batch(&self, events: &[VscsiEvent]) {
-        self.handle_batch(events);
-    }
-
-    fn issued(&self, target: TargetId) -> u64 {
-        self.collector(target).map_or(0, |c| c.issued_commands())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::SimTime;
-    use vscsi::{IoDirection, Lba, RequestId, VDiskId, VmId};
+    use proptest::prelude::*;
+    use simkit::{SimDuration, SimTime};
+    use vscsi::{IoDirection, Lba, ScsiStatus, SenseKey, TargetId};
+    use vscsi_stats::IoStatsCollector;
 
-    #[test]
-    fn legacy_matches_sharded_single_threaded() {
-        let legacy = GlobalLockService::default();
-        legacy.enable_all();
-        let sharded = vscsi_stats::StatsService::default();
-        sharded.enable_all();
-        let target = TargetId::new(VmId(3), VDiskId(1));
-        for i in 0..500u64 {
-            let req = IoRequest::new(
-                RequestId(i),
-                target,
-                if i % 3 == 0 {
-                    IoDirection::Write
-                } else {
-                    IoDirection::Read
-                },
-                Lba::new((i * 769) % 100_000),
-                8,
-                SimTime::from_micros(i * 12),
-            );
-            let events = [
-                VscsiEvent::Issue(req),
-                VscsiEvent::Complete(IoCompletion::new(req, SimTime::from_micros(i * 12 + 6))),
-            ];
-            legacy.ingest_batch(&events);
-            sharded.ingest_batch(&events);
-        }
-        let a = legacy.collector(target).unwrap();
-        let b = sharded.collector(target).unwrap();
-        assert_eq!(a.issued_commands(), b.issued_commands());
-        assert_eq!(a.completed_commands(), b.completed_commands());
-        use vscsi_stats::{Lens, Metric};
-        for metric in Metric::ALL {
-            assert_eq!(
-                a.histogram(metric, Lens::All).counts(),
-                b.histogram(metric, Lens::All).counts(),
-                "{metric}"
-            );
-        }
+    /// One issued command of a stream — `(write, lba, sectors, step_us)`,
+    /// where a negative issue-time step runs the clock backwards — then
+    /// what happens once the queue is full: `(pick, latency_us, error)`
+    /// say which pending command completes, how late, and whether it
+    /// fails; `orphan` also delivers a completion that was never issued.
+    type Cmd = (bool, u64, u32, i64, usize, u64, bool, bool);
+
+    fn arb_stream() -> impl Strategy<Value = (usize, Vec<Cmd>)> {
+        let cmd = (
+            any::<bool>(),
+            0u64..2_000_000,
+            1u32..=512,
+            -200i64..2_000,
+            0usize..64,
+            0u64..60_000,
+            prop::bool::weighted(0.06),
+            prop::bool::weighted(0.02),
+        );
+        (1usize..=64, prop::collection::vec(cmd, 1..600))
     }
 
-    /// The flat-slab collector and the pre-slab baseline are two routes to
-    /// the same numbers: drive both with one stream of mixed sizes,
-    /// directions, overlapping lifetimes, and error completions, and every
-    /// histogram must agree bit-for-bit.
-    #[test]
-    fn legacy_collector_matches_slab_collector() {
-        use simkit::SimDuration;
-        use vscsi::{ScsiStatus, SenseKey};
+    /// The stream this test ran before it took generated input: queue
+    /// depth 4, the second-oldest pending command completing each time.
+    fn fixed_stream() -> (usize, Vec<Cmd>) {
+        let cmd = |i: u64| {
+            let sectors = 8 + (i % 4) as u32 * 8;
+            let latency_us = 250 + (i % 5) * 90;
+            (
+                i.is_multiple_of(3),
+                (i * 7919) % 2_000_000,
+                sectors,
+                37,
+                1,
+                latency_us,
+                i.is_multiple_of(17),
+                false,
+            )
+        };
+        (4, (0..4_000).map(cmd).collect())
+    }
 
+    /// Drives both collectors with one stream at queue depth `depth` and
+    /// asserts that every histogram, series and counter agrees bit-for-bit.
+    fn assert_collectors_agree(depth: usize, stream: &[Cmd]) {
         let config = CollectorConfig {
             series_interval: Some(SimDuration::from_secs(1)),
             correlate_seek_latency: true,
@@ -467,36 +335,47 @@ mod tests {
         let mut legacy = LegacyCollector::new(config.clone());
         let mut slab = IoStatsCollector::new(config);
 
-        // Queue-depth-4 stream: issue i completes at i-3, so completions
-        // interleave with later issues and out of lba order.
         let mut pending: Vec<IoRequest> = Vec::new();
-        for i in 0..4_000u64 {
-            let req = IoRequest::new(
-                RequestId(i),
-                TargetId::default(),
-                if i % 3 == 0 {
-                    IoDirection::Write
-                } else {
-                    IoDirection::Read
-                },
-                Lba::new((i * 7919) % 2_000_000),
-                8 + (i % 4) as u32 * 8,
-                SimTime::from_micros(i * 37),
-            );
+        let mut now_us = 1_000u64;
+        for (i, &(write, lba, sectors, step_us, pick, latency_us, error, orphan)) in
+            stream.iter().enumerate()
+        {
+            now_us = now_us.saturating_add_signed(step_us);
+            let direction = if write {
+                IoDirection::Write
+            } else {
+                IoDirection::Read
+            };
+            let request = |id: u64| {
+                let at = SimTime::from_micros(now_us);
+                IoRequest::new(
+                    RequestId(id),
+                    TargetId::default(),
+                    direction,
+                    Lba::new(lba),
+                    sectors,
+                    at,
+                )
+            };
+            let req = request(i as u64);
             legacy.on_issue(&req);
             slab.on_issue(&req);
             pending.push(req);
-            if pending.len() == 4 {
-                let done = pending.remove(1);
-                let at = SimTime::from_micros(done.issue_time.as_micros() + 250 + (i % 5) * 90);
-                let completion = if i % 17 == 0 {
-                    IoCompletion::with_status(
-                        done,
-                        at,
-                        ScsiStatus::CheckCondition(SenseKey::MediumError),
-                    )
+
+            let mut done = Vec::new();
+            if orphan {
+                done.push(request(u64::MAX - i as u64));
+            }
+            if pending.len() >= depth {
+                done.push(pending.remove(pick % pending.len()));
+            }
+            for req in done {
+                let at = SimTime::from_micros(req.issue_time.as_micros() + latency_us);
+                let completion = if error {
+                    let status = ScsiStatus::CheckCondition(SenseKey::MediumError);
+                    IoCompletion::with_status(req, at, status)
                 } else {
-                    IoCompletion::new(done, at)
+                    IoCompletion::new(req, at)
                 };
                 legacy.on_complete(&completion);
                 slab.on_complete(&completion);
@@ -506,6 +385,13 @@ mod tests {
         assert_eq!(legacy.issued_commands(), slab.issued_commands());
         assert_eq!(legacy.completed_commands(), slab.completed_commands());
         assert_eq!(legacy.error_commands(), slab.error_commands());
+        assert_eq!(legacy.clock_anomalies(), slab.clock_anomalies());
+        assert_eq!(legacy.bytes_io(), (slab.bytes_read(), slab.bytes_written()));
+        assert_eq!(legacy.latency_series.as_ref(), slab.latency_series());
+        assert_eq!(
+            legacy.outstanding_series.as_ref(),
+            slab.outstanding_series()
+        );
         for metric in Metric::ALL {
             for lens in Lens::ALL {
                 let a = legacy.histogram(metric, lens);
@@ -522,5 +408,24 @@ mod tests {
         );
         assert_eq!(la.marginal_x().counts(), lb.marginal_x().counts());
         assert_eq!(la.marginal_y().counts(), lb.marginal_y().counts());
+    }
+
+    #[test]
+    fn legacy_collector_matches_slab_collector_on_the_fixed_stream() {
+        let (depth, stream) = fixed_stream();
+        assert_collectors_agree(depth, &stream);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The flat-slab collector and the oracle are two routes to the
+        /// same numbers over any stream: mixed sizes and directions, queue
+        /// depth 1–64, out-of-order and error completions, completions
+        /// with no matching issue, and issue times that step backwards.
+        #[test]
+        fn legacy_collector_matches_slab_collector((depth, stream) in arb_stream()) {
+            assert_collectors_agree(depth, &stream);
+        }
     }
 }

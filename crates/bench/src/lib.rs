@@ -15,15 +15,11 @@
 //! | `fig5_filecopy` | Figure 5 — XP vs Vista large file copy |
 //! | `table2_microbench` | Table 2 — service overhead microbenchmark |
 //! | `fig6_interference` | Figure 6 / §5.3 — multi-VM interference |
-//! | `contention_multi_vm` | sharded vs global-lock ingestion scaling (`BENCH_contention.json`) |
-//! | `vscsistats --bench-overhead` | Table 2 — ns/command per config (`BENCH_percommand.json`) |
 //! | `ext_overload` | sentinel governor / watchdog / quarantine chaos suite (`BENCH_overload.json`) |
 
 #![warn(missing_docs)]
 
-pub mod contention;
 pub mod legacy;
 pub mod overload;
-pub mod percommand;
 pub mod reporting;
 pub mod scenarios;

@@ -11,7 +11,7 @@ use crate::scenarios::{prepare_interference, InterferenceMode, Prepared};
 use simkit::SimTime;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
-use tracestore::{BackpressurePolicy, StoreReport, TraceStore, TraceStoreConfig};
+use tracestore::{StoreReport, TraceStore, TraceStoreConfig};
 use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId, VDiskId, VmId};
 use vscsi_stats::{
     ChaosSpec, CollectorConfig, DegradeLevel, HealthSnapshot, Medium, MediumFile, SentinelConfig,
@@ -294,7 +294,6 @@ pub fn run_slow_sink(dir: &Path) -> (SlowSinkOutcome, StoreReport) {
     let mut config = TraceStoreConfig::new(dir);
     config.chunk_bytes = 128;
     config.max_chunks = 2;
-    config.policy = BackpressurePolicy::Block;
     config.flush_timeout = std::time::Duration::from_millis(50);
     config.block_budget = std::time::Duration::from_millis(50);
 
@@ -312,7 +311,7 @@ pub fn run_slow_sink(dir: &Path) -> (SlowSinkOutcome, StoreReport) {
     let after_flush = sink.health();
 
     // Liveness: with the writer still wedged, a flood must drain through
-    // the demoted (DropOldest) ring rather than blocking the producer.
+    // the demoted ring rather than blocking the producer.
     for serial in 64..2_064 {
         sink.append(&slow_sink_record(serial));
     }

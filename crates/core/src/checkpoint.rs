@@ -64,8 +64,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 use vscsi::{TargetId, VDiskId, VmId};
 
 /// Magic prefix of every checkpoint file.
@@ -679,8 +677,8 @@ impl CheckpointLedger {
 }
 
 /// Shared health surface of a [`CheckpointDaemon`]: the live ledger, the
-/// last durable checkpoint, the demotion flag, and the request channel
-/// behind `command("checkpoint")`. All atomics — readable from any thread
+/// last durable checkpoint, and the request channel behind
+/// `command("checkpoint")`. All atomics — readable from any thread
 /// while the daemon runs.
 #[derive(Debug)]
 pub struct CheckpointHealth {
@@ -698,19 +696,10 @@ pub struct CheckpointHealth {
     last_tick_ns: AtomicU64,
     /// Set by `command("checkpoint")`; consumed by the next tick.
     requested: AtomicBool,
-    /// Virtual timestamp at which the current write began (`u64::MAX`
-    /// while idle) — the watchdog heartbeat.
-    busy_since_ns: AtomicU64,
-    /// Watchdog demotion: once set, the daemon stops attempting
-    /// checkpoints (the data path is never held hostage by a wedged
-    /// checkpoint medium).
-    demoted: AtomicBool,
-    /// Watchdog trips recorded against the daemon.
-    watchdog_trips: AtomicU64,
 }
 
 impl Default for CheckpointHealth {
-    /// Nothing attempted, nothing durable (`u64::MAX` sentinel), idle.
+    /// Nothing attempted, nothing durable (`u64::MAX` sentinel).
     fn default() -> Self {
         CheckpointHealth {
             attempts: AtomicU64::new(0),
@@ -722,9 +711,6 @@ impl Default for CheckpointHealth {
             last_durable_ns: AtomicU64::new(0),
             last_tick_ns: AtomicU64::new(0),
             requested: AtomicBool::new(false),
-            busy_since_ns: AtomicU64::new(u64::MAX),
-            demoted: AtomicBool::new(false),
-            watchdog_trips: AtomicU64::new(0),
         }
     }
 }
@@ -760,16 +746,6 @@ impl CheckpointHealth {
         )
     }
 
-    /// Whether the watchdog demoted the daemon.
-    pub fn demoted(&self) -> bool {
-        self.demoted.load(Ordering::Acquire)
-    }
-
-    /// Watchdog trips recorded against the daemon.
-    pub fn watchdog_trips(&self) -> u64 {
-        self.watchdog_trips.load(Ordering::Acquire)
-    }
-
     /// Requests an immediate checkpoint from the daemon's next tick
     /// (the seam behind `command("checkpoint")`).
     pub fn request_now(&self) {
@@ -790,14 +766,12 @@ impl CheckpointHealth {
         };
         format!(
             "last_durable_seq={seq} age={age} attempts={} written={} torn={} \
-             fsync_dropped={} io_errors={} demoted={} trips={} conserved={}",
+             fsync_dropped={} io_errors={} conserved={}",
             l.attempts,
             l.written,
             l.torn,
             l.fsync_dropped,
             l.io_errors,
-            self.demoted(),
-            self.watchdog_trips(),
             l.conserves(),
         )
     }
@@ -818,20 +792,15 @@ pub struct CheckpointConfig {
     /// The newest durable checkpoint survives however many tainted
     /// writes follow it.
     pub retain: usize,
-    /// Watchdog budget: a write stuck in the medium longer than this
-    /// (virtual time) demotes the daemon.
-    pub watchdog_budget_ns: u64,
 }
 
 impl CheckpointConfig {
-    /// A sensible default: 1-second virtual cadence, keep 3, 5-second
-    /// watchdog budget.
+    /// A sensible default: 1-second virtual cadence, keep 3.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CheckpointConfig {
             dir: dir.into(),
             interval_ns: 1_000_000_000,
             retain: 3,
-            watchdog_budget_ns: 5_000_000_000,
         }
     }
 }
@@ -839,13 +808,8 @@ impl CheckpointConfig {
 /// The checkpoint writer: snapshots the service and persists it with the
 /// write-tmp → fsync → rename discipline, on a virtual-clock cadence.
 ///
-/// Deterministic core: drive [`CheckpointDaemon::tick`] from a simulation
-/// or poll loop. Supervised background operation:
-/// [`CheckpointDaemon::supervise`] spawns a named thread that polls a
-/// shared virtual clock, and the returned supervisor's watchdog can
-/// demote a daemon wedged in a stuck medium — mirroring the trace
-/// writer's demotion discipline: checkpointing degrades, ingestion never
-/// blocks.
+/// Deterministic: the caller drives [`CheckpointDaemon::tick`] from its
+/// own (virtual) clock; the daemon owns no thread.
 #[derive(Debug)]
 pub struct CheckpointDaemon {
     service: Arc<StatsService>,
@@ -904,13 +868,8 @@ impl CheckpointDaemon {
     /// if the cadence is due or one was requested, otherwise does
     /// nothing. Returns `None` when no write was attempted. The first
     /// tick anchors the cadence (and writes a baseline checkpoint).
-    ///
-    /// A demoted daemon never writes again.
     pub fn tick(&mut self, now_ns: u64) -> Option<io::Result<u64>> {
         self.health.last_tick_ns.store(now_ns, Ordering::Release);
-        if self.health.demoted() {
-            return None;
-        }
         let requested = self.health.take_request();
         let due = match self.next_due_ns {
             None => true,
@@ -929,9 +888,7 @@ impl CheckpointDaemon {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.health.attempts.fetch_add(1, Ordering::AcqRel);
-        self.health.busy_since_ns.store(now_ns, Ordering::Release);
         let result = self.write_checkpoint(seq, now_ns);
-        self.health.busy_since_ns.store(u64::MAX, Ordering::Release);
         match &result {
             Ok(_) => self.trim_retention(),
             Err(_) => {
@@ -984,84 +941,6 @@ impl CheckpointDaemon {
         let excess = files.len().saturating_sub(self.config.retain.max(1));
         for f in files[..excess].iter().filter(|f| f.seq < frontier) {
             let _ = self.medium.remove(&f.path);
-        }
-    }
-
-    /// Spawns the supervised background thread: polls `clock` (a shared
-    /// virtual-clock register, nanoseconds) every `poll` of real time and
-    /// ticks the daemon. Returns the supervisor handle; call
-    /// [`CheckpointSupervisor::finish`] to stop and reclaim the daemon.
-    pub fn supervise(self, clock: Arc<AtomicU64>, poll: Duration) -> CheckpointSupervisor {
-        let health = self.health();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stop = Arc::clone(&shutdown);
-        let mut daemon = self;
-        let thread = thread::Builder::new()
-            .name("vsckpt-writer".to_owned())
-            .spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    let now_ns = clock.load(Ordering::Acquire);
-                    let _ = daemon.tick(now_ns);
-                    thread::sleep(poll);
-                }
-                daemon
-            })
-            .expect("spawn checkpoint writer thread");
-        CheckpointSupervisor {
-            thread: Some(thread),
-            shutdown,
-            health,
-        }
-    }
-}
-
-/// Handle to a supervised [`CheckpointDaemon`] thread: watchdog sweeps
-/// and orderly shutdown.
-#[derive(Debug)]
-pub struct CheckpointSupervisor {
-    thread: Option<thread::JoinHandle<CheckpointDaemon>>,
-    shutdown: Arc<AtomicBool>,
-    health: Arc<CheckpointHealth>,
-}
-
-impl CheckpointSupervisor {
-    /// The daemon's shared health surface.
-    pub fn health(&self) -> Arc<CheckpointHealth> {
-        Arc::clone(&self.health)
-    }
-
-    /// Watchdog sweep at virtual time `now_ns`: if a checkpoint write
-    /// entered the medium more than the configured budget of virtual time
-    /// ago and has not left, the daemon is demoted — it finishes (or
-    /// stays stuck in) the current write but never starts another, and
-    /// the trip is booked. Returns whether this sweep demoted it.
-    pub fn watchdog_check(&self, now_ns: u64, budget_ns: u64) -> bool {
-        let busy = self.health.busy_since_ns.load(Ordering::Acquire);
-        if busy != u64::MAX && now_ns.saturating_sub(busy) > budget_ns && !self.health.demoted() {
-            self.health.demoted.store(true, Ordering::Release);
-            self.health.watchdog_trips.fetch_add(1, Ordering::AcqRel);
-            return true;
-        }
-        false
-    }
-
-    /// Stops the thread and returns the daemon (blocks until the current
-    /// tick finishes).
-    pub fn finish(mut self) -> CheckpointDaemon {
-        self.shutdown.store(true, Ordering::Release);
-        self.thread
-            .take()
-            .expect("finish called once")
-            .join()
-            .expect("checkpoint writer thread panicked")
-    }
-}
-
-impl Drop for CheckpointSupervisor {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
         }
     }
 }
@@ -1369,31 +1248,6 @@ mod tests {
             "{health}"
         );
         assert!(health.contains("conserved=true"), "{health}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn watchdog_demotes_stuck_daemon() {
-        let service = busy_service();
-        let dir = std::env::temp_dir().join(format!("vsckpt-wd-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("mkdir");
-        let daemon = CheckpointDaemon::new(Arc::clone(&service), CheckpointConfig::new(&dir));
-        let clock = Arc::new(AtomicU64::new(0));
-        let sup = daemon.supervise(Arc::clone(&clock), Duration::from_millis(1));
-        // Simulate a wedged write by faking the heartbeat, then sweep.
-        sup.health().busy_since_ns.store(5, Ordering::Release);
-        assert!(sup.watchdog_check(10_000_000_000, 1_000_000_000));
-        assert!(sup.health().demoted());
-        assert_eq!(sup.health().watchdog_trips(), 1);
-        sup.health()
-            .busy_since_ns
-            .store(u64::MAX, Ordering::Release);
-        let mut daemon = sup.finish();
-        assert!(
-            daemon.tick(20_000_000_000).is_none(),
-            "demoted: never again"
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 

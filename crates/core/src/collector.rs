@@ -37,12 +37,11 @@ use histo::{
     layouts, signed_distance, FastBinner, Histogram, Histogram2d, HistogramSeries, LayoutId,
     SeekWindow,
 };
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use vscsi::{IoCompletion, IoRequest};
 
 /// Configuration for an [`IoStatsCollector`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectorConfig {
     /// Look-behind window size N for the windowed seek-distance histogram
     /// (§3.1). The paper's default is 16.
@@ -871,7 +870,7 @@ impl CollectorState {
 
 /// Binned latency percentile summary (upper bounds of the bins where the
 /// cumulative fraction crosses each percentile).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyPercentiles {
     /// Median upper bound, microseconds.
     pub p50_us: i64,

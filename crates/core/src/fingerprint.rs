@@ -17,11 +17,10 @@
 
 use crate::collector::IoStatsCollector;
 use crate::metrics::{Lens, Metric};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Compact, environment-independent description of a disk workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadFingerprint {
     /// Commands observed.
     pub commands: u64,
@@ -153,7 +152,7 @@ impl fmt::Display for WorkloadFingerprint {
 }
 
 /// Coarse workload categories for recommendation purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// Random small I/O at meaningful concurrency: database/OLTP-style.
     OltpDatabase,
@@ -270,7 +269,7 @@ pub fn recommendations(fp: &WorkloadFingerprint) -> Vec<String> {
 
 /// A labelled set of reference fingerprints for nearest-neighbour
 /// categorization.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct FingerprintLibrary {
     entries: Vec<(String, WorkloadFingerprint)>,
 }

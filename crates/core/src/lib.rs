@@ -76,8 +76,7 @@ pub mod varint;
 
 pub use checkpoint::{
     load_latest, CheckpointConfig, CheckpointDaemon, CheckpointFile, CheckpointHealth,
-    CheckpointLedger, CheckpointSupervisor, RecoveredCheckpoint, ServiceCheckpoint,
-    TargetCheckpoint,
+    CheckpointLedger, RecoveredCheckpoint, ServiceCheckpoint, TargetCheckpoint,
 };
 pub use collector::{
     AggState, CollectorConfig, CollectorState, HistogramState, IoStatsCollector, LatencyPercentiles,

@@ -1,10 +1,9 @@
 //! Metric and lens enumerations for the characterization service.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The disk I/O performance metrics the paper characterizes (§1, §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Metric {
     /// Size of the data request, in bytes (§3.2).
     IoLength,
@@ -82,7 +81,7 @@ impl fmt::Display for Metric {
 
 /// Which commands a histogram covers: the paper keeps separate read and
 /// write distributions for every metric (§3.4) plus the combined view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Lens {
     /// All commands.
     All,

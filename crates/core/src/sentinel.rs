@@ -598,8 +598,8 @@ pub struct SalvagedTarget {
 /// [`TraceSink::health`](crate::TraceSink::health).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkHealth {
-    /// Whether the sink's backpressure policy was demoted (stuck writer →
-    /// `DropOldest`) to keep producers unblocked.
+    /// Whether the sink was demoted (stuck writer → a full queue evicts
+    /// its oldest chunk instead of blocking) to keep producers unblocked.
     pub demoted: bool,
     /// Watchdog trips recorded against the sink (flush timeouts, bounded
     /// block-waits that expired).

@@ -9,7 +9,6 @@
 
 use crate::collector::{CollectorConfig, IoStatsCollector};
 use crate::sentinel::SinkHealth;
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::collections::VecDeque;
 use std::fmt;
@@ -23,7 +22,7 @@ use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId, VDis
 /// events that share an instant, so each record carries the global event
 /// sequence numbers of its issue and completion; replay follows those, so
 /// offline replay reproduces the observed order exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
     /// Global event-sequence number of the issue event.
     pub serial: u64,
@@ -182,7 +181,7 @@ impl FromStr for TraceRecord {
 }
 
 /// Capacity policy for a tracer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceCapacity {
     /// Keep every record (O(n) memory — the cost the paper's histograms
     /// avoid).
@@ -446,7 +445,7 @@ impl VscsiTracer {
         std::mem::take(&mut self.records).into()
     }
 
-    /// Serializes all records, one line each.
+    /// Writes all records as text, one line each.
     pub fn export(&self) -> String {
         let mut out = String::new();
         for r in &self.records {

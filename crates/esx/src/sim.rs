@@ -103,7 +103,7 @@ pub struct CpuParams {
     /// Additional per-4-KiB cost of moving data.
     pub per_4k: SimDuration,
     /// Extra cost per command while the histogram service is enabled (set
-    /// this from the measured `collector_overhead` bench).
+    /// this from `ext_e2e`'s measured `hook_ns_per_cmd_p50`).
     pub stats_overhead: SimDuration,
     /// Number of physical CPUs (Table 1's host has 8 → "out of 800").
     pub cpus: u32,

@@ -1,13 +1,12 @@
 //! Fault plans: the specs, the per-command decision procedure, and its
 //! deterministic randomness.
 
-use serde::{Deserialize, Serialize};
 use simkit::{splitmix64, SimTime};
 use vscsi::{IoDirection, Lba};
 
 /// One injected fault. Build several into a [`FaultPlan`] to compose
 /// failure scenarios.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultSpec {
     /// Blocks in `[lba_start, lba_end]` (inclusive) are unreadable /
     /// unwritable; commands overlapping the range fail with

@@ -260,7 +260,7 @@ fn encode_targets(frame: &HostFrame, payload: &mut Vec<u8>) -> Result<(), WireEr
     Ok(())
 }
 
-/// Serializes a frame: a `VFLHIST2` CRC-framed envelope around a
+/// Encodes a frame: a `VFLHIST2` CRC-framed envelope around a
 /// delta-varint payload. The CRC covers the magic too, so flipping the
 /// version byte of a sealed frame can never produce another valid frame.
 ///

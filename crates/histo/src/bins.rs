@@ -8,8 +8,6 @@
 //! upper bounds; values map to bins in O(m) (or O(log m)) time where m is
 //! tiny and constant, giving the paper's O(1)-per-command cost.
 
-use serde::de::Error as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::sync::Arc;
 
@@ -173,31 +171,6 @@ impl BinEdges {
             (Some(lo), None) => lo as f64 + 1.0,
             (None, None) => unreachable!("edges are never empty"),
         }
-    }
-}
-
-// Manual serde impls: the derive would require serde's "rc" feature for
-// `Arc<[i64]>`. Serializing as a one-field struct keeps the wire shape of
-// the old `{ edges: Vec<i64> }` derive, and deserialization re-validates
-// through `BinEdges::new`, so a corrupted edge list is rejected at the
-// boundary instead of breaking bin lookups later.
-impl Serialize for BinEdges {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("BinEdges", 1)?;
-        st.serialize_field("edges", &*self.edges)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for BinEdges {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        struct Raw {
-            edges: Vec<i64>,
-        }
-        let raw = Raw::deserialize(deserializer)?;
-        BinEdges::new(raw.edges).map_err(D::Error::custom)
     }
 }
 

@@ -8,7 +8,6 @@
 //! insert and constant space.
 
 use crate::bins::BinEdges;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A joint histogram over two metrics.
@@ -29,7 +28,7 @@ use std::fmt;
 /// let seek = h.marginal_x();
 /// assert_eq!(seek.total(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram2d {
     x_edges: BinEdges,
     y_edges: BinEdges,

@@ -5,7 +5,6 @@
 //! (small, fixed) number of bins, versus O(n) space for a trace.
 
 use crate::bins::{BinEdges, BinEdgesError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned by operations combining two histograms.
@@ -46,7 +45,7 @@ impl std::error::Error for MergeError {}
 /// assert_eq!(h.max(), Some(1000));
 /// # Ok::<(), histo::BinEdgesError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     edges: BinEdges,
     counts: Vec<u64>,

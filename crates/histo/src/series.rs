@@ -8,7 +8,6 @@
 
 use crate::bins::BinEdges;
 use crate::histogram::{Histogram, MergeError};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
 
@@ -28,7 +27,7 @@ use std::fmt;
 /// assert_eq!(s.interval(0).unwrap().total(), 1);
 /// # Ok::<(), histo::BinEdgesError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSeries {
     edges: BinEdges,
     width: SimDuration,
@@ -206,7 +205,7 @@ mod tests {
     #[test]
     fn flatten_surfaces_layout_mismatch() {
         // A series whose intervals disagree with the series layout can only
-        // arise from untrusted serialized state; simulate one via serde.
+        // arise from untrusted restored state; build one by hand.
         let mut s = series();
         s.record(SimTime::from_secs(1), 5);
         s.intervals[0] = Histogram::with_edges(vec![1, 2, 3]).unwrap();

@@ -7,8 +7,6 @@
 //! them, so any stream within the window shows up as sequential. `N = 16`
 //! by default.
 
-use serde::{Deserialize, Serialize};
-
 /// Circular look-behind window over the last `N` I/O end positions.
 ///
 /// Positions are logical block numbers (`u64`); distances are signed
@@ -31,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d_a, 1);
 /// assert_eq!(d_b, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeekWindow {
     /// End positions (last block + 1... see `observe`) of recent I/Os.
     ends: Vec<u64>,

@@ -6,7 +6,6 @@
 //! shape without code changes.
 
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution over non-negative `f64` values.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let x = d.sample(&mut rng);
 /// assert!((10.0..20.0).contains(&x));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Dist {
     /// Always returns the same value.
     Constant(f64),

@@ -6,7 +6,6 @@
 //! time intervals for "over time" analyses.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Single-pass mean/variance/min/max accumulator (Welford's algorithm).
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -156,7 +155,7 @@ impl OnlineStats {
 /// c.record(SimTime::from_secs(7));
 /// assert_eq!(c.counts(), &[2, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntervalCounter {
     width: SimDuration,
     counts: Vec<u64>,

@@ -9,7 +9,6 @@
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// An absolute instant on the simulation clock, in nanoseconds since the
 /// start of the simulation.
@@ -27,9 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t1 - t0, SimDuration::from_micros(250));
 /// assert!(t1 > t0);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
 /// A span of simulated time with nanosecond resolution.
@@ -42,9 +39,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_millis(3) + SimDuration::from_micros(500);
 /// assert_eq!(d.as_micros(), 3_500);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -313,7 +313,7 @@ impl StorageArray {
         done
     }
 
-    /// Serializes `sectors` of data transfer on the host link.
+    /// Queues `sectors` of data transfer on the host link.
     fn claim_link(&mut self, start: SimTime, sectors: u64) -> SimTime {
         let begin = self.link_busy_until.max(start);
         let xfer = SimDuration::from_secs_f64(

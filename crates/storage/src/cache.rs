@@ -7,7 +7,6 @@
 //! (§5.3). The model is a page-granular exact-LRU cache plus a small table
 //! of detected sequential streams that triggers read-ahead.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use vscsi::{Lba, SECTOR_SIZE};
 
@@ -15,7 +14,7 @@ use vscsi::{Lba, SECTOR_SIZE};
 pub const PAGE_SECTORS: u64 = 32;
 
 /// Configuration of the array cache.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheParams {
     /// Read cache capacity in bytes; 0 disables read caching entirely.
     pub read_capacity_bytes: u64,

@@ -6,12 +6,11 @@
 //! with the previous one), and media transfer. Defaults approximate the
 //! 15k-RPM Fibre Channel drives behind the paper's arrays (Table 1 era).
 
-use serde::{Deserialize, Serialize};
 use simkit::{Dist, SimDuration, SimRng};
 use vscsi::{Lba, SECTOR_SIZE};
 
 /// Mechanical/geometry parameters of one disk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskParams {
     /// Usable capacity, in sectors.
     pub capacity_sectors: u64,

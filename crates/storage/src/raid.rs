@@ -6,11 +6,10 @@
 //! carry the classic small-write penalty (read-modify-write on data +
 //! parity).
 
-use serde::{Deserialize, Serialize};
 use vscsi::Lba;
 
 /// RAID level of a disk group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RaidLevel {
     /// Striping, no redundancy.
     Raid0,
@@ -19,7 +18,7 @@ pub enum RaidLevel {
 }
 
 /// Striping configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaidConfig {
     /// RAID level.
     pub level: RaidLevel,
@@ -110,7 +109,7 @@ impl RaidConfig {
 }
 
 /// One spindle-local piece of a mapped extent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripeExtent {
     /// Spindle index within the group.
     pub disk: usize,

@@ -208,7 +208,7 @@ pub fn tmp_index_path(sidecar: &Path) -> PathBuf {
     sidecar.with_extension(format!("{INDEX_EXTENSION}.tmp"))
 }
 
-/// Serializes an index to sidecar bytes.
+/// Encodes an index to sidecar bytes.
 pub fn encode_index(index: &SegmentIndex) -> Vec<u8> {
     let mut payload = Vec::with_capacity(index.entries.len() * 24);
     let mut prev_offset = 0u64;
@@ -257,7 +257,7 @@ fn read_u64(data: &[u8], pos: usize) -> u64 {
     u64::from_le_bytes(data[pos..pos + 8].try_into().expect("8 bytes"))
 }
 
-/// Deserializes a sidecar. Total: every malformation is an error, never
+/// Decodes a sidecar. Total: every malformation is an error, never
 /// a panic or a partial result.
 ///
 /// # Errors

@@ -17,9 +17,10 @@
 //! * [`segment`] — the versioned on-disk format: CRC32-checksummed blocks
 //!   behind a magic-tagged header, with a reader that skips corrupt
 //!   blocks and recovers a truncated tail instead of panicking.
-//! * [`store`] — the capture pipeline: a bounded chunk ring with explicit
-//!   backpressure policies ([`BackpressurePolicy`]) feeding a background
-//!   writer thread that seals and rolls segment files.
+//! * [`store`] — the capture pipeline: a bounded chunk ring (lossless
+//!   until a stuck writer demotes it, every drop accounted in
+//!   [`DropStats`]) feeding a background writer thread that seals and
+//!   rolls segment files.
 //!
 //! Plus the offline analytics plane on top: [`index`] emits compact
 //! `VSTRIDX1` zone-map sidecars at segment-roll time (and backfills them
@@ -72,7 +73,7 @@ pub use query::{
     SegmentScan, TargetQueryResult,
 };
 pub use reader::{read_trace, IntegrityReport};
-pub use ring::{BackpressurePolicy, DropStats};
+pub use ring::DropStats;
 pub use segment::{
     parse_segment, read_segment, SegmentError, SegmentIntegrity, SEGMENT_EXTENSION, SEGMENT_VERSION,
 };

@@ -4,62 +4,46 @@
 //! Producers seal encoded blocks into chunks and push them here; one
 //! writer thread pops and persists them. The ring holds at most
 //! `max_chunks` chunks, so total queued memory is bounded no matter how
-//! far the disk falls behind. When full, the configured
-//! [`BackpressurePolicy`] decides who pays:
+//! far the disk falls behind. A full ring is lossless until demoted:
 //!
-//! * [`DropOldest`](BackpressurePolicy::DropOldest) — flight-recorder
-//!   semantics: evict the oldest queued chunk; the newest data survives.
-//! * [`DropNewest`](BackpressurePolicy::DropNewest) — archival semantics:
-//!   refuse the incoming chunk; what is already queued survives.
-//! * [`Block`](BackpressurePolicy::Block) — lossless semantics: stall the
-//!   producer until the writer catches up (observation may now perturb
-//!   the workload — the trade the paper's histograms exist to avoid).
+//! * While the writer keeps up, a producer that finds the ring full
+//!   blocks until a slot frees (observation may now perturb the workload
+//!   — the trade the paper's histograms exist to avoid) and nothing is
+//!   lost.
+//! * Once a producer has waited out the block budget, or a flush has
+//!   timed out, the writer is presumed stuck and the ring is demoted, one
+//!   way, to flight-recorder semantics: a full ring evicts its oldest
+//!   queued chunk and the newest data survives.
 //!
-//! Every drop is accounted per policy in [`DropStats`]; silent loss is a
+//! Every drop is accounted by cause in [`DropStats`]; silent loss is a
 //! bug class this module is designed out of.
 
 use crate::index::ZoneStats;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
-
-/// What to do with a freshly sealed chunk when the ring is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Evict the oldest queued chunk to make room (keep the newest data).
-    DropOldest,
-    /// Discard the incoming chunk (keep the oldest data).
-    DropNewest,
-    /// Block the producer until the writer drains a slot (lose nothing).
-    #[default]
-    Block,
-}
 
 /// Backpressure accounting, split by cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DropStats {
-    /// Chunks evicted under [`BackpressurePolicy::DropOldest`].
+    /// Chunks a demoted ring evicted, oldest first, to make room.
     pub oldest_chunks: u64,
     /// Records inside those evicted chunks.
     pub oldest_records: u64,
-    /// Chunks refused under [`BackpressurePolicy::DropNewest`].
-    pub newest_chunks: u64,
-    /// Records inside those refused chunks.
-    pub newest_records: u64,
     /// Chunks discarded because the ring had already shut down.
     pub closed_chunks: u64,
     /// Records inside those discarded chunks.
     pub closed_records: u64,
-    /// Producer wait episodes under [`BackpressurePolicy::Block`].
+    /// Producer wait episodes on a full, not yet demoted ring.
     pub block_waits: u64,
 }
 
 impl DropStats {
     /// Total records lost to backpressure (any cause).
     pub fn dropped_records(&self) -> u64 {
-        self.oldest_records + self.newest_records + self.closed_records
+        self.oldest_records + self.closed_records
     }
 }
 
@@ -94,15 +78,12 @@ pub(crate) struct ChunkRing {
     not_full: Condvar,
     not_empty: Condvar,
     max_chunks: usize,
-    /// Current policy, encoded for lock-free reads and *runtime demotion*:
-    /// a stuck writer flips `Block` to `DropOldest` so producers are never
-    /// wedged longer than `block_budget` (see [`Self::demote_to_drop_oldest`]).
-    policy: AtomicU8,
-    /// Longest a `Block` producer will wait for the writer before the
-    /// watchdog demotes the ring to `DropOldest`.
+    /// Longest a producer will wait for the writer before the watchdog
+    /// demotes the ring (see [`Self::demote_to_drop_oldest`]).
     block_budget: Duration,
-    /// Whether the watchdog demoted the policy (one-way; surfaced in
-    /// reports so demotion is never silent).
+    /// Whether the watchdog demoted the ring from blocking to evicting
+    /// its oldest chunk (one-way; surfaced in reports so demotion is
+    /// never silent).
     demoted: AtomicBool,
     /// Watchdog trips: expired block waits plus demotions requested by the
     /// store's flush watchdog.
@@ -112,27 +93,10 @@ pub(crate) struct ChunkRing {
     queued_bytes: AtomicUsize,
 }
 
-fn encode_policy(policy: BackpressurePolicy) -> u8 {
-    match policy {
-        BackpressurePolicy::DropOldest => 0,
-        BackpressurePolicy::DropNewest => 1,
-        BackpressurePolicy::Block => 2,
-    }
-}
-
-fn decode_policy(bits: u8) -> BackpressurePolicy {
-    match bits {
-        0 => BackpressurePolicy::DropOldest,
-        1 => BackpressurePolicy::DropNewest,
-        _ => BackpressurePolicy::Block,
-    }
-}
-
 impl std::fmt::Debug for ChunkRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkRing")
             .field("max_chunks", &self.max_chunks)
-            .field("policy", &self.policy())
             .field("demoted", &self.demoted.load(Ordering::Relaxed))
             .field("queued_bytes", &self.queued_bytes.load(Ordering::Relaxed))
             .finish()
@@ -140,11 +104,7 @@ impl std::fmt::Debug for ChunkRing {
 }
 
 impl ChunkRing {
-    pub(crate) fn new(
-        max_chunks: usize,
-        policy: BackpressurePolicy,
-        block_budget: Duration,
-    ) -> Self {
+    pub(crate) fn new(max_chunks: usize, block_budget: Duration) -> Self {
         ChunkRing {
             state: Mutex::new(RingState {
                 queue: VecDeque::new(),
@@ -155,7 +115,6 @@ impl ChunkRing {
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             max_chunks: max_chunks.max(1),
-            policy: AtomicU8::new(encode_policy(policy)),
             block_budget,
             demoted: AtomicBool::new(false),
             watchdog_trips: AtomicU64::new(0),
@@ -163,12 +122,7 @@ impl ChunkRing {
         }
     }
 
-    /// The backpressure policy currently in force.
-    pub(crate) fn policy(&self) -> BackpressurePolicy {
-        decode_policy(self.policy.load(Ordering::Acquire))
-    }
-
-    /// Whether the watchdog demoted a `Block` ring to `DropOldest`.
+    /// Whether the watchdog demoted the ring to evicting its oldest chunk.
     pub(crate) fn is_demoted(&self) -> bool {
         self.demoted.load(Ordering::Acquire)
     }
@@ -178,28 +132,21 @@ impl ChunkRing {
         self.watchdog_trips.load(Ordering::Acquire)
     }
 
-    /// Demotes the ring to `DropOldest` and counts a watchdog trip: the
-    /// stuck-writer escape hatch. Producers stop waiting and start paying
-    /// with the *oldest* queued data — flight-recorder semantics — which
-    /// keeps the traced workload live at the price of explicit, accounted
-    /// drops. One-way: a writer that later recovers keeps the demoted
-    /// policy (the trace is already lossy; un-demoting would only hide that).
+    /// Demotes the ring and counts a watchdog trip: the stuck-writer
+    /// escape hatch. Producers stop waiting and start paying with the
+    /// *oldest* queued data — flight-recorder semantics — which keeps the
+    /// traced workload live at the price of explicit, accounted drops.
+    /// One-way: a writer that later recovers leaves the ring demoted (the
+    /// trace is already lossy; un-demoting would only hide that).
     pub(crate) fn demote_to_drop_oldest(&self) {
         self.watchdog_trips.fetch_add(1, Ordering::AcqRel);
-        if self.policy.swap(
-            encode_policy(BackpressurePolicy::DropOldest),
-            Ordering::AcqRel,
-        ) != encode_policy(BackpressurePolicy::DropOldest)
-        {
-            self.demoted.store(true, Ordering::Release);
-        }
-        // Wake any producer parked in a block wait so it re-evaluates
-        // under the new policy.
+        self.demoted.store(true, Ordering::Release);
+        // Wake any producer parked in a block wait so it re-evaluates.
         self.not_full.notify_all();
     }
 
-    /// Evicts queued chunks until a slot is free, with DropOldest
-    /// accounting. Caller holds the state lock.
+    /// Evicts queued chunks, oldest first, until a slot is free. Caller
+    /// holds the state lock.
     fn evict_oldest_locked(&self, state: &mut RingState) {
         while state.chunks >= self.max_chunks {
             let Some(idx) = state
@@ -223,7 +170,8 @@ impl ChunkRing {
         }
     }
 
-    /// Offers a sealed chunk, applying the backpressure policy when full.
+    /// Offers a sealed chunk: when the ring is full, waits for the writer
+    /// (up to the block budget) unless demoted, then evicts the oldest.
     pub(crate) fn push_chunk(&self, payload: Vec<u8>, records: u32, stats: ZoneStats) {
         let mut state = self.state.lock();
         if state.closed {
@@ -231,49 +179,33 @@ impl ChunkRing {
             state.drops.closed_records += u64::from(records);
             return;
         }
-        match self.policy() {
-            BackpressurePolicy::Block => {
-                if state.chunks >= self.max_chunks {
-                    state.drops.block_waits += 1;
-                    // Bounded wait: a producer is never on the hook for
-                    // more than the block budget. If the writer has not
-                    // freed a slot by then it is presumed stuck; the
-                    // watchdog demotes the ring and this push falls
-                    // through to DropOldest eviction.
-                    let deadline = Instant::now() + self.block_budget;
-                    let mut expired = false;
-                    while state.chunks >= self.max_chunks
-                        && !state.closed
-                        && self.policy() == BackpressurePolicy::Block
-                    {
-                        if self.not_full.wait_until(&mut state, deadline).timed_out() {
-                            expired = true;
-                            break;
-                        }
+        if state.chunks >= self.max_chunks {
+            if !self.is_demoted() {
+                state.drops.block_waits += 1;
+                // Bounded wait: a producer is never on the hook for more
+                // than the block budget. If the writer has not freed a
+                // slot by then it is presumed stuck and the watchdog
+                // demotes the ring.
+                let deadline = Instant::now() + self.block_budget;
+                let mut expired = false;
+                while state.chunks >= self.max_chunks && !state.closed && !self.is_demoted() {
+                    if self.not_full.wait_until(&mut state, deadline).timed_out() {
+                        expired = true;
+                        break;
                     }
-                    if state.closed {
-                        state.drops.closed_chunks += 1;
-                        state.drops.closed_records += u64::from(records);
-                        return;
-                    }
-                    if expired && state.chunks >= self.max_chunks {
-                        self.demote_to_drop_oldest();
-                    }
-                    // Demoted (by this wait or concurrently): make room
-                    // the DropOldest way.
-                    self.evict_oldest_locked(&mut state);
                 }
-            }
-            BackpressurePolicy::DropNewest => {
-                if state.chunks >= self.max_chunks {
-                    state.drops.newest_chunks += 1;
-                    state.drops.newest_records += u64::from(records);
+                if state.closed {
+                    state.drops.closed_chunks += 1;
+                    state.drops.closed_records += u64::from(records);
                     return;
                 }
+                if expired && state.chunks >= self.max_chunks {
+                    self.demote_to_drop_oldest();
+                }
             }
-            BackpressurePolicy::DropOldest => {
-                self.evict_oldest_locked(&mut state);
-            }
+            // Demoted (by this wait, concurrently, or earlier): make room
+            // by evicting the oldest.
+            self.evict_oldest_locked(&mut state);
         }
         self.queued_bytes
             .fetch_add(payload.capacity(), Ordering::Relaxed);
@@ -347,8 +279,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// A block budget no test is expected to exhaust: behaves like the
-    /// old unbounded Block policy.
+    /// A block budget no test is expected to exhaust: the ring stays
+    /// lossless unless the test demotes it.
     const LONG: Duration = Duration::from_secs(60);
 
     fn chunk(n: u8) -> Vec<u8> {
@@ -357,16 +289,15 @@ mod tests {
 
     #[test]
     fn expired_block_wait_demotes_to_drop_oldest() {
-        // No consumer at all: the worst writer stall. A Block producer
-        // must be on the hook for at most the budget, then the watchdog
-        // demotes the ring and the push lands via DropOldest eviction.
-        let ring = ChunkRing::new(1, BackpressurePolicy::Block, Duration::from_millis(20));
+        // No consumer at all: the worst writer stall. A producer must be
+        // on the hook for at most the budget, then the watchdog demotes
+        // the ring and the push lands by evicting the oldest chunk.
+        let ring = ChunkRing::new(1, Duration::from_millis(20));
         ring.push_chunk(chunk(0), 3, ZoneStats::empty());
         assert!(!ring.is_demoted());
         // Fills → blocks → budget expires → demotion + eviction.
         ring.push_chunk(chunk(1), 3, ZoneStats::empty());
         assert!(ring.is_demoted());
-        assert_eq!(ring.policy(), BackpressurePolicy::DropOldest);
         assert!(ring.watchdog_trips() >= 1);
         // Subsequent pushes never wait again.
         ring.push_chunk(chunk(2), 3, ZoneStats::empty());
@@ -383,7 +314,7 @@ mod tests {
 
     #[test]
     fn explicit_demotion_wakes_blocked_producer() {
-        let ring = Arc::new(ChunkRing::new(1, BackpressurePolicy::Block, LONG));
+        let ring = Arc::new(ChunkRing::new(1, LONG));
         ring.push_chunk(chunk(0), 1, ZoneStats::empty());
         let producer = {
             let ring = Arc::clone(&ring);
@@ -400,7 +331,8 @@ mod tests {
 
     #[test]
     fn drop_oldest_keeps_newest() {
-        let ring = ChunkRing::new(2, BackpressurePolicy::DropOldest, LONG);
+        let ring = ChunkRing::new(2, LONG);
+        ring.demote_to_drop_oldest();
         for i in 0..5u8 {
             ring.push_chunk(chunk(i), 10, ZoneStats::empty());
         }
@@ -418,26 +350,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_newest_keeps_oldest() {
-        let ring = ChunkRing::new(2, BackpressurePolicy::DropNewest, LONG);
-        for i in 0..5u8 {
-            ring.push_chunk(chunk(i), 7, ZoneStats::empty());
-        }
-        let drops = ring.drops();
-        assert_eq!(drops.newest_chunks, 3);
-        assert_eq!(drops.newest_records, 21);
-        let kept: Vec<u8> = std::iter::from_fn(|| match ring.pop() {
-            Some(Msg::Chunk { payload, .. }) => Some(payload[0]),
-            _ => None,
-        })
-        .take(2)
-        .collect();
-        assert_eq!(kept, vec![0, 1]);
-    }
-
-    #[test]
     fn block_policy_waits_for_consumer_and_loses_nothing() {
-        let ring = Arc::new(ChunkRing::new(2, BackpressurePolicy::Block, LONG));
+        let ring = Arc::new(ChunkRing::new(2, LONG));
         let producer = {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {
@@ -468,7 +382,7 @@ mod tests {
 
     #[test]
     fn close_unblocks_producer_and_accounts_drops() {
-        let ring = Arc::new(ChunkRing::new(1, BackpressurePolicy::Block, LONG));
+        let ring = Arc::new(ChunkRing::new(1, LONG));
         ring.push_chunk(chunk(0), 5, ZoneStats::empty());
         let producer = {
             let ring = Arc::clone(&ring);
@@ -487,7 +401,7 @@ mod tests {
 
     #[test]
     fn queued_bytes_tracks_capacity() {
-        let ring = ChunkRing::new(4, BackpressurePolicy::Block, LONG);
+        let ring = ChunkRing::new(4, LONG);
         assert_eq!(ring.queued_bytes(), 0);
         let payload = Vec::with_capacity(128);
         ring.push_chunk(payload, 0, ZoneStats::empty());

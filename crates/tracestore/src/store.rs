@@ -25,7 +25,7 @@
 
 use crate::codec::BlockBuilder;
 use crate::index::{encode_index, index_path, tmp_index_path, BlockEntry, SegmentIndex, ZoneStats};
-use crate::ring::{BackpressurePolicy, ChunkRing, DropStats, Msg};
+use crate::ring::{ChunkRing, DropStats, Msg};
 use crate::segment::{write_block_with_crc, write_segment_header, SEGMENT_EXTENSION};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
@@ -45,7 +45,7 @@ use vscsi_stats::{
 /// Name of the sidecar capture-summary file a finished store writes next
 /// to its segments. `key=value` lines; read back with [`read_meta`]. The
 /// replay side uses it to surface capture-time accounting — notably the
-/// per-policy drop counts — that the segments themselves cannot carry.
+/// per-cause drop counts — that the segments themselves cannot carry.
 pub const META_FILE: &str = "trace-meta.txt";
 
 /// Configuration for a [`TraceStore`].
@@ -62,26 +62,24 @@ pub struct TraceStoreConfig {
     pub block_max_records: u32,
     /// Ring capacity in sealed chunks awaiting the writer.
     pub max_chunks: usize,
-    /// What to do when the ring is full.
-    pub policy: BackpressurePolicy,
     /// Whether [`TraceSink::flush`] also issues `fsync`.
     pub sync_on_flush: bool,
     /// How long a flush waits for the writer's acknowledgement. A flush
     /// that times out is treated as a stuck-writer watchdog trip: the
-    /// ring is demoted to [`BackpressurePolicy::DropOldest`] so producers
-    /// can never be wedged behind the dead flush.
+    /// ring is demoted to evicting its oldest chunk so producers can
+    /// never be wedged behind the dead flush.
     pub flush_timeout: Duration,
-    /// Watchdog budget for a producer stalled on a full ring under
-    /// [`BackpressurePolicy::Block`]: once exceeded, the ring demotes
-    /// itself to `DropOldest` (accounted, surfaced in the report) rather
-    /// than keep the producer hostage.
+    /// Watchdog budget for a producer blocked on a full ring: once
+    /// exceeded, the ring demotes itself to evicting its oldest chunk
+    /// (accounted, surfaced in the report) rather than keep the producer
+    /// hostage. Until then capture is lossless.
     pub block_budget: Duration,
 }
 
 impl TraceStoreConfig {
     /// Defaults: 64 MiB segments, 64 KiB chunks, ≤4096 records/block,
-    /// 64-chunk ring, [`BackpressurePolicy::Block`] (lossless), no fsync,
-    /// 2 s stuck-writer watchdog budget.
+    /// 64-chunk ring (lossless until demoted), no fsync, 2 s stuck-writer
+    /// watchdog budget.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         TraceStoreConfig {
             dir: dir.into(),
@@ -89,7 +87,6 @@ impl TraceStoreConfig {
             chunk_bytes: 64 << 10,
             block_max_records: 4096,
             max_chunks: 64,
-            policy: BackpressurePolicy::default(),
             sync_on_flush: false,
             flush_timeout: Duration::from_secs(5),
             block_budget: Duration::from_secs(2),
@@ -132,9 +129,9 @@ pub struct StoreReport {
     pub io_error_records: u64,
     /// The first I/O error message, if any.
     pub first_error: Option<String>,
-    /// Whether the stuck-writer watchdog demoted the ring from `Block` to
-    /// `DropOldest` (expired block wait or flush timeout). The trace is
-    /// then lossy-by-policy even though `Block` was configured.
+    /// Whether the stuck-writer watchdog demoted the ring from blocking
+    /// to evicting its oldest chunk (expired block wait or flush
+    /// timeout). The trace is then lossy, with every drop accounted.
     pub demoted: bool,
     /// Watchdog trips recorded against the writer pipeline.
     pub watchdog_trips: u64,
@@ -152,7 +149,7 @@ impl StoreReport {
     }
 }
 
-fn render_meta(report: &StoreReport, policy: BackpressurePolicy) -> String {
+fn render_meta(report: &StoreReport) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "records={}", report.records);
     let _ = writeln!(s, "blocks={}", report.blocks);
@@ -160,9 +157,7 @@ fn render_meta(report: &StoreReport, policy: BackpressurePolicy) -> String {
     let _ = writeln!(s, "bytes_written={}", report.bytes_written);
     let _ = writeln!(s, "indexes={}", report.indexes);
     let _ = writeln!(s, "index_bytes={}", report.index_bytes);
-    let _ = writeln!(s, "policy={policy:?}");
     let _ = writeln!(s, "dropped_oldest_records={}", report.drops.oldest_records);
-    let _ = writeln!(s, "dropped_newest_records={}", report.drops.newest_records);
     let _ = writeln!(s, "dropped_closed_records={}", report.drops.closed_records);
     let _ = writeln!(s, "block_waits={}", report.drops.block_waits);
     let _ = writeln!(s, "io_errors={}", report.io_errors);
@@ -399,7 +394,7 @@ impl TraceStore {
     ) -> std::io::Result<TraceStore> {
         fs::create_dir_all(&config.dir)?;
         let shared = Arc::new(Shared {
-            ring: ChunkRing::new(config.max_chunks, config.policy, config.block_budget),
+            ring: ChunkRing::new(config.max_chunks, config.block_budget),
             stats: Mutex::new(WriterStats::default()),
             writer_bytes: AtomicUsize::new(0),
         });
@@ -467,10 +462,7 @@ impl TraceStore {
         let report = self.report();
         // Best-effort: replay works without the sidecar, it just cannot
         // show capture-time accounting.
-        let _ = fs::write(
-            self.config.dir.join(META_FILE),
-            render_meta(&report, self.config.policy),
-        );
+        let _ = fs::write(self.config.dir.join(META_FILE), render_meta(&report));
         report
     }
 
@@ -806,7 +798,6 @@ mod tests {
         let mut config = TraceStoreConfig::new(&dir.0);
         config.chunk_bytes = 128;
         config.max_chunks = 2;
-        config.policy = BackpressurePolicy::Block; // lossless until the watchdog says otherwise
         config.flush_timeout = Duration::from_millis(50);
         config.block_budget = Duration::from_millis(50);
         let gate = Arc::new((Mutex::new(false), parking_lot::Condvar::new()));
@@ -823,7 +814,7 @@ mod tests {
         let health = sink.health();
         assert!(health.demoted, "stuck writer must demote the ring");
         assert!(health.watchdog_trips >= 1);
-        // Demoted to DropOldest: a flood far past ring capacity completes
+        // Demoted: a flood far past ring capacity completes
         // immediately, paying with accounted drops instead of stalls.
         for i in 64..2_064 {
             sink.append(&rec(i));
@@ -843,7 +834,6 @@ mod tests {
         let dir = TempDir::new("ioerr");
         let mut config = TraceStoreConfig::new(&dir.0);
         config.chunk_bytes = 256; // many chunks, many failed writes
-        config.policy = BackpressurePolicy::Block; // worst case for liveness
         let store = TraceStore::create_with_medium(config, FailingBackend).unwrap();
         let mut sink = store.handle();
         let appended = 2_000u64;
@@ -906,7 +896,6 @@ mod tests {
                 .unwrap_or_default()
         };
         assert_eq!(get("records"), report.records.to_string());
-        assert_eq!(get("policy"), "Block");
         assert_eq!(get("dropped_oldest_records"), "0");
         assert_eq!(get("io_error_records"), "0");
         assert_eq!(get("demoted"), "false");

@@ -11,8 +11,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tracestore::{
-    decode_block, encode_block, parse_segment, read_trace, BackpressurePolicy, TraceStore,
-    TraceStoreConfig,
+    decode_block, encode_block, parse_segment, read_trace, TraceStore, TraceStoreConfig,
 };
 use vscsi::{IoDirection, Lba, TargetId, VDiskId, VmId};
 use vscsi_stats::{TraceRecord, TraceSink};
@@ -128,25 +127,24 @@ proptest! {
 
     /// The capture pipeline's resident memory never exceeds the
     /// configured bound, and records are conserved: everything appended
-    /// is either persisted to disk or accounted as dropped.
+    /// is either persisted to disk or accounted as dropped — both while
+    /// the ring blocks (lossless) and once a zero block budget has
+    /// demoted it to evicting its oldest chunk.
     #[test]
     fn footprint_bounded_and_records_conserved(
         records in proptest::collection::vec(arb_record(), 1..1500),
         chunk_bytes in 128usize..1024,
         max_chunks in 1usize..8,
-        policy_pick in 0u8..3,
+        lossless in any::<bool>(),
     ) {
         let dir = temp_dir("bound");
         let mut config = TraceStoreConfig::new(&dir);
         config.chunk_bytes = chunk_bytes;
         config.max_chunks = max_chunks;
-        config.policy = match policy_pick {
-            0 => BackpressurePolicy::DropOldest,
-            1 => BackpressurePolicy::DropNewest,
-            _ => BackpressurePolicy::Block,
-        };
+        if !lossless {
+            config.block_budget = std::time::Duration::ZERO;
+        }
         let bound = config.memory_bound_bytes();
-        let lossless = config.policy == BackpressurePolicy::Block;
         let store = TraceStore::create(config).unwrap();
         let mut sink = store.handle();
         for r in &records {

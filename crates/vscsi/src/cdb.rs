@@ -11,7 +11,6 @@
 
 use crate::types::{IoDirection, Lba};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors arising when decoding a CDB.
@@ -40,7 +39,7 @@ impl fmt::Display for CdbError {
 impl std::error::Error for CdbError {}
 
 /// Width variant of a READ/WRITE CDB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RwVariant {
     /// 6-byte CDB: 21-bit LBA, 8-bit length (0 means 256 blocks).
     Six,
@@ -78,7 +77,7 @@ impl RwVariant {
 }
 
 /// A decoded SCSI command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cdb {
     /// A data-transfer command (the vSCSI stats fast path).
     Rw {

@@ -10,11 +10,10 @@ use crate::cdb::Cdb;
 use crate::types::SECTOR_SIZE;
 use crate::vdisk::VirtualDisk;
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Standard INQUIRY data (SPC-3 §6.4.2), truncated to the classic 36-byte
 /// form every initiator requests first.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InquiryData {
     /// Peripheral device type: 0x00 = direct-access block device.
     pub device_type: u8,
@@ -65,7 +64,7 @@ fn put_padded(buf: &mut BytesMut, s: &str, width: usize) {
 
 /// READ CAPACITY(10) response (SBC-3 §5.12): the address of the last
 /// logical block and the block size, both big-endian 32-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadCapacity10Data {
     /// LBA of the last addressable block (capped at `u32::MAX` for disks
     /// larger than 2 TiB, per the standard — initiators then use
@@ -108,7 +107,7 @@ impl ReadCapacity10Data {
 }
 
 /// SCSI status byte returned for a command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScsiStatus {
     /// GOOD (0x00).
     Good,

@@ -4,7 +4,6 @@
 use crate::cdb::Cdb;
 use crate::status::ScsiStatus;
 use crate::types::{IoDirection, Lba, RequestId, TargetId, SECTOR_SIZE};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
 
@@ -30,7 +29,7 @@ use std::fmt;
 /// assert_eq!(req.len_bytes(), 4096);
 /// assert_eq!(req.last_lba(), Lba::new(135));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IoRequest {
     /// Unique id assigned at issue.
     pub id: RequestId,
@@ -107,14 +106,13 @@ impl fmt::Display for IoRequest {
 
 /// A completed I/O: the original request, its completion instant, and
 /// the SCSI outcome the device (or the abort path) reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IoCompletion {
     /// The request that finished.
     pub request: IoRequest,
     /// When the device reported completion back to the vSCSI layer.
     pub complete_time: SimTime,
     /// How the command ended (`GOOD` for the infallible paths).
-    #[serde(default)]
     pub status: ScsiStatus,
 }
 

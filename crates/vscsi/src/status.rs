@@ -15,12 +15,11 @@
 //! * `TASK ABORTED` — the initiator gave up (command timeout) and tore
 //!   the command down with an abort task-management function.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Sense key accompanying a `CHECK CONDITION` status (SPC-4 §4.5.6,
 /// reduced to the keys the fault model produces).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SenseKey {
     /// Unrecoverable media fault: the blocks themselves are bad.
     MediumError,
@@ -50,7 +49,7 @@ impl fmt::Display for SenseKey {
 /// assert!(!ScsiStatus::CheckCondition(SenseKey::MediumError).is_retryable());
 /// assert!(!ScsiStatus::TaskAborted.is_retryable());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScsiStatus {
     /// Command completed successfully.
     #[default]

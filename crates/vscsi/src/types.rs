@@ -5,7 +5,6 @@
 //! logical blocks as offsets into the array."
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Size of one logical block (sector), in bytes.
 pub const SECTOR_SIZE: u64 = 512;
@@ -22,9 +21,7 @@ pub const SECTOR_SIZE: u64 = 512;
 /// assert_eq!(lba.as_bytes(), 8 * SECTOR_SIZE);
 /// assert_eq!(Lba::from_byte_offset(4096), lba);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lba(u64);
 
 impl Lba {
@@ -80,9 +77,7 @@ impl fmt::Display for Lba {
 }
 
 /// Identifier of a virtual machine on a host.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u32);
 
 impl fmt::Display for VmId {
@@ -92,9 +87,7 @@ impl fmt::Display for VmId {
 }
 
 /// Identifier of a virtual disk within a VM (a vSCSI target).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VDiskId(pub u32);
 
 impl fmt::Display for VDiskId {
@@ -105,9 +98,7 @@ impl fmt::Display for VDiskId {
 
 /// A (VM, virtual disk) pair — the granularity at which the paper collects
 /// histograms ("on a per-virtual machine, per-virtual disk basis", §3).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TargetId {
     /// Owning virtual machine.
     pub vm: VmId,
@@ -129,9 +120,7 @@ impl fmt::Display for TargetId {
 }
 
 /// Monotonically increasing identifier for an in-flight I/O request.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
 
 impl fmt::Display for RequestId {
@@ -141,7 +130,7 @@ impl fmt::Display for RequestId {
 }
 
 /// Direction of a data-transfer command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoDirection {
     /// Data flows device → host.
     Read,

@@ -7,7 +7,6 @@
 //! cross-VM interference on shared spindles (§3.7, Figure 6).
 
 use crate::types::{Lba, TargetId, SECTOR_SIZE};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned when an I/O falls outside a virtual disk.
@@ -50,7 +49,7 @@ impl std::error::Error for OutOfRange {}
 /// assert!(vd.check(Lba::new(0), 8).is_ok());
 /// assert!(vd.check(Lba::new(vd.capacity_sectors()), 1).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VirtualDisk {
     target: TargetId,
     capacity_sectors: u64,

@@ -64,9 +64,7 @@ pub mod prelude {
     pub use histo::{layouts, BinEdges, Histogram, Histogram2d, HistogramSeries, SeekWindow};
     pub use simkit::{Dist, SimDuration, SimRng, SimTime};
     pub use storage::{presets, ArrayParams, StorageArray};
-    pub use tracestore::{
-        read_trace, BackpressurePolicy, StoreReport, TraceStore, TraceStoreConfig,
-    };
+    pub use tracestore::{read_trace, StoreReport, TraceStore, TraceStoreConfig};
     pub use vscsi::{Cdb, IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId};
     pub use vscsi_stats::{
         replay, CollectorConfig, FingerprintLibrary, IoStatsCollector, Lens, Metric, StatsService,
