@@ -35,28 +35,27 @@
 //! every conservation ledger (checkpoint I/O, fault plan, fleet views)
 //! must close across the crash.
 //!
-//! Everything on **stdout** and every non-`wall_` JSON field is
-//! deterministic in the seed — CI runs the binary twice and diffs both.
-//! Wall-clock timings go to stderr and `wall_`-prefixed JSON keys only.
+//! Stdout is a function of the seed and nothing else, and the exit status
+//! is "every check passed" — `crates/bench/tests/suites.rs` runs the binary
+//! twice and compares.
 //!
-//! Usage: `ext_crash [seed] [--smoke] [--json PATH | --no-json]`
-//! (seed defaults to 11, JSON to `BENCH_crash.json`).
+//! Usage: `ext_crash [seed]` (seed defaults to 11).
 
 use faultkit::{CrashPhase, CrashSchedule, FsFaultConfig, FsFaults};
 use fleet::{BreakerPolicy, FleetCollector, PollConfig, RetryPolicy, ServiceEndpoint};
 use simkit::{splitmix64, SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 use tracestore::{read_segment, TraceStore, TraceStoreConfig, SEGMENT_EXTENSION};
-use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId, VDiskId, VmId};
+use vscsi::{TargetId, VDiskId, VmId};
 use vscsi_stats::{
     load_latest, CheckpointConfig, CheckpointDaemon, CollectorConfig, FsMedium, ServiceCheckpoint,
     StatsService, TraceRecord, TraceSink, VscsiEvent,
 };
+use vscsistats_bench::reporting::seed_arg;
+use vscsistats_bench::scenarios::synthetic_commands;
 
 const HOST: u64 = 7;
 const TENANT: u64 = 1;
@@ -84,10 +83,10 @@ struct Scenario {
     ckpt_every: u64,
     side: CrashSide,
     crash: CrashSchedule,
-    /// (full, smoke) segment size caps for the trace store.
-    segment_max_bytes: (usize, usize),
-    /// (full, smoke) chunk sizes for the trace store.
-    chunk_bytes: (usize, usize),
+    /// Segment size cap for the trace store.
+    segment_max_bytes: usize,
+    /// Chunk size for the trace store.
+    chunk_bytes: usize,
     /// Fire `command("checkpoint")` during this window, if any.
     request_at: Option<u64>,
     /// The crash must leave a fully-written-but-unrenamed `.tmp` behind.
@@ -113,10 +112,10 @@ fn scenarios() -> Vec<Scenario> {
                 at_create_op: 8,
                 phase: CrashPhase::MidWrite,
             },
-            segment_max_bytes: (64 << 20, 64 << 20),
+            segment_max_bytes: 64 << 20,
             // Small enough that the first chunk seals (and the segment
-            // file opens) within the first windows even at smoke volume.
-            chunk_bytes: (1 << 10, 128),
+            // file opens) within the first windows.
+            chunk_bytes: 1 << 10,
             request_at: None,
             expect_tmp_orphan: false,
             expect_lost: false,
@@ -130,10 +129,10 @@ fn scenarios() -> Vec<Scenario> {
                 at_create_op: 6,
                 phase: CrashPhase::AfterFsync,
             },
-            segment_max_bytes: (64 << 20, 64 << 20),
+            segment_max_bytes: 64 << 20,
             // Small enough that the first chunk seals (and the segment
-            // file opens) within the first windows even at smoke volume.
-            chunk_bytes: (1 << 10, 128),
+            // file opens) within the first windows.
+            chunk_bytes: 1 << 10,
             request_at: None,
             expect_tmp_orphan: true,
             expect_lost: false,
@@ -147,10 +146,10 @@ fn scenarios() -> Vec<Scenario> {
                 at_create_op: 4,
                 phase: CrashPhase::AfterRename,
             },
-            segment_max_bytes: (64 << 20, 64 << 20),
+            segment_max_bytes: 64 << 20,
             // Small enough that the first chunk seals (and the segment
-            // file opens) within the first windows even at smoke volume.
-            chunk_bytes: (1 << 10, 128),
+            // file opens) within the first windows.
+            chunk_bytes: 1 << 10,
             request_at: Some(3),
             expect_tmp_orphan: false,
             expect_lost: false,
@@ -167,8 +166,8 @@ fn scenarios() -> Vec<Scenario> {
             // Records are delta-encoded (~a dozen bytes each), so these
             // tiny caps force a chunk seal every window and a segment
             // roll every few — the crash op lands mid-run.
-            segment_max_bytes: (768, 384),
-            chunk_bytes: (256, 128),
+            segment_max_bytes: 768,
+            chunk_bytes: 256,
             request_at: None,
             expect_tmp_orphan: false,
             expect_lost: true,
@@ -180,44 +179,26 @@ fn target(t: u64) -> TargetId {
     TargetId::new(VmId(t as u32), VDiskId(0))
 }
 
-/// Feeds one window of fully-completing commands (each burst issues and
+/// Feeds one window of fully-completing commands (each issues and
 /// completes inside the batch, so the in-flight table is empty at every
 /// window boundary — checkpoints cut between commands, never through
 /// one). Returns commands fed.
-fn feed(service: &StatsService, seed: u64, w: u64, smoke: bool) -> u64 {
+fn feed(service: &StatsService, seed: u64, w: u64) -> u64 {
     let mut events = Vec::new();
-    let mut request_id = (HOST << 40) | (w << 20);
+    let first_request_id = (HOST << 40) | (w << 20);
     let mut fed = 0u64;
     for t in 0..TARGETS {
-        let tgt = target(t);
-        let mix0 = splitmix64(seed ^ w.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) ^ t);
-        let commands = if smoke { 6 + mix0 % 4 } else { 24 + mix0 % 12 };
-        let mut t_ns = w * WINDOW_NS + (mix0 % 1_000) * 1_000;
-        for r in 0..commands {
-            let mix = splitmix64(mix0 ^ r);
-            let direction = if mix.is_multiple_of(3) {
-                IoDirection::Write
-            } else {
-                IoDirection::Read
-            };
-            let req = IoRequest::new(
-                RequestId(request_id),
-                tgt,
-                direction,
-                Lba::new((mix >> 8) % (1 << 30)),
-                8 << (mix % 5),
-                SimTime::from_nanos(t_ns),
-            );
-            request_id += 1;
-            fed += 1;
-            let latency_ns = 50_000 + (mix >> 40) % 10_000_000;
-            events.push(VscsiEvent::Issue(req));
-            events.push(VscsiEvent::Complete(IoCompletion::new(
-                req,
-                SimTime::from_nanos(t_ns + latency_ns),
-            )));
-            t_ns += 1_000 + mix % 3_000_000;
-        }
+        let key = splitmix64(seed ^ w.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) ^ t);
+        let count = 24 + key % 12;
+        let start_us = w * (WINDOW_NS / 1_000) + key % 1_000;
+        events.extend(synthetic_commands(
+            target(t),
+            key,
+            count,
+            start_us,
+            first_request_id + fed,
+        ));
+        fed += count;
     }
     service.handle_batch(&events);
     fed
@@ -284,13 +265,7 @@ struct ScenarioOutcome {
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_scenario(
-    sc: &Scenario,
-    seed: u64,
-    smoke: bool,
-    base: &Path,
-    pass: &mut bool,
-) -> ScenarioOutcome {
+fn run_scenario(sc: &Scenario, seed: u64, base: &Path, pass: &mut bool) -> ScenarioOutcome {
     let c = |pass: &mut bool, ok: bool, what: &str| {
         check(pass, ok, &format!("{}: {what}", sc.name));
     };
@@ -315,16 +290,8 @@ fn run_scenario(
     ));
     service.enable_all();
     let mut store_config = TraceStoreConfig::new(&trace0);
-    store_config.segment_max_bytes = if smoke {
-        sc.segment_max_bytes.1
-    } else {
-        sc.segment_max_bytes.0
-    };
-    store_config.chunk_bytes = if smoke {
-        sc.chunk_bytes.1
-    } else {
-        sc.chunk_bytes.0
-    };
+    store_config.segment_max_bytes = sc.segment_max_bytes;
+    store_config.chunk_bytes = sc.chunk_bytes;
     let store = TraceStore::create_with_medium(store_config.clone(), faults_seg.medium(FsMedium))
         .expect("trace store");
     for t in 0..TARGETS {
@@ -368,7 +335,7 @@ fn run_scenario(
     let mut windows_pre = 0u64;
     let mut crashed = false;
     for w in 0..PRE_WINDOWS {
-        fed_pre += feed(&service, sseed, w, smoke);
+        fed_pre += feed(&service, sseed, w);
         windows_pre = w + 1;
         barrier.flush();
         if faults_seg.crashed() {
@@ -590,7 +557,7 @@ fn run_scenario(
     let mut fed_post = 0u64;
     let mut t_final = SimTime::from_nanos(windows_pre * WINDOW_NS);
     for w in windows_pre..windows_pre + POST_WINDOWS {
-        fed_post += feed(&restored, sseed, w, smoke);
+        fed_post += feed(&restored, sseed, w);
         let t = SimTime::from_nanos((w + 1) * WINDOW_NS);
         let _ = daemon2.tick(t.as_nanos());
         collector.poll_due(t);
@@ -711,18 +678,7 @@ fn run_scenario(
 }
 
 fn main() {
-    let mut seed: u64 = 11;
-    let mut smoke = false;
-    let mut json_path = Some(String::from("BENCH_crash.json"));
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json_path = it.next(),
-            "--no-json" => json_path = None,
-            "--smoke" => smoke = true,
-            other => seed = other.parse().unwrap_or(seed),
-        }
-    }
+    let seed = seed_arg(11);
     println!(
         "ext_crash: seed {seed}, 1 host, {TARGETS} target(s), \
          {PRE_WINDOWS}+{POST_WINDOWS} window(s), 4 crash scenario(s)"
@@ -730,12 +686,10 @@ fn main() {
     let base = std::env::temp_dir().join(format!("ext-crash-{}", std::process::id()));
     let _ = fs::remove_dir_all(&base);
     let mut pass = true;
-    let t0 = Instant::now();
     let outcomes: Vec<ScenarioOutcome> = scenarios()
         .iter()
-        .map(|sc| run_scenario(sc, seed, smoke, &base, &mut pass))
+        .map(|sc| run_scenario(sc, seed, &base, &mut pass))
         .collect();
-    let wall_run_ms = t0.elapsed().as_secs_f64() * 1e3;
     let _ = fs::remove_dir_all(&base);
 
     for o in &outcomes {
@@ -777,81 +731,7 @@ fn main() {
         );
     }
     println!("{}", if pass { "PASS" } else { "FAIL" });
-    eprintln!("wall: run {wall_run_ms:.1} ms");
-
-    if let Some(path) = json_path {
-        let json = bench_json(seed, smoke, &outcomes, pass, wall_run_ms);
-        if let Err(e) = fs::write(&path, &json) {
-            eprintln!("error: writing {path}: {e}");
-        } else {
-            eprintln!("wrote {path}");
-        }
-    }
     if !pass {
         std::process::exit(1);
     }
-}
-
-fn bench_json(
-    seed: u64,
-    smoke: bool,
-    outcomes: &[ScenarioOutcome],
-    pass: bool,
-    wall_run_ms: f64,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"crash\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"targets\": {TARGETS},");
-    let _ = writeln!(out, "  \"scenarios\": [");
-    for (i, o) in outcomes.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", o.name);
-        let _ = writeln!(
-            out,
-            "      \"windows\": {{\"pre\": {}, \"post\": {}}},",
-            o.windows_pre, o.windows_post
-        );
-        let _ = writeln!(
-            out,
-            "      \"commands\": {{\"pre\": {}, \"post\": {}}},",
-            o.fed_pre, o.fed_post
-        );
-        let _ = writeln!(
-            out,
-            "      \"ckpt_ledger\": {{\"attempts\": {}, \"written\": {}, \"torn\": {}, \
-             \"fsync_dropped\": {}, \"io_errors\": {}, \"conserved\": {}}},",
-            o.ledger.attempts,
-            o.ledger.written,
-            o.ledger.torn,
-            o.ledger.fsync_dropped,
-            o.ledger.io_errors,
-            o.ledger.conserves()
-        );
-        let _ = writeln!(
-            out,
-            "      \"recovery\": {{\"durable_seq\": {}, \"skipped_corrupt\": {}, \
-             \"bit_identical\": {}, \"tail_replayed\": {}, \"lost\": {}}},",
-            o.durable_seq, o.skipped_corrupt, o.restore_bit_identical, o.tail_replayed, o.lost
-        );
-        let _ = writeln!(
-            out,
-            "      \"fleet\": {{\"resumed\": {}, \"lost_windows\": {}, \
-             \"windowed_total_events\": {}, \"conserves\": {}}},",
-            o.resumed, o.lost_windows, o.windowed_total_events, o.conserves
-        );
-        let _ = writeln!(out, "      \"post_durable_seq\": {}", o.post_durable_seq);
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 < outcomes.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"pass\": {pass},");
-    let _ = writeln!(out, "  \"wall_run_ms\": {wall_run_ms:.3}");
-    let _ = writeln!(out, "}}");
-    out
 }

@@ -21,7 +21,7 @@
 use simkit::SimTime;
 use vscsi::ScsiStatus;
 use vscsi_stats::{Lens, Metric};
-use vscsistats_bench::reporting::{panel2, shape_report, ShapeCheck};
+use vscsistats_bench::reporting::{panel2, seed_arg, shape_report, ShapeCheck};
 use vscsistats_bench::scenarios::{prepare_fault_replay, prepare_fault_storm, RunResult};
 
 /// The device-independent metrics phase A requires to be bit-stable.
@@ -53,10 +53,7 @@ fn outcome_summary(r: &RunResult) -> String {
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("seed must be an integer"))
-        .unwrap_or(250);
+    let seed = seed_arg(250);
     println!("=== Extension: deterministic fault injection (seed {seed}) ===\n");
 
     // Phase A: open-loop bit-stability.

@@ -1,6 +1,6 @@
 //! Extension experiment: the fleet aggregation plane at scale.
 //!
-//! Builds a simulated fleet — by default 256 hosts carrying 10 240
+//! Builds a simulated fleet — 256 hosts carrying 10 240
 //! (VM, disk) targets between them, split across 8 tenants — feeds every
 //! target a deterministic synthetic workload, and then drives the full
 //! fetch → decode → merge pipeline twice:
@@ -9,7 +9,7 @@
 //!   host → tenant → fleet rollup must conserve *exactly*: the fleet
 //!   root's histograms, bin for bin, equal the sum of what every host
 //!   reported, which in turn equals a direct (no-wire) snapshot of every
-//!   service. The round also measures the wire: bytes per target on the
+//!   service. The round also sizes the wire: bytes per target on the
 //!   frame versus the resident counter slab.
 //! * **Chaos round** — every endpoint is wrapped in a seeded
 //!   [`ChaosEndpoint`] that drops, bit-flips, or truncates a slice of
@@ -18,77 +18,49 @@
 //!   failure), silent hosts must age into staleness, and the final view
 //!   must still conserve over the hosts that stayed live.
 //!
-//! Everything on **stdout** and every non-`wall_` JSON field is
-//! deterministic in the seed — CI runs the binary twice and diffs both.
-//! Wall-clock timings (merge throughput, rollup latency) go to stderr
-//! and to `wall_`-prefixed JSON keys only.
+//! Stdout is a function of the seed and nothing else, and the exit status
+//! is "every check passed" — `crates/bench/tests/suites.rs` runs the binary
+//! twice and compares. What the rollup costs in wall-clock time is
+//! `ext_e2e`'s `fleet_rollup` workload's to say.
 //!
-//! Usage: `ext_fleet [seed] [--smoke] [--hosts N] [--targets N]
-//! [--json PATH | --no-json]` (seed defaults to 11, JSON to
-//! `BENCH_fleet.json`; `--smoke` shrinks the fleet for CI).
+//! Usage: `ext_fleet [seed]` (seed defaults to 11).
 
 use fleet::{encode_frame, ChaosEndpoint, FleetCollector, HostFrame, PollConfig, ServiceEndpoint};
 use simkit::{splitmix64, SimTime};
-use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
-use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId, VDiskId, VmId};
-use vscsi_stats::{CollectorConfig, StatsService, VscsiEvent};
-use vscsistats_bench::reporting::{shape_report, ShapeCheck};
+use vscsi::{TargetId, VDiskId, VmId};
+use vscsi_stats::{CollectorConfig, StatsService};
+use vscsistats_bench::reporting::{seed_arg, shape_report, ShapeCheck};
+use vscsistats_bench::scenarios::synthetic_commands;
 
+const HOSTS: u64 = 256;
+const TARGETS_PER_HOST: u64 = 40;
+const TARGETS: u64 = HOSTS * TARGETS_PER_HOST;
 const TENANTS: u64 = 8;
 const CHAOS_POLLS: u64 = 5;
 
 /// Builds one host's service and feeds every one of its targets a small
-/// deterministic workload (mixed sizes, strides, and latencies so every
-/// metric's histogram sees occupied bins).
-fn build_host(seed: u64, host: u64, targets: usize) -> Arc<StatsService> {
+/// deterministic workload.
+fn build_host(seed: u64, host: u64) -> Arc<StatsService> {
     let service = Arc::new(StatsService::with_shards(CollectorConfig::default(), 4));
     service.enable_all();
     let mut events = Vec::new();
     let mut request_id = 0u64;
-    for t in 0..targets {
+    for t in 0..TARGETS_PER_HOST {
         let target = TargetId::new(VmId(t as u32), VDiskId(0));
-        let mix0 = splitmix64(seed ^ host.wrapping_mul(0x517C_C1B7_2722_0A95) ^ t as u64);
-        let records = 8 + (mix0 % 8);
-        let mut t_us = mix0 % 1_000;
-        for r in 0..records {
-            let mix = splitmix64(mix0 ^ r);
-            let direction = if mix.is_multiple_of(3) {
-                IoDirection::Write
-            } else {
-                IoDirection::Read
-            };
-            let sectors = 8u32 << (mix % 6);
-            let lba = Lba::new((mix >> 8) % (1 << 30));
-            let latency_us = 50 + (mix >> 40) % 20_000;
-            let req = IoRequest::new(
-                RequestId(request_id),
-                target,
-                direction,
-                lba,
-                sectors,
-                SimTime::from_micros(t_us),
-            );
-            request_id += 1;
-            events.push(VscsiEvent::Issue(req));
-            events.push(VscsiEvent::Complete(IoCompletion::new(
-                req,
-                SimTime::from_micros(t_us + latency_us),
-            )));
-            t_us += 100 + mix % 5_000;
-        }
+        let key = splitmix64(seed ^ host.wrapping_mul(0x517C_C1B7_2722_0A95) ^ t);
+        let count = 8 + key % 8;
+        events.extend(synthetic_commands(
+            target,
+            key,
+            count,
+            key % 1_000,
+            request_id,
+        ));
+        request_id += count;
     }
     service.handle_batch(&events);
     service
-}
-
-fn build_fleet(seed: u64, hosts: u64, targets: u64) -> Vec<Arc<StatsService>> {
-    let base = targets / hosts;
-    let rem = (targets % hosts) as usize;
-    (0..hosts as usize)
-        .map(|h| build_host(seed, h as u64, base as usize + usize::from(h < rem)))
-        .collect()
 }
 
 fn endpoints(services: &[Arc<StatsService>]) -> Vec<ServiceEndpoint> {
@@ -97,68 +69,6 @@ fn endpoints(services: &[Arc<StatsService>]) -> Vec<ServiceEndpoint> {
         .enumerate()
         .map(|(h, service)| ServiceEndpoint::new(h as u64, h as u64 % TENANTS, Arc::clone(service)))
         .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn bench_json(
-    seed: u64,
-    hosts: u64,
-    targets: u64,
-    direct_total: u64,
-    fleet_total: u64,
-    conserved: bool,
-    wire_bytes: u64,
-    resident_bytes: u64,
-    chaos: &ChaosSummary,
-    pass: bool,
-    wall_merge_ms: f64,
-    wall_assemble_us: f64,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"fleet_rollup\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"hosts\": {hosts},");
-    let _ = writeln!(out, "  \"tenants\": {TENANTS},");
-    let _ = writeln!(out, "  \"targets\": {targets},");
-    let _ = writeln!(out, "  \"direct_total_events\": {direct_total},");
-    let _ = writeln!(out, "  \"fleet_total_events\": {fleet_total},");
-    let _ = writeln!(out, "  \"conserved\": {conserved},");
-    let _ = writeln!(out, "  \"wire_bytes\": {wire_bytes},");
-    let _ = writeln!(out, "  \"resident_bytes\": {resident_bytes},");
-    let _ = writeln!(
-        out,
-        "  \"wire_bytes_per_target\": {:.1},",
-        wire_bytes as f64 / targets as f64
-    );
-    let _ = writeln!(
-        out,
-        "  \"wire_ratio\": {:.2},",
-        resident_bytes as f64 / wire_bytes as f64
-    );
-    let _ = writeln!(
-        out,
-        "  \"chaos\": {{\"polls\": {}, \"ok\": {}, \"unreachable\": {}, \"corrupted\": {}, \
-         \"truncated\": {}, \"exact_accounting\": {}, \"stale_hosts\": {}, \"conserved\": {}}},",
-        chaos.polls,
-        chaos.ok,
-        chaos.unreachable,
-        chaos.corrupted,
-        chaos.truncated,
-        chaos.exact,
-        chaos.stale,
-        chaos.conserved,
-    );
-    let _ = writeln!(out, "  \"pass\": {pass},");
-    let _ = writeln!(out, "  \"wall_merge_ms\": {wall_merge_ms:.3},");
-    let _ = writeln!(out, "  \"wall_assemble_us\": {wall_assemble_us:.3},");
-    let _ = writeln!(
-        out,
-        "  \"wall_targets_per_sec\": {:.0}",
-        targets as f64 / (wall_merge_ms / 1e3)
-    );
-    let _ = writeln!(out, "}}");
-    out
 }
 
 struct ChaosSummary {
@@ -215,66 +125,13 @@ fn run_chaos(services: &[Arc<StatsService>], seed: u64) -> ChaosSummary {
 }
 
 fn main() {
-    let mut seed: u64 = 11;
-    let mut hosts: u64 = 256;
-    let mut targets: u64 = 10_240;
-    let mut scaled = false;
-    let mut json_path = Some(String::from("BENCH_fleet.json"));
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json_path = it.next(),
-            "--no-json" => json_path = None,
-            "--smoke" => {
-                hosts = 16;
-                targets = 320;
-                scaled = true;
-            }
-            "--hosts" => {
-                hosts = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--hosts needs a positive number");
-                        std::process::exit(2);
-                    });
-                scaled = true;
-            }
-            "--targets" => {
-                targets = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--targets needs a positive number");
-                        std::process::exit(2);
-                    });
-                scaled = true;
-            }
-            other => match other.parse() {
-                Ok(v) => seed = v,
-                Err(_) => {
-                    eprintln!(
-                        "unknown argument {other:?} (usage: ext_fleet [seed] [--smoke] \
-                         [--hosts N] [--targets N] [--json PATH | --no-json])"
-                    );
-                    std::process::exit(2);
-                }
-            },
-        }
-    }
-    if targets < hosts {
-        eprintln!("error: need at least one target per host");
-        std::process::exit(2);
-    }
+    let seed = seed_arg(11);
     println!(
-        "=== Extension: fleet rollup — {hosts} host(s), {targets} target(s), \
+        "=== Extension: fleet rollup — {HOSTS} host(s), {TARGETS} target(s), \
          {TENANTS} tenant(s) (seed {seed}) ===\n"
     );
 
-    eprintln!("building fleet...");
-    let services = build_fleet(seed, hosts, targets);
+    let services: Vec<_> = (0..HOSTS).map(|host| build_host(seed, host)).collect();
 
     // The no-wire ground truth: snapshot every service directly and count
     // every observation. The rollup after fetch → decode → merge must
@@ -302,16 +159,11 @@ fn main() {
     // Clean round, twice: the second run proves the pipeline deterministic.
     let run_clean = || {
         let mut collector = FleetCollector::new(PollConfig::default(), endpoints(&services));
-        let t0 = Instant::now();
         collector.run_until(SimTime::ZERO);
-        let merge = t0.elapsed();
-        let t1 = Instant::now();
-        let view = collector.view(SimTime::ZERO);
-        (view, merge, t1.elapsed())
+        collector.view(SimTime::ZERO)
     };
-    eprintln!("clean round: fetch -> decode -> merge over {hosts} host(s)...");
-    let (view, wall_merge, wall_assemble) = run_clean();
-    let (view_again, _, _) = run_clean();
+    let view = run_clean();
+    let view_again = run_clean();
 
     let fleet_total = view.fleet.agg.total_events();
     let conserved = view.conserves() && fleet_total == direct_total;
@@ -328,19 +180,11 @@ fn main() {
     println!(
         "wire_bytes={wire_bytes} resident_bytes={resident_bytes} \
          bytes_per_target={:.1} ratio={:.2}x",
-        wire_bytes as f64 / targets as f64,
+        wire_bytes as f64 / TARGETS as f64,
         resident_bytes as f64 / wire_bytes as f64
-    );
-    let wall_merge_ms = wall_merge.as_secs_f64() * 1e3;
-    let wall_assemble_us = wall_assemble.as_secs_f64() * 1e6;
-    eprintln!(
-        "merge wall: {wall_merge_ms:.1} ms ({:.0} targets/s); rollup assemble: \
-         {wall_assemble_us:.0} us",
-        targets as f64 / wall_merge.as_secs_f64()
     );
     println!();
 
-    eprintln!("chaos round: {CHAOS_POLLS} polls/host at 10% drop / 10% flip / 10% truncate...");
     let chaos = run_chaos(&services, seed);
     println!("--- chaos round ---");
     println!(
@@ -353,21 +197,16 @@ fn main() {
     );
     println!();
 
-    let scale_claim = if scaled {
-        "fleet matches the requested scale"
-    } else {
-        "fleet covers >= 10k targets across >= 256 hosts"
-    };
     let checks = vec![
         ShapeCheck::new(
-            scale_claim,
-            format!("{hosts} host(s), {targets} target(s)"),
-            scaled || (hosts >= 256 && targets >= 10_000),
+            "fleet covers >= 10k targets across >= 256 hosts",
+            format!("{HOSTS} host(s), {TARGETS} target(s)"),
+            services.len() >= 256 && view.fleet.targets >= 10_000,
         ),
         ShapeCheck::new(
             "every host polled, decoded, and merged",
-            format!("live hosts = {} of {hosts}", view.fleet.hosts),
-            view.fleet.hosts == hosts as usize && view.fleet.targets == targets as usize,
+            format!("live hosts = {} of {HOSTS}", view.fleet.hosts),
+            view.fleet.hosts == HOSTS as usize && view.fleet.targets == TARGETS as usize,
         ),
         ShapeCheck::new(
             "rollup conserves exactly against the no-wire ground truth",
@@ -384,7 +223,7 @@ fn main() {
             format!(
                 "{:.2}x ({:.1} bytes/target on the wire)",
                 resident_bytes as f64 / wire_bytes as f64,
-                wire_bytes as f64 / targets as f64
+                wire_bytes as f64 / TARGETS as f64
             ),
             wire_bytes * 2 < resident_bytes,
         ),
@@ -415,31 +254,6 @@ fn main() {
     ];
     let (report, ok) = shape_report(&checks);
     println!("{report}");
-
-    if let Some(path) = json_path {
-        let json = bench_json(
-            seed,
-            hosts,
-            targets,
-            direct_total,
-            fleet_total,
-            conserved,
-            wire_bytes,
-            resident_bytes,
-            &chaos,
-            ok,
-            wall_merge_ms,
-            wall_assemble_us,
-        );
-        match std::fs::write(&path, &json) {
-            // stderr: CI diffs stdout of two runs writing different paths.
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error writing {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     if !ok {
         std::process::exit(1);
     }

@@ -28,23 +28,22 @@
 //! `FleetView::conserves` holds for the cumulative, per-window, and
 //! windowed-total views at every window.
 //!
-//! Everything on **stdout** and every non-`wall_` JSON field is
-//! deterministic in the seed — CI runs the binary twice and diffs both.
-//! Wall-clock timings go to stderr and `wall_`-prefixed JSON keys only.
+//! Stdout is a function of the seed and nothing else, and the exit status
+//! is "every check passed" — `crates/bench/tests/suites.rs` runs the binary
+//! twice and compares.
 //!
-//! Usage: `ext_fleetchaos [seed] [--smoke] [--json PATH | --no-json]`
-//! (seed defaults to 23, JSON to `BENCH_fleetchaos.json`).
+//! Usage: `ext_fleetchaos [seed]` (seed defaults to 23).
 
 use fleet::{
     BreakerPolicy, BreakerState, FetchError, FleetCollector, HostEndpoint, PollConfig, RetryPolicy,
     ServiceEndpoint,
 };
 use simkit::{splitmix64, SimDuration, SimTime};
-use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
-use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId, VDiskId, VmId};
-use vscsi_stats::{CollectorConfig, StatsService, VscsiEvent};
+use vscsi::{TargetId, VDiskId, VmId};
+use vscsi_stats::{CollectorConfig, StatsService};
+use vscsistats_bench::reporting::seed_arg;
+use vscsistats_bench::scenarios::synthetic_commands;
 
 const HOSTS: u64 = 24;
 const TENANTS: u64 = 4;
@@ -65,12 +64,11 @@ fn tenant_of(host: u64) -> u64 {
 }
 
 /// Skewed target distribution: tenant 0 hosts carry 5× the targets.
-fn targets_of(host: u64, smoke: bool) -> usize {
-    let (fat, thin) = if smoke { (10, 4) } else { (40, 8) };
+fn targets_of(host: u64) -> u64 {
     if tenant_of(host) == 0 {
-        fat
+        40
     } else {
-        thin
+        8
     }
 }
 
@@ -82,7 +80,7 @@ fn fresh_service() -> Arc<StatsService> {
 
 /// Feeds one host's service its window-`w` workload: a deterministic
 /// trickle per target, multiplied on the bursty tenant's burst windows.
-fn feed_host(service: &StatsService, seed: u64, host: u64, w: u64, smoke: bool) {
+fn feed_host(service: &StatsService, seed: u64, host: u64, w: u64) {
     let burst = if tenant_of(host) == BURST_TENANT && w.is_multiple_of(BURST_EVERY) {
         BURST_MULT
     } else {
@@ -90,41 +88,17 @@ fn feed_host(service: &StatsService, seed: u64, host: u64, w: u64, smoke: bool) 
     };
     let mut events = Vec::new();
     let mut request_id = (host << 40) | (w << 20);
-    for t in 0..targets_of(host, smoke) as u64 {
+    for t in 0..targets_of(host) {
         let target = TargetId::new(VmId(t as u32), VDiskId(0));
-        let mix0 = splitmix64(
+        let key = splitmix64(
             seed ^ host.wrapping_mul(0x517C_C1B7_2722_0A95)
                 ^ w.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
                 ^ t,
         );
-        let commands = burst * (1 + mix0 % 3);
-        let mut t_us = w * 1_000_000 + mix0 % 1_000;
-        for r in 0..commands {
-            let mix = splitmix64(mix0 ^ r);
-            let direction = if mix.is_multiple_of(3) {
-                IoDirection::Write
-            } else {
-                IoDirection::Read
-            };
-            let sectors = 8u32 << (mix % 6);
-            let lba = Lba::new((mix >> 8) % (1 << 30));
-            let latency_us = 50 + (mix >> 40) % 20_000;
-            let req = IoRequest::new(
-                RequestId(request_id),
-                target,
-                direction,
-                lba,
-                sectors,
-                SimTime::from_micros(t_us),
-            );
-            request_id += 1;
-            events.push(VscsiEvent::Issue(req));
-            events.push(VscsiEvent::Complete(IoCompletion::new(
-                req,
-                SimTime::from_micros(t_us + latency_us),
-            )));
-            t_us += 100 + mix % 5_000;
-        }
+        let count = burst * (1 + key % 3);
+        let start_us = w * 1_000_000 + key % 1_000;
+        events.extend(synthetic_commands(target, key, count, start_us, request_id));
+        request_id += count;
     }
     service.handle_batch(&events);
 }
@@ -204,19 +178,8 @@ fn check(pass: &mut bool, ok: bool, what: &str) -> bool {
 }
 
 fn main() {
-    let mut seed: u64 = 23;
-    let mut smoke = false;
-    let mut json_path = Some(String::from("BENCH_fleetchaos.json"));
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json_path = it.next(),
-            "--no-json" => json_path = None,
-            "--smoke" => smoke = true,
-            other => seed = other.parse().unwrap_or(seed),
-        }
-    }
-    let targets_total: u64 = (0..HOSTS).map(|h| targets_of(h, smoke) as u64).sum();
+    let seed = seed_arg(23);
+    let targets_total: u64 = (0..HOSTS).map(targets_of).sum();
     println!(
         "ext_fleetchaos: seed {seed}, {HOSTS} host(s) / {TENANTS} tenant(s), \
          {targets_total} target(s), {WINDOWS} window(s)"
@@ -261,7 +224,6 @@ fn main() {
 
     let mut pass = true;
     let mut pre_restart = None;
-    let t0 = Instant::now();
     for w in 0..WINDOWS {
         if w == RESTART_WINDOW {
             // Reboot the restarter: its pre-restart snapshot is frozen
@@ -273,7 +235,7 @@ fn main() {
             collector.endpoints_mut()[RESTARTER].restart(fresh);
         }
         for h in 0..HOSTS {
-            feed_host(&services[h as usize], seed, h, w, smoke);
+            feed_host(&services[h as usize], seed, h, w);
         }
         let now = SimTime::from_secs(w);
         collector.run_until(now);
@@ -284,19 +246,13 @@ fn main() {
         let tv = collector.windowed_total_view(now);
         check(&mut pass, tv.conserves(), "windowed-total view conserves");
     }
-    let wall_run_ms = t0.elapsed().as_secs_f64() * 1e3;
     let last = SimTime::from_secs(WINDOWS - 1);
 
     verify_and_report(
         &collector,
         pre_restart.expect("restart window ran"),
-        seed,
-        targets_total,
-        smoke,
         pass,
-        wall_run_ms,
         last,
-        json_path.as_deref(),
     );
 }
 
@@ -308,7 +264,6 @@ struct Totals {
     failed_windows: u64,
     suppressed_windows: u64,
     attempts: u64,
-    frames_ok: u64,
     fetch_failures: u64,
     decode_failures: u64,
     retries: u64,
@@ -326,17 +281,11 @@ struct Totals {
     injected: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn verify_and_report(
     collector: &FleetCollector<ChaosHost>,
     pre_restart: fleet::AggSet,
-    seed: u64,
-    targets_total: u64,
-    smoke: bool,
     mut pass: bool,
-    wall_run_ms: f64,
     last: SimTime,
-    json_path: Option<&str>,
 ) {
     let mut t = Totals::default();
     for (s, ep) in collector.status().iter().zip(collector.endpoints()) {
@@ -345,7 +294,6 @@ fn verify_and_report(
         t.failed_windows += s.failed_windows;
         t.suppressed_windows += s.suppressed_windows;
         t.attempts += s.polls();
-        t.frames_ok += s.frames_ok;
         t.fetch_failures += s.fetch_failures;
         t.decode_failures += s.decode_failures;
         t.retries += s.retries;
@@ -533,99 +481,7 @@ fn verify_and_report(
     );
     print!("{}", collector.render_status(last));
     println!("{}", if pass { "PASS" } else { "FAIL" });
-    eprintln!("wall: run {wall_run_ms:.1} ms");
-
-    if let Some(path) = json_path {
-        let json = bench_json(
-            seed,
-            targets_total,
-            smoke,
-            &t,
-            collector,
-            &cv,
-            &tv,
-            pass,
-            wall_run_ms,
-        );
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: writing {path}: {e}");
-        } else {
-            eprintln!("wrote {path}");
-        }
-    }
     if !pass {
         std::process::exit(1);
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn bench_json(
-    seed: u64,
-    targets_total: u64,
-    smoke: bool,
-    t: &Totals,
-    collector: &FleetCollector<ChaosHost>,
-    cv: &fleet::FleetView,
-    tv: &fleet::FleetView,
-    pass: bool,
-    wall_run_ms: f64,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"fleet_chaos\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"hosts\": {HOSTS},");
-    let _ = writeln!(out, "  \"tenants\": {TENANTS},");
-    let _ = writeln!(out, "  \"targets\": {targets_total},");
-    let _ = writeln!(out, "  \"windows\": {WINDOWS},");
-    let _ = writeln!(
-        out,
-        "  \"windows_ledger\": {{\"offered\": {}, \"ok\": {}, \"failed\": {}, \"suppressed\": {}}},",
-        t.offered_windows, t.ok_windows, t.failed_windows, t.suppressed_windows
-    );
-    let _ = writeln!(
-        out,
-        "  \"attempts_ledger\": {{\"attempts\": {}, \"frames_ok\": {}, \"fetch_failures\": {}, \
-         \"decode_failures\": {}, \"retries\": {}, \"retry_successes\": {}, \"injected\": {}}},",
-        t.attempts,
-        t.frames_ok,
-        t.fetch_failures,
-        t.decode_failures,
-        t.retries,
-        t.retry_successes,
-        t.injected
-    );
-    let _ = writeln!(
-        out,
-        "  \"breaker\": {{\"entries\": {}, \"exits\": {}, \"probes\": {}, \"probe_ok\": {}, \
-         \"probe_fail\": {}, \"evicted\": {}}},",
-        t.quarantine_entries,
-        t.quarantine_exits,
-        t.probe_attempts,
-        t.probe_successes,
-        t.probe_failures,
-        collector.evicted_hosts()
-    );
-    let _ = writeln!(
-        out,
-        "  \"epochs\": {{\"bumps\": {}, \"regressions\": {}, \"lost_windows\": {}, \
-         \"bridged_windows\": {}, \"seq_rejects\": {}}},",
-        t.epoch_bumps, t.regressions, t.lost_windows, t.bridged_windows, t.seq_rejects
-    );
-    let _ = writeln!(
-        out,
-        "  \"events\": {{\"cumulative\": {}, \"windowed_total\": {}}},",
-        cv.fleet.agg.total_events(),
-        tv.fleet.agg.total_events()
-    );
-    let _ = writeln!(
-        out,
-        "  \"conserved\": {},",
-        cv.conserves() && tv.conserves()
-    );
-    let _ = writeln!(out, "  \"pass\": {pass},");
-    let _ = writeln!(out, "  \"wall_run_ms\": {wall_run_ms:.3}");
-    let _ = writeln!(out, "}}");
-    out
 }

@@ -1,30 +1,30 @@
 //! Extension experiment: the sentinel under deliberate abuse.
 //!
 //! Three phases, all deterministic in the seed (run the binary twice with
-//! the same seed and both stdout and `BENCH_overload.json` are
-//! byte-identical — CI does exactly that):
+//! the same seed and stdout is byte-identical —
+//! `crates/bench/tests/suites.rs` does exactly that):
 //!
 //! * **Phase A (governor)** — a single-shard service faces an open-loop
 //!   ingest storm whose rate walks up through every degradation rung and
 //!   back down. The admission ledger must conserve exactly
 //!   (`ingested + sampled_out + shed == offered`), the flood segment must
 //!   end at `Shed`, and the calm tail must climb all the way back to
-//!   `Full` through hysteresis. The per-segment ledger is emitted as
-//!   `BENCH_overload.json`.
+//!   `Full` through hysteresis.
 //! * **Phase B (watchdog)** — a trace store's writer thread hangs on a
 //!   stalled backend. The flush must time out and demote the ring to
 //!   evicting its oldest chunk, after which a 2 000-record flood must
 //!   drain without blocking the producer: capture degrades to a lossy
-//!   flight recorder instead of wedging the workload. Only booleans are reported — the
-//!   watchdog runs on real time, so raw counts are not replay-stable.
+//!   flight recorder instead of wedging the workload. Only booleans are
+//!   reported — the watchdog runs on real time, so raw counts are not
+//!   replay-stable.
 //! * **Phase C (quarantine)** — the two-VM interference scenario runs
 //!   with a one-shot chaos panic wired to VM 0. The panicking shard must
-//!   quarantine and salvage (not wedge), the late completion must count
-//!   as stale, and VM 1 — on a different shard — must produce
+//!   quarantine and salvage (not wedge), every command that was in flight
+//!   must complete as stale although VM 0's next issue re-creates the
+//!   target first, and VM 1 — on a different shard — must produce
 //!   bit-identical histograms to a chaos-free same-seed run.
 //!
-//! Usage: `ext_overload [seed] [--json PATH | --no-json]` (seed defaults
-//! to 37, JSON defaults to `BENCH_overload.json`).
+//! Usage: `ext_overload [seed]` (seed defaults to 37).
 
 use simkit::SimTime;
 use std::fmt::Write as _;
@@ -32,7 +32,7 @@ use vscsi_stats::{DegradeLevel, Lens, Metric};
 use vscsistats_bench::overload::{
     prepare_chaos_interference, run_slow_sink, run_storm, storm_segments, StormResult,
 };
-use vscsistats_bench::reporting::{shape_report, ShapeCheck};
+use vscsistats_bench::reporting::{seed_arg, shape_report, ShapeCheck};
 use vscsistats_bench::scenarios::RunResult;
 
 fn storm_table(result: &StormResult) -> String {
@@ -55,45 +55,6 @@ fn storm_table(result: &StormResult) -> String {
             seg.end_level.to_string(),
         );
     }
-    out
-}
-
-fn storm_json(result: &StormResult, seed: u64, pass: bool) -> String {
-    let totals = result.health.totals();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"sentinel_overload\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"commands\": {},", result.commands);
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, seg) in result.segments.iter().enumerate() {
-        let comma = if i + 1 < result.segments.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"segment\": \"{}\", \"commands_per_ms\": {}, \"offered\": {}, \
-             \"ingested\": {}, \"sampled_out\": {}, \"shed\": {}, \"end_level\": \"{}\"}}{comma}",
-            seg.label,
-            seg.commands_per_ms,
-            seg.offered,
-            seg.ingested,
-            seg.sampled_out,
-            seg.shed,
-            seg.end_level,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"totals\": {{\"offered\": {}, \"ingested\": {}, \"sampled_out\": {}, \"shed\": {}}},",
-        totals.offered, totals.ingested, totals.sampled_out, totals.shed
-    );
-    let _ = writeln!(out, "  \"conserved\": {},", result.health.conserves());
-    let _ = writeln!(out, "  \"pass\": {pass}");
-    let _ = writeln!(out, "}}");
     out
 }
 
@@ -120,22 +81,7 @@ fn run_wounded(duration: SimTime, seed: u64) -> (RunResult, vscsi_stats::HealthS
 }
 
 fn main() {
-    let mut seed: u64 = 37;
-    let mut json_path = Some(String::from("BENCH_overload.json"));
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json_path = it.next(),
-            "--no-json" => json_path = None,
-            other => match other.parse() {
-                Ok(v) => seed = v,
-                Err(_) => {
-                    eprintln!("unknown argument {other:?} (usage: ext_overload [seed] [--json PATH | --no-json])");
-                    std::process::exit(2);
-                }
-            },
-        }
-    }
+    let seed = seed_arg(37);
     println!("=== Extension: sentinel overload / watchdog / quarantine (seed {seed}) ===\n");
 
     // Phase A: open-loop governor storm.
@@ -208,6 +154,14 @@ fn main() {
             .salvages
             .iter()
             .all(|s| s.targets.iter().all(|t| t.issued > 0));
+    // Every command the torn-down generation still owed a completion, even
+    // though VM 0's next issue re-creates the target before they arrive.
+    let in_flight_at_panic: u64 = wounded_health
+        .salvages
+        .iter()
+        .flat_map(|s| &s.targets)
+        .map(|t| u64::from(t.outstanding))
+        .sum();
     let healthy_vm_identical = histograms_identical(&clean, &wounded, 1);
     let wounded_vm_lost_history = wounded.collectors[0]
         .histogram(Metric::IoLength, Lens::All)
@@ -287,8 +241,11 @@ fn main() {
         ),
         ShapeCheck::new(
             "late completions of the quarantined shard count as stale",
-            format!("stale={}", wounded_health.stale_completions()),
-            wounded_health.stale_completions() >= 1,
+            format!(
+                "stale={} == {in_flight_at_panic} salvaged in flight + the poisoned command",
+                wounded_health.stale_completions()
+            ),
+            wounded_health.stale_completions() == in_flight_at_panic + 1,
         ),
         ShapeCheck::new(
             "undamaged VM's histograms are bit-identical to the chaos-free run",
@@ -326,17 +283,6 @@ fn main() {
     let (report, ok) = shape_report(&checks);
     println!("{report}");
 
-    if let Some(path) = json_path {
-        let json = storm_json(&storm, seed, ok);
-        match std::fs::write(&path, &json) {
-            // stderr: CI diffs stdout of two runs writing different paths.
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error writing {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     if !ok {
         std::process::exit(1);
     }

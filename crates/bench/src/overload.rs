@@ -5,7 +5,7 @@
 //!
 //! Everything here runs on the virtual clock or on explicit gates — no
 //! wall-clock value leaks into any returned struct, so two same-seed runs
-//! produce byte-identical reports (CI diffs them).
+//! produce byte-identical reports (`tests/suites.rs` compares them).
 
 use crate::scenarios::{prepare_interference, InterferenceMode, Prepared};
 use simkit::SimTime;
@@ -21,7 +21,7 @@ use vscsi_stats::{
 /// One constant-rate stretch of the ingest storm.
 #[derive(Debug, Clone, Copy)]
 pub struct StormSegment {
-    /// Label used in the report and the JSON rows.
+    /// Label used in the report.
     pub label: &'static str,
     /// Commands per virtual millisecond (each command is an issue plus a
     /// completion, i.e. two governor admissions).

@@ -80,6 +80,25 @@ pub fn shape_report(checks: &[ShapeCheck]) -> (String, bool) {
     (out, all)
 }
 
+/// The seeded suites' whole command line, `ext_x [seed]`: the one
+/// optional argument as the seed, or `default`. Anything else prints the
+/// usage line and exits with status 2.
+pub fn seed_arg(default: u64) -> u64 {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let seed = match args.next() {
+        None => Some(default),
+        Some(arg) => arg.parse().ok(),
+    };
+    match (seed, args.next()) {
+        (Some(seed), None) => seed,
+        _ => {
+            eprintln!("usage: {program} [seed]");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Percentage-formats a fraction.
 pub fn pct(fraction: f64) -> String {
     format!("{:.1}%", fraction * 100.0)

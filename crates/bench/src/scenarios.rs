@@ -12,8 +12,8 @@ use guests::{
 use simkit::{SimDuration, SimTime};
 use std::sync::Arc;
 use storage::presets;
-use vscsi::Lba;
-use vscsi_stats::{CollectorConfig, IoStatsCollector, StatsService, TraceSink};
+use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId};
+use vscsi_stats::{CollectorConfig, IoStatsCollector, StatsService, TraceSink, VscsiEvent};
 
 /// Outcome of one scenario run: the per-attachment collectors plus
 /// throughput counters.
@@ -548,6 +548,50 @@ pub fn run_interference(
     prepare_interference(mode, cache_on, duration, seed).run()
 }
 
+/// One target's synthetic command stream for the suites that feed a
+/// [`StatsService`] directly (`ext_fleet`, `ext_fleetchaos`, `ext_crash`):
+/// `count` commands drawn from `key` — a third writes, six power-of-two
+/// sizes from 4 KiB, LBAs across 512 GiB, latencies 50 µs–20 ms — so every
+/// metric's histogram sees occupied bins. The first issues at `start_us`,
+/// the rest 0.1–5.1 ms apart, and each command's completion directly
+/// follows its issue in the vector: whoever applies it whole leaves nothing
+/// in flight, and up to 190 commands end within a second of `start_us`.
+/// Request ids count up from `first_request_id`.
+pub fn synthetic_commands(
+    target: TargetId,
+    key: u64,
+    count: u64,
+    start_us: u64,
+    first_request_id: u64,
+) -> Vec<VscsiEvent> {
+    let mut events = Vec::with_capacity(2 * count as usize);
+    let mut t_us = start_us;
+    for r in 0..count {
+        let mix = simkit::splitmix64(key ^ r);
+        let direction = if mix.is_multiple_of(3) {
+            IoDirection::Write
+        } else {
+            IoDirection::Read
+        };
+        let req = IoRequest::new(
+            RequestId(first_request_id + r),
+            target,
+            direction,
+            Lba::new((mix >> 8) % (1 << 30)),
+            8u32 << (mix % 6),
+            SimTime::from_micros(t_us),
+        );
+        let latency_us = 50 + (mix >> 40) % 20_000;
+        events.push(VscsiEvent::Issue(req));
+        events.push(VscsiEvent::Complete(IoCompletion::new(
+            req,
+            SimTime::from_micros(t_us + latency_us),
+        )));
+        t_us += 100 + mix % 5_000;
+    }
+    events
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,5 +711,43 @@ mod tests {
         let dual = run_interference(InterferenceMode::Dual, false, SimTime::from_millis(300), 5);
         assert_eq!(dual.collectors.len(), 2);
         assert!(dual.completed.iter().all(|&c| c > 0));
+    }
+
+    #[test]
+    fn synthetic_commands_repeat_and_complete_inside_the_window() {
+        let target = TargetId::new(vscsi::VmId(3), vscsi::VDiskId(0));
+        // 36 is the most any suite asks for per target and window.
+        let (key, count, start_us, first_id) = (0x5EED, 36, 7_000_400, 9 << 20);
+        let events = synthetic_commands(target, key, count, start_us, first_id);
+        assert_eq!(
+            events,
+            synthetic_commands(target, key, count, start_us, first_id)
+        );
+        assert_ne!(
+            events,
+            synthetic_commands(target, key + 1, count, start_us, first_id)
+        );
+
+        // Issue/complete pairs, ids counting up, all inside one second.
+        assert_eq!(events.len() as u64, 2 * count);
+        for (r, pair) in events.chunks(2).enumerate() {
+            let (VscsiEvent::Issue(req), VscsiEvent::Complete(done)) = (&pair[0], &pair[1]) else {
+                panic!("command {r} is not an issue followed by its completion");
+            };
+            assert_eq!(done.request, *req);
+            assert_eq!(req.id.0, first_id + r as u64);
+            assert!(req.issue_time >= SimTime::from_micros(start_us));
+            assert!(done.complete_time < SimTime::from_micros(start_us + 1_000_000));
+        }
+
+        // What `ext_crash` relies on: a checkpoint taken after the batch
+        // cuts between commands, never through one.
+        let service = StatsService::new(CollectorConfig::default());
+        service.enable_all();
+        service.handle_batch(&events);
+        let collector = service.collector(target).unwrap();
+        assert_eq!(collector.issued_commands(), count);
+        assert_eq!(collector.completed_commands(), count);
+        assert_eq!(collector.outstanding_now(), 0);
     }
 }

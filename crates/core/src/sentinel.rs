@@ -24,6 +24,7 @@
 //! construction at every instant ([`LoadCounters::conserves`]).
 
 use simkit::splitmix64;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -299,6 +300,13 @@ pub(crate) struct ShardSentinel {
     memory_bytes: usize,
     chaos_fired: u32,
     generation: u64,
+    /// Commands whose issue reached this shard since its last quarantine
+    /// rebuild; `None` until a rebuild happens in this process (a restored
+    /// checkpoint does not carry it). A completion is applied only when
+    /// its issue is in here, because the wounded VM's next issue
+    /// re-creates the target long before the old generation's completions
+    /// drain, so "target present" cannot tell the generations apart.
+    since_rebuild: Option<BTreeSet<(TargetId, u64)>>,
     counters: LoadCounters,
 }
 
@@ -461,6 +469,22 @@ impl ShardSentinel {
         self.counters.stale_completions += 1;
     }
 
+    /// Books an issue against the current generation (rebuilt shards only).
+    pub(crate) fn note_issue(&mut self, req: &IoRequest) {
+        if let Some(issued) = &mut self.since_rebuild {
+            issued.insert((req.target, req.id.0));
+        }
+    }
+
+    /// Retires a completing command: `Some(true)` when its issue belongs
+    /// to the current generation, `Some(false)` when it predates the last
+    /// rebuild, `None` when this shard was never rebuilt in this process.
+    pub(crate) fn retire(&mut self, req: &IoRequest) -> Option<bool> {
+        self.since_rebuild
+            .as_mut()
+            .map(|issued| issued.remove(&(req.target, req.id.0)))
+    }
+
     /// Accounts `n` events dropped at a full ingest ring *before* they
     /// could reach this shard's governor (the thread-per-core pipeline's
     /// lossy backpressure). They were offered to the stats path and lost,
@@ -492,6 +516,7 @@ impl ShardSentinel {
         self.counters.quarantines += 1;
         self.generation += 1;
         self.memory_bytes = 0;
+        self.since_rebuild = Some(BTreeSet::new());
     }
 
     /// Fires the configured chaos panic if this issue is poisoned. The

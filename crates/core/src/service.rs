@@ -572,6 +572,7 @@ impl StatsService {
             // the conservation counters.
             Admission::Ingest
         };
+        state.sentinel.note_issue(req);
         let outcome = catch_unwind(AssertUnwindSafe(|| match admission {
             Admission::Ingest => {
                 state.sentinel.maybe_chaos_panic(req);
@@ -624,15 +625,22 @@ impl StatsService {
         shard.busy_since_ns.store(now_ns, Ordering::Release);
         let mut state = shard.state.lock();
         let admission = state.sentinel.admit(now_ns, completion.request.id.0);
+        // A late completion from a generation a quarantine rebuild tore
+        // down counts as stale instead of becoming a latency sample of a
+        // command whose issue was lost. A shard that cannot tell (restored
+        // from a checkpoint after its rebuild) goes by the target's absence.
+        let current = state
+            .sentinel
+            .retire(&completion.request)
+            .unwrap_or_else(|| {
+                state.sentinel.generation() == 0
+                    || state.targets.contains_key(&completion.request.target)
+            });
         let outcome = catch_unwind(AssertUnwindSafe(|| match admission {
             Admission::Ingest => {
-                if state.targets.contains_key(&completion.request.target) {
+                if current {
                     state.apply_complete(completion);
-                } else if state.sentinel.generation() > 0 {
-                    // The target's state was torn down by a quarantine
-                    // rebuild: this is a late completion from the old
-                    // generation. Count it as stale instead of resurrecting
-                    // state for it.
+                } else {
                     state.sentinel.note_stale_completion();
                 }
             }
@@ -1608,6 +1616,56 @@ mod tests {
         assert_eq!(s.collector(healthy).unwrap().issued_commands(), 1);
         s.handle_issue(&req(wounded, 3, 60));
         assert_eq!(s.collector(wounded).unwrap().issued_commands(), 1);
+        assert!(s.health_snapshot().conserves());
+    }
+
+    #[test]
+    fn late_completion_after_reissue_counts_stale_not_latency() {
+        let s = StatsService::default();
+        s.enable_all();
+        let wounded = TargetId::new(VmId(7), VDiskId(0));
+        let mut cfg = quiet_sentinel(5);
+        cfg.chaos = Some(ChaosSpec {
+            vm: Some(7),
+            lba_min: 1_000_000,
+            lba_max: 1_000_100,
+            max_panics: 1,
+        });
+        s.enable_sentinel(cfg);
+
+        // A queue-depth burst at one timestamp, as a guest issues it: r0
+        // goes in flight, the next command panics the shard, and the rest
+        // of the burst re-creates the target before r0 completes.
+        let r0 = req(wounded, 0, 0);
+        s.handle_issue(&r0);
+        let poisoned = IoRequest::new(
+            RequestId(1),
+            wounded,
+            IoDirection::Read,
+            Lba::new(1_000_050),
+            8,
+            SimTime::ZERO,
+        );
+        s.handle_issue(&poisoned);
+        let r2 = req(wounded, 2, 0);
+        s.handle_issue(&r2);
+        assert_eq!(s.collector(wounded).unwrap().issued_commands(), 1);
+
+        // Both old-generation completions are stale; neither is binned as
+        // a latency sample of the new collector.
+        s.handle_complete(&IoCompletion::new(r0, SimTime::from_micros(50)));
+        s.handle_complete(&IoCompletion::new(poisoned, SimTime::from_micros(60)));
+        let c = s.collector(wounded).unwrap();
+        assert_eq!(c.completed_commands(), 0);
+        assert_eq!(c.outstanding_now(), 1);
+        assert_eq!(s.health_snapshot().stale_completions(), 2);
+
+        // The new generation's own command completes normally.
+        s.handle_complete(&IoCompletion::new(r2, SimTime::from_micros(70)));
+        let c = s.collector(wounded).unwrap();
+        assert_eq!(c.completed_commands(), 1);
+        assert_eq!(c.histogram(Metric::Latency, Lens::All).total(), 1);
+        assert_eq!(s.health_snapshot().stale_completions(), 2);
         assert!(s.health_snapshot().conserves());
     }
 

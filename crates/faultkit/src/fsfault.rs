@@ -17,7 +17,7 @@
 //! Every decision is a pure function of `(seed, op index)` via the same
 //! splitmix64 mixer the command-path fault plans use, so a faulted run
 //! is exactly as reproducible as a healthy one — the property the
-//! `ext_crash` experiment and its CI determinism gate rely on.
+//! `ext_crash` experiment and its two-run comparison rely on.
 //!
 //! Sabotage is *silent* on the write path, as in life. The seam
 //! additionally carries an accounting side-channel

@@ -6,7 +6,7 @@
 //! layer consults once per command at service time. Every decision is a
 //! pure function of (seed, consult index, command, virtual time), so a
 //! faulted simulation is exactly as reproducible as a healthy one —
-//! the property the `ext_faults` experiment and the CI determinism gate
+//! the property the `ext_faults` experiment and its two-run comparison
 //! rely on.
 //!
 //! Fault vocabulary (one [`FaultSpec`] each):

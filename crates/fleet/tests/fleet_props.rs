@@ -269,44 +269,62 @@ proptest! {
     fn epoch_resets_account_lost_windows_exactly(
         plan in vec((any::<bool>(), vec(1i64..4096, 1..3)), 1..12),
     ) {
-        let mut records: Vec<i64> = Vec::new();
-        let mut epoch = 1u64;
-        let mut seq = 0u64;
-        let mut banked = 0u64;
-        let mut restarts = 0u64;
-        let mut script = Vec::new();
-        for (i, (restart, adds)) in plan.iter().enumerate() {
-            if *restart && i > 0 {
-                banked += records.len() as u64;
-                records.clear();
-                epoch += 1;
-                seq = 0;
-                restarts += 1;
-            }
-            records.extend(adds.iter().copied());
-            seq += 1;
-            script.push(Ok(frame_with(&records, epoch, seq)));
-        }
-        let windows = script.len() as u64;
-        let config = PollConfig {
-            interval: SimDuration::from_secs(1),
-            ..PollConfig::basic()
-        };
-        let mut collector = FleetCollector::new(config, vec![FrameEndpoint::new(1, 0, script)]);
-        collector.run_until(SimTime::from_secs(windows - 1));
-        let s = &collector.status()[0];
-        prop_assert_eq!(s.epoch_bumps, restarts);
-        prop_assert_eq!(s.lost_windows, restarts, "one lost window per restart");
-        prop_assert_eq!(s.seq_rejects, 0);
-        prop_assert_eq!(
-            s.windowed_total().total_events(),
-            (banked + records.len() as u64) * SLOTS_PER_TARGET as u64,
-            "every epoch's events counted exactly once"
-        );
-        let mut rebuilt = s.epoch_base().clone();
-        rebuilt.merge(s.agg()).unwrap();
-        prop_assert!(rebuilt.same_counters(s.windowed_total()));
-        let tv = collector.windowed_total_view(SimTime::from_secs(windows - 1));
-        prop_assert!(tv.conserves());
+        assert_epoch_resets_exact(&plan);
     }
+}
+
+/// One `(restart before this window?, latencies added)` entry per window.
+fn assert_epoch_resets_exact(plan: &[(bool, Vec<i64>)]) {
+    let mut records: Vec<i64> = Vec::new();
+    let mut epoch = 1u64;
+    let mut seq = 0u64;
+    let mut banked = 0u64;
+    let mut restarts = 0u64;
+    let mut script = Vec::new();
+    for (i, (restart, adds)) in plan.iter().enumerate() {
+        if *restart && i > 0 {
+            banked += records.len() as u64;
+            records.clear();
+            epoch += 1;
+            seq = 0;
+            restarts += 1;
+        }
+        records.extend(adds.iter().copied());
+        seq += 1;
+        script.push(Ok(frame_with(&records, epoch, seq)));
+    }
+    let windows = script.len() as u64;
+    let config = PollConfig {
+        interval: SimDuration::from_secs(1),
+        ..PollConfig::basic()
+    };
+    let mut collector = FleetCollector::new(config, vec![FrameEndpoint::new(1, 0, script)]);
+    collector.run_until(SimTime::from_secs(windows - 1));
+    let s = &collector.status()[0];
+    assert_eq!(s.epoch_bumps, restarts);
+    assert_eq!(s.lost_windows, restarts, "one lost window per restart");
+    assert_eq!(s.seq_rejects, 0);
+    assert_eq!(
+        s.windowed_total().total_events(),
+        (banked + records.len() as u64) * SLOTS_PER_TARGET as u64,
+        "every epoch's events counted exactly once"
+    );
+    let mut rebuilt = s.epoch_base().clone();
+    rebuilt.merge(s.agg()).unwrap();
+    assert!(rebuilt.same_counters(s.windowed_total()));
+    let tv = collector.windowed_total_view(SimTime::from_secs(windows - 1));
+    assert!(tv.conserves());
+}
+
+/// `[465] ⟲ [153, 3675] ⟲ [3808] ⟲ [2144, 3235]`, the case the offline
+/// stub sampler draws for the property above.
+#[test]
+#[ignore = "ROADMAP item 3: absorb_good takes a dominating fresh restart for a resumed one"]
+fn epoch_reset_whose_counters_dominate_the_last_snapshot() {
+    assert_epoch_resets_exact(&[
+        (false, vec![465]),
+        (true, vec![153, 3675]),
+        (true, vec![3808]),
+        (true, vec![2144, 3235]),
+    ]);
 }

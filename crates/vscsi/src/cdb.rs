@@ -10,7 +10,6 @@
 //! the classic offsets.
 
 use crate::types::{IoDirection, Lba};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// Errors arising when decoding a CDB.
@@ -163,25 +162,25 @@ impl Cdb {
     ///
     /// Returns [`CdbError::FieldOverflow`] if the LBA or length does not fit
     /// the chosen variant's fields.
-    pub fn encode(&self) -> Result<Bytes, CdbError> {
-        let mut buf = BytesMut::with_capacity(16);
+    pub fn encode(&self) -> Result<Vec<u8>, CdbError> {
+        let mut buf = Vec::with_capacity(16);
         match *self {
             Cdb::TestUnitReady => {
-                buf.put_bytes(0, 6);
+                buf.extend([0; 6]);
             }
             Cdb::Inquiry { allocation_len } => {
-                buf.put_u8(opcodes::INQUIRY);
-                buf.put_bytes(0, 3);
-                buf.put_u8(allocation_len);
-                buf.put_u8(0);
+                buf.push(opcodes::INQUIRY);
+                buf.extend([0; 3]);
+                buf.push(allocation_len);
+                buf.push(0);
             }
             Cdb::ReadCapacity10 => {
-                buf.put_u8(opcodes::READ_CAPACITY_10);
-                buf.put_bytes(0, 9);
+                buf.push(opcodes::READ_CAPACITY_10);
+                buf.extend([0; 9]);
             }
             Cdb::SynchronizeCache10 => {
-                buf.put_u8(opcodes::SYNCHRONIZE_CACHE_10);
-                buf.put_bytes(0, 9);
+                buf.push(opcodes::SYNCHRONIZE_CACHE_10);
+                buf.extend([0; 9]);
             }
             Cdb::Rw {
                 direction,
@@ -192,7 +191,7 @@ impl Cdb {
                 encode_rw(&mut buf, direction, variant, lba, blocks)?;
             }
         }
-        Ok(buf.freeze())
+        Ok(buf)
     }
 
     /// Decodes wire bytes.
@@ -256,10 +255,8 @@ impl Cdb {
                 } else {
                     IoDirection::Write
                 };
-                let mut b = &raw[2..];
-                let lba = u64::from(b.get_u32());
-                b.advance(1);
-                let blocks = u32::from(b.get_u16());
+                let lba = u64::from(u32::from_be_bytes(be(raw, 2)));
+                let blocks = u32::from(u16::from_be_bytes(be(raw, 7)));
                 Ok(Cdb::Rw {
                     direction: dir,
                     variant: RwVariant::Ten,
@@ -274,9 +271,8 @@ impl Cdb {
                 } else {
                     IoDirection::Write
                 };
-                let mut b = &raw[2..];
-                let lba = u64::from(b.get_u32());
-                let blocks = b.get_u32();
+                let lba = u64::from(u32::from_be_bytes(be(raw, 2)));
+                let blocks = u32::from_be_bytes(be(raw, 6));
                 Ok(Cdb::Rw {
                     direction: dir,
                     variant: RwVariant::Twelve,
@@ -291,9 +287,8 @@ impl Cdb {
                 } else {
                     IoDirection::Write
                 };
-                let mut b = &raw[2..];
-                let lba = b.get_u64();
-                let blocks = b.get_u32();
+                let lba = u64::from_be_bytes(be(raw, 2));
+                let blocks = u32::from_be_bytes(be(raw, 10));
                 Ok(Cdb::Rw {
                     direction: dir,
                     variant: RwVariant::Sixteen,
@@ -306,8 +301,16 @@ impl Cdb {
     }
 }
 
+/// The `N` bytes of a big-endian field at offset `at`; the caller has
+/// checked the buffer's length against its opcode.
+fn be<const N: usize>(raw: &[u8], at: usize) -> [u8; N] {
+    raw[at..at + N]
+        .try_into()
+        .expect("a slice of N bytes is an array of N bytes")
+}
+
 fn encode_rw(
-    buf: &mut BytesMut,
+    buf: &mut Vec<u8>,
     direction: IoDirection,
     variant: RwVariant,
     lba: Lba,
@@ -320,54 +323,54 @@ fn encode_rw(
             if sector > 0x1F_FFFF || blocks > 256 || blocks == 0 {
                 return Err(CdbError::FieldOverflow);
             }
-            buf.put_u8(if direction.is_read() { READ_6 } else { WRITE_6 });
-            buf.put_u8(((sector >> 16) & 0x1F) as u8);
-            buf.put_u8((sector >> 8) as u8);
-            buf.put_u8(sector as u8);
-            buf.put_u8(if blocks == 256 { 0 } else { blocks as u8 });
-            buf.put_u8(0); // control
+            buf.push(if direction.is_read() { READ_6 } else { WRITE_6 });
+            buf.push(((sector >> 16) & 0x1F) as u8);
+            buf.push((sector >> 8) as u8);
+            buf.push(sector as u8);
+            buf.push(if blocks == 256 { 0 } else { blocks as u8 });
+            buf.push(0); // control
         }
         RwVariant::Ten => {
             if sector > u64::from(u32::MAX) || blocks > u32::from(u16::MAX) {
                 return Err(CdbError::FieldOverflow);
             }
-            buf.put_u8(if direction.is_read() {
+            buf.push(if direction.is_read() {
                 READ_10
             } else {
                 WRITE_10
             });
-            buf.put_u8(0); // flags
-            buf.put_u32(sector as u32);
-            buf.put_u8(0); // group
-            buf.put_u16(blocks as u16);
-            buf.put_u8(0); // control
+            buf.push(0); // flags
+            buf.extend((sector as u32).to_be_bytes());
+            buf.push(0); // group
+            buf.extend((blocks as u16).to_be_bytes());
+            buf.push(0); // control
         }
         RwVariant::Twelve => {
             if sector > u64::from(u32::MAX) {
                 return Err(CdbError::FieldOverflow);
             }
-            buf.put_u8(if direction.is_read() {
+            buf.push(if direction.is_read() {
                 READ_12
             } else {
                 WRITE_12
             });
-            buf.put_u8(0);
-            buf.put_u32(sector as u32);
-            buf.put_u32(blocks);
-            buf.put_u8(0);
-            buf.put_u8(0);
+            buf.push(0);
+            buf.extend((sector as u32).to_be_bytes());
+            buf.extend(blocks.to_be_bytes());
+            buf.push(0);
+            buf.push(0);
         }
         RwVariant::Sixteen => {
-            buf.put_u8(if direction.is_read() {
+            buf.push(if direction.is_read() {
                 READ_16
             } else {
                 WRITE_16
             });
-            buf.put_u8(0);
-            buf.put_u64(sector);
-            buf.put_u32(blocks);
-            buf.put_u8(0);
-            buf.put_u8(0);
+            buf.push(0);
+            buf.extend(sector.to_be_bytes());
+            buf.extend(blocks.to_be_bytes());
+            buf.push(0);
+            buf.push(0);
         }
     }
     Ok(())
@@ -381,10 +384,7 @@ mod tests {
     fn read10_wire_format() {
         let cdb = Cdb::read(Lba::new(0x0102_0304), 0x0506);
         let raw = cdb.encode().unwrap();
-        assert_eq!(
-            raw.as_ref(),
-            &[0x28, 0, 0x01, 0x02, 0x03, 0x04, 0, 0x05, 0x06, 0]
-        );
+        assert_eq!(raw, [0x28, 0, 0x01, 0x02, 0x03, 0x04, 0, 0x05, 0x06, 0]);
         assert_eq!(Cdb::decode(&raw).unwrap(), cdb);
     }
 

@@ -9,7 +9,6 @@
 use crate::cdb::Cdb;
 use crate::types::SECTOR_SIZE;
 use crate::vdisk::VirtualDisk;
-use bytes::{BufMut, Bytes, BytesMut};
 
 /// Standard INQUIRY data (SPC-3 §6.4.2), truncated to the classic 36-byte
 /// form every initiator requests first.
@@ -39,27 +38,27 @@ impl Default for InquiryData {
 impl InquiryData {
     /// Encodes the standard 36-byte INQUIRY response, truncated to
     /// `allocation_len` as SPC requires.
-    pub fn encode(&self, allocation_len: u8) -> Bytes {
-        let mut buf = BytesMut::with_capacity(36);
-        buf.put_u8(self.device_type & 0x1F);
-        buf.put_u8(0); // not removable
-        buf.put_u8(0x05); // SPC-3
-        buf.put_u8(0x02); // response data format 2
-        buf.put_u8(31); // additional length (36 - 5)
-        buf.put_bytes(0, 3);
+    pub fn encode(&self, allocation_len: u8) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(36);
+        buf.push(self.device_type & 0x1F);
+        buf.push(0); // not removable
+        buf.push(0x05); // SPC-3
+        buf.push(0x02); // response data format 2
+        buf.push(31); // additional length (36 - 5)
+        buf.extend([0; 3]);
         put_padded(&mut buf, &self.vendor, 8);
         put_padded(&mut buf, &self.product, 16);
         put_padded(&mut buf, &self.revision, 4);
-        let n = usize::from(allocation_len).min(buf.len());
-        buf.freeze().slice(..n)
+        buf.truncate(usize::from(allocation_len));
+        buf
     }
 }
 
-fn put_padded(buf: &mut BytesMut, s: &str, width: usize) {
+fn put_padded(buf: &mut Vec<u8>, s: &str, width: usize) {
     let bytes = s.as_bytes();
     let n = bytes.len().min(width);
-    buf.put_slice(&bytes[..n]);
-    buf.put_bytes(b' ', width - n);
+    buf.extend_from_slice(&bytes[..n]);
+    buf.resize(buf.len() + width - n, b' ');
 }
 
 /// READ CAPACITY(10) response (SBC-3 §5.12): the address of the last
@@ -85,11 +84,11 @@ impl ReadCapacity10Data {
     }
 
     /// Encodes the 8-byte wire form.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8);
-        buf.put_u32(self.last_lba);
-        buf.put_u32(self.block_size);
-        buf.freeze()
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(8);
+        buf.extend(self.last_lba.to_be_bytes());
+        buf.extend(self.block_size.to_be_bytes());
+        buf
     }
 
     /// Decodes the 8-byte wire form.
@@ -127,7 +126,7 @@ pub struct EmulatedResponse {
     /// Status byte.
     pub status: ScsiStatus,
     /// Data-in payload, if the command returns data.
-    pub data: Option<Bytes>,
+    pub data: Option<Vec<u8>>,
 }
 
 /// Answers the non-READ/WRITE commands for one virtual disk, like the
