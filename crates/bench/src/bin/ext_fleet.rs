@@ -151,8 +151,7 @@ fn main() {
         resident_bytes += frame
             .targets
             .iter()
-            .flat_map(|t| t.histograms.iter())
-            .map(|hist| 8 * hist.counts().len() as u64)
+            .map(|t| size_of_val(t.set.counters()) as u64)
             .sum::<u64>();
     }
 

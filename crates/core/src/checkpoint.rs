@@ -5,9 +5,9 @@
 //! # The durability contract
 //!
 //! A checkpoint is one self-verifying file holding a complete
-//! [`ServiceCheckpoint`]: every collector's exact state (the flat slab,
-//! the exact aggregates, the seek window ring, the in-flight census, the
-//! interval series, the 2-D correlation matrix), every shard governor's
+//! [`ServiceCheckpoint`]: every collector's exact state (its histogram
+//! set, the seek window ring, the in-flight census, the interval series,
+//! the 2-D correlation matrix), every shard governor's
 //! posture and admission ledger, the retained salvage records, the
 //! restart epoch, the fleet frame sequence, and each active tracer's
 //! replay watermark. Restoring it rebuilds a service whose observable
@@ -56,6 +56,7 @@
 
 use crate::collector::{CollectorConfig, CollectorState, HistogramState};
 use crate::frame;
+use crate::histogram_set::{HistogramSet, SlotAgg};
 use crate::medium::{publish_atomic, FsMedium, Medium, WriteTaint};
 use crate::sentinel::{DegradeLevel, LoadCounters, SalvageRecord, SalvagedTarget, SentinelState};
 use crate::service::StatsService;
@@ -266,9 +267,9 @@ fn get_histogram_state(d: &mut Dec<'_>) -> Result<HistogramState, String> {
 fn put_collector_state(s: &CollectorState, out: &mut Vec<u8>) {
     // The config is intentionally absent: all of a service's collectors
     // share its config template, stored once at the checkpoint level.
-    put_vec_u64(&s.slab, out);
-    put_u64(s.aggs.len() as u64, out);
-    for a in &s.aggs {
+    put_vec_u64(s.set.counters(), out);
+    put_u64(s.set.aggregates().len() as u64, out);
+    for a in s.set.aggregates() {
         put_u64(a.total, out);
         put_i128(a.sum, out);
         put_i64(a.min, out);
@@ -323,13 +324,14 @@ fn get_collector_state(
     let agg_count = d.usize_bounded("agg count", MAX_LEN)?;
     let mut aggs = Vec::with_capacity(agg_count);
     for _ in 0..agg_count {
-        aggs.push(crate::collector::AggState {
+        aggs.push(SlotAgg {
             total: d.u64()?,
             sum: d.i128()?,
             min: d.i64()?,
             max: d.i64()?,
         });
     }
+    let set = HistogramSet::from_parts(&slab, &aggs)?;
     let window_ends = d.vec_u64("window ring", MAX_LEN)?;
     let window_cursor = d.u64()?;
     let window_filled = d.u64()?;
@@ -370,8 +372,7 @@ fn get_collector_state(
     };
     let state = CollectorState {
         config: config.clone(),
-        slab,
-        aggs,
+        set,
         window_ends,
         window_cursor,
         window_filled,

@@ -14,29 +14,18 @@
 //!
 //! # The flat counter slab
 //!
-//! The collector does not hold 21 `Histogram` objects. All per-bin counters
-//! live in one contiguous [`SLAB_LEN`]-slot `Box<[u64]>` (2400 bytes — a
-//! few cache lines), addressed by precomputed per-metric offsets:
-//!
-//! ```text
-//! slab[SLAB_BASE[m] + lens * SLAB_BINS[m] + bin]
-//! ```
-//!
-//! with the three lenses of one metric adjacent so an event's All + Reads
-//! (or All + Writes) bumps touch neighbouring cache lines. Bin lookup goes
-//! through the process-lifetime [`FastBinner`] tables cached per metric, so
-//! each metric's bin index is computed **exactly once** per event and each
-//! lens costs one extra add (the index-once invariant; see DESIGN.md).
-//! Exact running totals/sums/min/max live in a small inline [`Agg`] matrix.
-//! `Histogram` values are materialized from the slab only at snapshot time
+//! The collector does not hold 21 `Histogram` objects: every per-bin
+//! counter and exact aggregate lives in one [`HistogramSet`], whose module
+//! owns the slot layout. The per-metric `FastBinner` tables are cached
+//! here, so each metric's bin index is computed **exactly once** per event
+//! and each lens costs one extra add (the index-once invariant; see
+//! DESIGN.md). `Histogram` values are materialized only at snapshot time
 //! via [`IoStatsCollector::histogram`].
 
+use crate::histogram_set::{Binners, HistogramSet};
 use crate::inflight::InflightTable;
 use crate::metrics::{Lens, Metric};
-use histo::{
-    layouts, signed_distance, FastBinner, Histogram, Histogram2d, HistogramSeries, LayoutId,
-    SeekWindow,
-};
+use histo::{layouts, signed_distance, Histogram, Histogram2d, HistogramSeries, SeekWindow};
 use simkit::{SimDuration, SimTime};
 use vscsi::{IoCompletion, IoRequest};
 
@@ -78,92 +67,6 @@ impl CollectorConfig {
     }
 }
 
-const LENSES: usize = 3;
-const METRICS: usize = 7;
-
-/// Bin count of each metric's layout, in [`metric_index`] order. Pinned as
-/// constants so slab offsets are compile-time; a test asserts they match
-/// the registered layouts.
-const SLAB_BINS: [usize; METRICS] = [18, 20, 20, 12, 13, 11, 6];
-
-/// Slab offset of each metric's first (All-lens) counter:
-/// `SLAB_BASE[m] = 3 * (SLAB_BINS[0] + … + SLAB_BINS[m-1])`.
-const SLAB_BASE: [usize; METRICS] = [0, 54, 114, 174, 210, 249, 282];
-
-/// Total slab slots: all metrics × all lenses × all bins.
-const SLAB_LEN: usize = 300;
-
-fn lens_index(lens: Lens) -> usize {
-    match lens {
-        Lens::All => 0,
-        Lens::Reads => 1,
-        Lens::Writes => 2,
-    }
-}
-
-fn metric_index(metric: Metric) -> usize {
-    match metric {
-        Metric::IoLength => 0,
-        Metric::SeekDistance => 1,
-        Metric::SeekDistanceWindowed => 2,
-        Metric::Interarrival => 3,
-        Metric::OutstandingIos => 4,
-        Metric::Latency => 5,
-        Metric::Errors => 6,
-    }
-}
-
-fn layout_id(metric: Metric) -> LayoutId {
-    match metric {
-        Metric::IoLength => LayoutId::IoLengthBytes,
-        Metric::SeekDistance | Metric::SeekDistanceWindowed => LayoutId::SeekDistanceSectors,
-        Metric::Interarrival => LayoutId::InterarrivalUs,
-        Metric::OutstandingIos => LayoutId::OutstandingIos,
-        Metric::Latency => LayoutId::LatencyUs,
-        Metric::Errors => LayoutId::ScsiOutcomes,
-    }
-}
-
-fn layout_for(metric: Metric) -> histo::BinEdges {
-    layout_id(metric).edges()
-}
-
-/// Exact running aggregates for one (metric, lens) pair, maintained beside
-/// the binned slab counts so snapshot histograms keep exact min/max/mean.
-#[derive(Debug, Clone, Copy)]
-struct Agg {
-    total: u64,
-    sum: i128,
-    min: i64,
-    max: i64,
-}
-
-impl Agg {
-    const EMPTY: Agg = Agg {
-        total: 0,
-        sum: 0,
-        min: i64::MAX,
-        max: i64::MIN,
-    };
-
-    #[inline]
-    fn observe(&mut self, value: i64) {
-        self.total += 1;
-        self.sum += i128::from(value);
-        if value < self.min {
-            self.min = value;
-        }
-        if value > self.max {
-            self.max = value;
-        }
-    }
-
-    #[inline]
-    fn min_max(&self) -> Option<(i64, i64)> {
-        (self.total > 0).then_some((self.min, self.max))
-    }
-}
-
 /// Online histogram collector for one virtual disk.
 ///
 /// # Examples
@@ -187,13 +90,11 @@ impl Agg {
 #[derive(Debug, Clone)]
 pub struct IoStatsCollector {
     config: CollectorConfig,
-    /// The flat counter slab: `slab[SLAB_BASE[m] + lens * SLAB_BINS[m] + bin]`.
-    slab: Box<[u64]>,
-    /// Exact running aggregates per (metric, lens).
-    aggs: [[Agg; LENSES]; METRICS],
+    /// Every (metric, lens) counter and exact aggregate.
+    set: HistogramSet,
     /// Cached process-lifetime binner tables, one per metric, so the hot
     /// path never touches the `OnceLock` registry.
-    binners: [&'static FastBinner; METRICS],
+    binners: Binners,
     window: SeekWindow,
     /// Last block of the previous I/O (any direction), for plain seek
     /// distance. The paper stores exactly this: one u64 per virtual disk.
@@ -239,10 +140,6 @@ impl IoStatsCollector {
     /// front, so the hot path never allocates (§5.2: "histogram data
     /// structures are dynamically created as needed").
     pub fn new(config: CollectorConfig) -> Self {
-        let mut binners = [LayoutId::ScsiOutcomes.binner(); METRICS];
-        for metric in Metric::ALL {
-            binners[metric_index(metric)] = layout_id(metric).binner();
-        }
         let latency_series = config
             .series_interval
             .map(|w| HistogramSeries::new(layouts::latency_us(), w));
@@ -255,9 +152,8 @@ impl IoStatsCollector {
         IoStatsCollector {
             window: SeekWindow::new(config.window_capacity),
             config,
-            slab: vec![0u64; SLAB_LEN].into_boxed_slice(),
-            aggs: [[Agg::EMPTY; LENSES]; METRICS],
-            binners,
+            set: HistogramSet::new(),
+            binners: HistogramSet::binners(),
             last_end_block: None,
             last_end_block_by_dir: [None, None],
             last_arrival: None,
@@ -407,45 +303,26 @@ impl IoStatsCollector {
         self.completed_commands += 1;
     }
 
-    /// Records under All *and* (when distinct) the given lens, computing
-    /// the bin index exactly once — the index-once invariant.
     #[inline]
     fn record(&mut self, metric: Metric, lens: Lens, value: i64) {
-        let m = metric_index(metric);
-        let bin = self.binners[m].bin_index(value);
-        let base = SLAB_BASE[m];
-        self.slab[base + bin] += 1;
-        self.aggs[m][0].observe(value);
-        let l = lens_index(lens);
-        if l != 0 {
-            self.slab[base + l * SLAB_BINS[m] + bin] += 1;
-            self.aggs[m][l].observe(value);
-        }
+        self.set.record(&self.binners, metric, lens, value);
     }
 
-    /// Records under exactly one lens (used where All and the direction
-    /// lens observe *different* values, e.g. per-direction seek streams).
     #[inline]
     fn record_single(&mut self, metric: Metric, lens: Lens, value: i64) {
-        let m = metric_index(metric);
-        let bin = self.binners[m].bin_index(value);
-        self.slab[SLAB_BASE[m] + lens_index(lens) * SLAB_BINS[m] + bin] += 1;
-        self.aggs[m][lens_index(lens)].observe(value);
+        self.set.record_single(&self.binners, metric, lens, value);
     }
 
     /// A snapshot histogram for a metric/lens pair, materialized from the
-    /// flat counter slab.
-    ///
-    /// The hot path maintains raw slab counters only; this constructs a
-    /// full [`Histogram`] (cached static layout + copied counts + exact
-    /// aggregates) on demand. Call it at snapshot/report time, not per
-    /// command.
+    /// counter set. Call it at snapshot/report time, not per command.
     pub fn histogram(&self, metric: Metric, lens: Lens) -> Histogram {
-        let m = metric_index(metric);
-        let start = SLAB_BASE[m] + lens_index(lens) * SLAB_BINS[m];
-        let counts = self.slab[start..start + SLAB_BINS[m]].to_vec();
-        let agg = &self.aggs[m][lens_index(lens)];
-        Histogram::from_parts(layout_for(metric), counts, agg.sum, agg.min_max())
+        self.set.histogram(metric, lens)
+    }
+
+    /// Every (metric, lens) slot as plain counters — what the fleet frame
+    /// and the checkpoint carry.
+    pub fn histogram_set(&self) -> &HistogramSet {
+        &self.set
     }
 
     /// Commands issued so far.
@@ -490,9 +367,8 @@ impl IoStatsCollector {
     /// Fraction of issued commands that were reads (`None` before any
     /// command) — the §3.4 read/write ratio.
     pub fn read_fraction(&self) -> Option<f64> {
-        let m = metric_index(Metric::IoLength);
-        let reads = self.aggs[m][lens_index(Lens::Reads)].total;
-        let all = self.aggs[m][lens_index(Lens::All)].total;
+        let reads = self.set.slot(Metric::IoLength, Lens::Reads).1.total;
+        let all = self.set.slot(Metric::IoLength, Lens::All).1.total;
         (all > 0).then(|| reads as f64 / all as f64)
     }
 
@@ -514,8 +390,7 @@ impl IoStatsCollector {
     /// Clears all histograms and per-stream state; in-flight commands keep
     /// counting so outstanding-I/O tracking stays consistent.
     pub fn reset(&mut self) {
-        self.slab.fill(0);
-        self.aggs = [[Agg::EMPTY; LENSES]; METRICS];
+        self.set = HistogramSet::new();
         self.window.reset();
         self.last_end_block = None;
         self.last_end_block_by_dir = [None, None];
@@ -565,14 +440,14 @@ impl IoStatsCollector {
             })
             .sum();
         size_of::<Self>()
-            + self.slab.len() * size_of::<u64>()
+            + size_of_val(self.set.counters())
             + series_bytes
             + self.config.window_capacity * size_of::<u64>()
             + self.inflight_seeks.heap_footprint_bytes()
     }
 
     /// Exports every field that defines this collector's observable state
-    /// — the flat slab, the exact aggregates, the seek window ring, the
+    /// — the histogram set, the seek window ring, the
     /// per-stream scalars, both series, the in-flight seek census, and the
     /// 2-D correlation matrix — as a plain-data [`CollectorState`].
     ///
@@ -581,17 +456,6 @@ impl IoStatsCollector {
     /// every histogram, counter, and future observation bit-for-bit.
     pub fn export_state(&self) -> CollectorState {
         let (ends, cursor, filled) = self.window.to_parts();
-        let mut aggs = Vec::with_capacity(METRICS * LENSES);
-        for row in &self.aggs {
-            for a in row {
-                aggs.push(AggState {
-                    total: a.total,
-                    sum: a.sum,
-                    min: a.min,
-                    max: a.max,
-                });
-            }
-        }
         fn series_state(s: Option<&HistogramSeries>) -> Vec<HistogramState> {
             s.map(|s| {
                 s.iter()
@@ -606,8 +470,7 @@ impl IoStatsCollector {
         }
         CollectorState {
             config: self.config.clone(),
-            slab: self.slab.to_vec(),
-            aggs,
+            set: self.set.clone(),
             window_ends: ends.to_vec(),
             window_cursor: cursor as u64,
             window_filled: filled as u64,
@@ -634,31 +497,14 @@ impl IoStatsCollector {
     ///
     /// # Panics
     ///
-    /// Panics on malformed state (wrong slab or matrix lengths, window
-    /// parts out of range). Untrusted inputs — anything read off disk —
+    /// Panics on malformed state (window parts out of range, a missing
+    /// 2-D matrix). Untrusted inputs — anything read off disk —
     /// must pass [`CollectorState::validate`] first; the checkpoint
     /// decoder does, so a corrupt checkpoint surfaces as a decode error,
     /// never a panic.
     pub fn from_state(state: CollectorState) -> IoStatsCollector {
         let mut c = IoStatsCollector::new(state.config.clone());
-        assert_eq!(state.slab.len(), SLAB_LEN, "slab length mismatch");
-        c.slab.copy_from_slice(&state.slab);
-        assert_eq!(
-            state.aggs.len(),
-            METRICS * LENSES,
-            "aggregate matrix length mismatch"
-        );
-        for (m, row) in c.aggs.iter_mut().enumerate() {
-            for (l, a) in row.iter_mut().enumerate() {
-                let s = &state.aggs[m * LENSES + l];
-                *a = Agg {
-                    total: s.total,
-                    sum: s.sum,
-                    min: s.min,
-                    max: s.max,
-                };
-            }
-        }
+        c.set = state.set;
         assert_eq!(
             state.window_ends.len(),
             state.config.window_capacity,
@@ -720,21 +566,6 @@ impl IoStatsCollector {
     }
 }
 
-/// Exact running aggregates for one (metric, lens) pair, in plain exported
-/// form (see [`CollectorState`]). `min`/`max` keep their empty-state
-/// sentinels (`i64::MAX`/`i64::MIN`) when `total == 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AggState {
-    /// Observations recorded.
-    pub total: u64,
-    /// Exact running sum.
-    pub sum: i128,
-    /// Smallest value observed (sentinel `i64::MAX` when empty).
-    pub min: i64,
-    /// Largest value observed (sentinel `i64::MIN` when empty).
-    pub max: i64,
-}
-
 /// One interval histogram in exported form: counts plus the exact
 /// aggregates [`Histogram::from_parts`] needs (the layout is implied by
 /// which series the interval belongs to).
@@ -757,10 +588,8 @@ pub struct CollectorState {
     /// The collector's configuration (determines layouts, window size, and
     /// which optional structures exist).
     pub config: CollectorConfig,
-    /// The flat counter slab, all metrics × lenses × bins.
-    pub slab: Vec<u64>,
-    /// Exact aggregates, row-major `[metric][lens]`.
-    pub aggs: Vec<AggState>,
+    /// Every (metric, lens) counter and exact aggregate.
+    pub set: HistogramSet,
     /// The seek window's ring buffer, including stale slots (they
     /// participate in equality and future eviction order).
     pub window_ends: Vec<u64>,
@@ -808,12 +637,6 @@ impl CollectorState {
     pub fn validate(&self) -> Result<(), String> {
         if self.config.window_capacity == 0 {
             return Err("window capacity is zero".into());
-        }
-        if self.slab.len() != SLAB_LEN {
-            return Err(format!("slab length {} != {SLAB_LEN}", self.slab.len()));
-        }
-        if self.aggs.len() != METRICS * LENSES {
-            return Err(format!("agg matrix length {}", self.aggs.len()));
         }
         if self.window_ends.len() != self.config.window_capacity {
             return Err(format!(
@@ -1251,22 +1074,6 @@ mod tests {
         assert_eq!(c.error_commands(), 0);
         assert_eq!(c.clock_anomalies(), 0);
         assert_eq!(c.histogram(Metric::Errors, Lens::All).total(), 0);
-    }
-
-    #[test]
-    fn slab_constants_match_registered_layouts() {
-        let mut expected_base = 0usize;
-        for metric in Metric::ALL {
-            let m = metric_index(metric);
-            assert_eq!(
-                SLAB_BINS[m],
-                layout_for(metric).bin_count(),
-                "{metric}: SLAB_BINS out of sync with layout"
-            );
-            assert_eq!(SLAB_BASE[m], expected_base, "{metric}: SLAB_BASE");
-            expected_base += LENSES * SLAB_BINS[m];
-        }
-        assert_eq!(SLAB_LEN, expected_base);
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   length, signed seek distance, windowed (min-of-last-N) seek distance,
 //!   interarrival time, outstanding I/Os and device latency, each split
 //!   into all/reads/writes ([`Metric`] × [`Lens`]).
+//! * [`HistogramSet`] — that 7 × 3 bundle as plain counters and the only
+//!   definition of its slot layout: what the collector records into,
+//!   [`checkpoint`] persists, and the fleet plane ships and merges.
 //! * [`StatsService`] — the host-wide enable/disable registry with the
 //!   `vscsiStats`-style command interface, sharded so concurrent VMs
 //!   ingest without contending and the disabled path takes no locks
@@ -63,6 +66,7 @@ mod collector;
 pub mod crc32;
 pub mod fingerprint;
 pub mod frame;
+mod histogram_set;
 mod inflight;
 pub mod medium;
 mod metrics;
@@ -79,9 +83,10 @@ pub use checkpoint::{
     CheckpointLedger, RecoveredCheckpoint, ServiceCheckpoint, TargetCheckpoint,
 };
 pub use collector::{
-    AggState, CollectorConfig, CollectorState, HistogramState, IoStatsCollector, LatencyPercentiles,
+    CollectorConfig, CollectorState, HistogramState, IoStatsCollector, LatencyPercentiles,
 };
 pub use fingerprint::{recommendations, FingerprintLibrary, WorkloadClass, WorkloadFingerprint};
+pub use histogram_set::{Binners, HistogramSet, SlotAgg};
 pub use inflight::InflightTable;
 pub use medium::{publish_atomic, FsMedium, Medium, MediumFile, WriteTaint};
 pub use metrics::{Lens, Metric};

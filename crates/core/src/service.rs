@@ -31,6 +31,7 @@
 
 use crate::checkpoint::{CheckpointHealth, ServiceCheckpoint, TargetCheckpoint};
 use crate::collector::{CollectorConfig, IoStatsCollector};
+use crate::histogram_set::HistogramSet;
 use crate::metrics::{Lens, Metric};
 use crate::sentinel::{
     Admission, HealthSnapshot, SalvageRecord, SalvagedTarget, SentinelConfig, ShardHealth,
@@ -683,7 +684,7 @@ impl StatsService {
                                 c.issued_commands(),
                                 c.completed_commands(),
                                 c.outstanding_now(),
-                                c.histogram(Metric::Errors, Lens::All).counts().to_vec(),
+                                c.histogram_set().slot(Metric::Errors, Lens::All).0.to_vec(),
                             )
                         });
                     SalvagedTarget {
@@ -962,46 +963,56 @@ impl StatsService {
     /// shard at a time, so ingestion on other shards is never stalled —
     /// this is the intended interface for report and CSV export.
     pub fn collectors(&self) -> Vec<(TargetId, IoStatsCollector)> {
+        self.read_collectors(|_, c| c.clone()).0
+    }
+
+    /// Every target's [`HistogramSet`], in target order, plus the number of
+    /// shards the read skipped — non-zero only under an armed sentinel,
+    /// when a shard lock outlasts `reader_patience`. Copies the counters
+    /// alone, not the collector. A caller that ships the result must treat
+    /// a non-zero count as a failed read: a partial census looks exactly
+    /// like a counter regression.
+    pub fn histogram_sets(&self) -> (Vec<(TargetId, HistogramSet)>, usize) {
+        self.read_collectors(|_, c| c.histogram_set().clone())
+    }
+
+    /// Headline counters for every known target, in target order. Locks
+    /// one shard at a time.
+    pub fn summaries(&self) -> Vec<TargetSummary> {
+        let rows = self.read_collectors(|target, c| TargetSummary {
+            target,
+            issued: c.issued_commands(),
+            completed: c.completed_commands(),
+            outstanding: c.outstanding_now(),
+            bytes_read: c.bytes_read(),
+            bytes_written: c.bytes_written(),
+            read_fraction: c.read_fraction(),
+            mean_latency_us: c.histogram_set().slot(Metric::Latency, Lens::All).1.mean(),
+        });
+        rows.0.into_iter().map(|(_, row)| row).collect()
+    }
+
+    /// `read` of every collector, in target order, plus skipped shards.
+    fn read_collectors<T>(
+        &self,
+        read: impl Fn(TargetId, &IoStatsCollector) -> T,
+    ) -> (Vec<(TargetId, T)>, usize) {
         let mut out = Vec::new();
+        let mut skipped = 0;
         for shard in self.shards.iter() {
             let Some(state) = self.read_state(shard) else {
+                skipped += 1;
                 continue;
             };
             out.extend(
                 state
                     .targets
                     .iter()
-                    .filter_map(|(target, s)| s.collector.clone().map(|c| (*target, c))),
+                    .filter_map(|(&t, s)| Some((t, read(t, s.collector.as_ref()?)))),
             );
         }
         out.sort_unstable_by_key(|&(target, _)| target);
-        out
-    }
-
-    /// Headline counters for every known target, in target order. Locks
-    /// one shard at a time.
-    pub fn summaries(&self) -> Vec<TargetSummary> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let Some(state) = self.read_state(shard) else {
-                continue;
-            };
-            out.extend(state.targets.iter().filter_map(|(target, s)| {
-                let c = s.collector.as_ref()?;
-                Some(TargetSummary {
-                    target: *target,
-                    issued: c.issued_commands(),
-                    completed: c.completed_commands(),
-                    outstanding: c.outstanding_now(),
-                    bytes_read: c.bytes_read(),
-                    bytes_written: c.bytes_written(),
-                    read_fraction: c.read_fraction(),
-                    mean_latency_us: c.histogram(Metric::Latency, Lens::All).mean(),
-                })
-            }));
-        }
-        out.sort_unstable_by_key(|s| s.target);
-        out
+        (out, skipped)
     }
 
     /// The `FetchAllHistograms` dump: every target's full metric × lens
@@ -1009,15 +1020,15 @@ impl StatsService {
     /// ServiceManager exposes as `ExecuteSimpleCommand FetchAllHistograms`.
     /// Slots with no samples are listed on one line so the dump stays an
     /// exhaustive inventory without drowning in empty tables. Locks one
-    /// shard at a time (via [`StatsService::collectors`]).
+    /// shard at a time (via [`StatsService::histogram_sets`]).
     pub fn fetch_all_histograms(&self) -> String {
-        let collectors = self.collectors();
-        let mut out = format!("FetchAllHistograms: {} target(s)\n", collectors.len());
-        for (target, collector) in &collectors {
+        let (sets, _) = self.histogram_sets();
+        let mut out = format!("FetchAllHistograms: {} target(s)\n", sets.len());
+        for (target, set) in &sets {
             out.push_str(&format!("== {target} ==\n"));
             for metric in Metric::ALL {
                 for lens in Lens::ALL {
-                    let h = collector.histogram(metric, lens);
+                    let h = set.histogram(metric, lens);
                     if h.is_empty() {
                         out.push_str(&format!("Histogram: {metric} ({lens}): no samples\n"));
                     } else {

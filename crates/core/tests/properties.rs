@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use simkit::SimTime;
 use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId};
 use vscsi_stats::{
-    replay, CollectorConfig, IoStatsCollector, Lens, Metric, TraceCapacity, VscsiTracer,
+    replay, CollectorConfig, HistogramSet, IoStatsCollector, Lens, Metric, TraceCapacity,
+    VscsiTracer,
 };
 
 /// A randomly generated workload step: wait `gap_us`, issue an I/O that the
@@ -176,5 +177,43 @@ proptest! {
             f.memory_footprint_bytes()
         };
         prop_assert_eq!(c.memory_footprint_bytes(), fresh);
+    }
+
+    /// The set algebra the fleet plane leans on, over sets a collector can
+    /// actually reach: merging is `Histogram::merge` slot by slot, a
+    /// cumulative set minus an earlier one merges back to the cumulative
+    /// set bit for bit, and the wire slot codec is the identity.
+    #[test]
+    fn histogram_set_algebra(a in arb_steps(), b in arb_steps()) {
+        let set_of = |steps: &[Step]| run(steps).0.histogram_set().clone();
+        let (set_a, set_b) = (set_of(&a), set_of(&b));
+
+        let mut merged = set_a.clone();
+        merged.merge(&set_b);
+        for metric in Metric::ALL {
+            for lens in Lens::ALL {
+                let mut expect = set_a.histogram(metric, lens);
+                expect.merge(&set_b.histogram(metric, lens)).unwrap();
+                prop_assert_eq!(merged.histogram(metric, lens), expect, "{} / {}", metric, lens);
+            }
+        }
+        prop_assert_eq!(merged.total_events(), set_a.total_events() + set_b.total_events());
+
+        // Every value `a` records, `a` followed by `b` records too (only
+        // the order of `a`'s last completions differs), so the longer run
+        // dominates the shorter one slot by slot.
+        let set_ab = set_of(&[a, b].concat());
+        let delta = set_ab.try_delta(&set_a);
+        prop_assert!(delta.is_some(), "a prefix never reads as a regression");
+        let mut resum = set_a.clone();
+        resum.merge(&delta.unwrap());
+        prop_assert_eq!(&resum, &set_ab);
+        prop_assert!(set_a.try_delta(&set_ab).is_none(), "the other way round is one");
+
+        let mut bytes = Vec::new();
+        set_ab.encode_slots(&mut bytes);
+        let mut pos = 0;
+        prop_assert_eq!(HistogramSet::decode_slots(&bytes, &mut pos), Ok(set_ab));
+        prop_assert_eq!(pos, bytes.len());
     }
 }

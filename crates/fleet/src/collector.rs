@@ -166,7 +166,13 @@ impl HostEndpoint for ServiceEndpoint {
 
     fn fetch(&mut self, now: SimTime) -> Result<Vec<u8>, FetchError> {
         let seq = self.service.next_frame_seq();
-        let frame = HostFrame::snapshot(self.host, now.as_micros(), seq, &self.service);
+        let (frame, skipped) =
+            HostFrame::snapshot_with_skips(self.host, now.as_micros(), seq, &self.service);
+        // A frame missing a wedged shard's targets would read as a restart
+        // that never happened; fail the window, the next frame bridges it.
+        if skipped > 0 {
+            return Err(FetchError::new("shard unreachable"));
+        }
         encode_frame(&frame).map_err(|_| FetchError::new("snapshot failed to encode"))
     }
 }
@@ -649,16 +655,6 @@ impl HostStatus {
     }
 }
 
-fn aggregate(frame: &HostFrame) -> Result<(AggSet, usize), WireError> {
-    let mut agg = AggSet::new();
-    for t in &frame.targets {
-        agg.merge_target(t).map_err(|_| WireError {
-            msg: "frame slot layout mismatch",
-        })?;
-    }
-    Ok((agg, frame.targets.len()))
-}
-
 /// The collector: polls every endpoint on the shared schedule, keeps the
 /// per-host ledgers, and assembles [`FleetView`]s on demand.
 #[derive(Debug)]
@@ -774,8 +770,8 @@ impl<E: HostEndpoint> FleetCollector<E> {
         }
 
         match good {
-            Some((frame, agg, targets)) => {
-                self.absorb_good(idx, frame, agg, targets, t, w);
+            Some(frame) => {
+                self.absorb_good(idx, frame, t, w);
                 let s = &mut self.status[idx];
                 s.ok_windows += 1;
                 s.failed_window_streak = 0;
@@ -813,12 +809,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
     /// One fetch attempt at `t`: books failures into the attempt-level
     /// ledger; returns the decoded, host-checked, sequence-checked frame
     /// on success (booking happens in `absorb_good`).
-    fn attempt_fetch(
-        &mut self,
-        idx: usize,
-        t: SimTime,
-        window: u64,
-    ) -> Option<(HostFrame, AggSet, usize)> {
+    fn attempt_fetch(&mut self, idx: usize, t: SimTime, window: u64) -> Option<HostFrame> {
         match self.endpoints[idx].fetch(t) {
             Err(e) => {
                 let s = &mut self.status[idx];
@@ -835,7 +826,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
                             msg: "frame names a different host",
                         });
                     }
-                    aggregate(&frame).map(|(agg, targets)| (frame, agg, targets))
+                    Ok(frame)
                 });
                 match outcome {
                     Err(e) => {
@@ -844,7 +835,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
                         s.last_error = Some(FetchError::new(e.msg).at_window(window));
                         None
                     }
-                    Ok((frame, agg, targets)) => {
+                    Ok(frame) => {
                         // Replay rejection: a sequenced frame must advance
                         // within its epoch. seq 0 (unsequenced) is exempt.
                         if frame.seq != 0
@@ -859,7 +850,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
                                 Some(FetchError::new("stale frame sequence").at_window(window));
                             None
                         } else {
-                            Some((frame, agg, targets))
+                            Some(frame)
                         }
                     }
                 }
@@ -870,15 +861,11 @@ impl<E: HostEndpoint> FleetCollector<E> {
     /// Absorbs a good frame into window `w`: detects restarts (explicit
     /// wire-epoch change, or implicit counter regression), rebases the
     /// delta chain, and keeps the windowed running total exact.
-    fn absorb_good(
-        &mut self,
-        idx: usize,
-        frame: HostFrame,
-        agg: AggSet,
-        targets: usize,
-        t: SimTime,
-        w: u64,
-    ) {
+    fn absorb_good(&mut self, idx: usize, frame: HostFrame, t: SimTime, w: u64) {
+        let mut agg = AggSet::new();
+        for target in &frame.targets {
+            agg.0.merge(&target.set);
+        }
         let s = &mut self.status[idx];
         let delta = match s.last_good_window {
             None => {
@@ -918,9 +905,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
                         // fresh snapshot.
                         s.epoch_bumps += 1;
                         s.lost_windows += w - prev_w;
-                        s.epoch_base
-                            .merge(&s.agg)
-                            .expect("one host keeps one slot layout");
+                        s.epoch_base.merge(&s.agg);
                         s.epoch = if explicit {
                             frame.epoch
                         } else {
@@ -934,13 +919,11 @@ impl<E: HostEndpoint> FleetCollector<E> {
         };
         s.wire_epoch = frame.epoch;
         s.last_seq = frame.seq;
-        s.delta_sum
-            .merge(&delta)
-            .expect("one host keeps one slot layout");
+        s.delta_sum.merge(&delta);
         s.delta = delta;
         s.delta_window = Some(w);
         s.agg = agg;
-        s.targets = targets;
+        s.targets = frame.targets.len();
         s.captured_at_us = frame.captured_at_us;
         s.frames_ok += 1;
         s.consecutive_failures = 0;
@@ -1147,29 +1130,16 @@ impl<E: HostEndpoint> FleetCollector<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{layout_of, slots, TargetHistograms, SLOTS_PER_TARGET};
-    use histo::Histogram;
-    use vscsi::{TargetId, VDiskId, VmId};
+    use crate::wire::uniform_target;
+    use vscsi_stats::HistogramSet;
 
     fn frame_bytes_with(host: HostId, records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
-        let histograms = slots()
-            .map(|(metric, _)| {
-                let mut h = Histogram::new(layout_of(metric).edges());
-                for &v in records {
-                    h.record(v);
-                }
-                h
-            })
-            .collect();
         encode_frame(&HostFrame {
             host_id: host,
             captured_at_us: 1,
             epoch,
             seq,
-            targets: vec![TargetHistograms {
-                target: TargetId::new(VmId(0), VDiskId(0)),
-                histograms,
-            }],
+            targets: vec![uniform_target(records)],
         })
         .unwrap()
     }
@@ -1203,12 +1173,12 @@ mod tests {
         c.run_until(SimTime::ZERO);
         let v0 = c.view(SimTime::ZERO);
         assert_eq!(v0.fleet.hosts, 2);
-        assert_eq!(v0.fleet.agg.total_events(), 2 * SLOTS_PER_TARGET as u64);
+        assert_eq!(v0.fleet.agg.total_events(), 2 * HistogramSet::SLOTS as u64);
         assert!(v0.conserves());
         // Second window: cumulative snapshots replace, never double-count.
         c.run_until(SimTime::from_secs(1));
         let v1 = c.view(SimTime::from_secs(1));
-        assert_eq!(v1.fleet.agg.total_events(), 4 * SLOTS_PER_TARGET as u64);
+        assert_eq!(v1.fleet.agg.total_events(), 4 * HistogramSet::SLOTS as u64);
         assert!(v1.conserves());
         assert_eq!(c.status()[0].frames_ok, 2);
         assert_eq!(c.status()[0].polls(), 2);
@@ -1249,7 +1219,7 @@ mod tests {
         assert!(!c.is_stale(&c.status()[0], SimTime::from_secs(3)));
         let v = c.view(SimTime::from_secs(3));
         assert_eq!(v.fleet.hosts, 1);
-        assert_eq!(v.fleet.agg.total_events(), 3 * SLOTS_PER_TARGET as u64);
+        assert_eq!(v.fleet.agg.total_events(), 3 * HistogramSet::SLOTS as u64);
     }
 
     #[test]
@@ -1446,7 +1416,7 @@ mod tests {
         let s = &c.status()[0];
         assert_eq!((s.epoch_bumps, s.regressions, s.lost_windows), (1, 1, 1));
         assert_eq!(s.epoch, 1, "local epoch bump");
-        let slots = SLOTS_PER_TARGET as u64;
+        let slots = HistogramSet::SLOTS as u64;
         assert_eq!(s.agg().total_events(), slots, "cumulative = fresh epoch");
         assert_eq!(
             s.windowed_total().total_events(),
@@ -1454,7 +1424,7 @@ mod tests {
             "running total keeps the dead epoch's events"
         );
         let mut rebuilt = s.epoch_base().clone();
-        rebuilt.merge(s.agg()).unwrap();
+        rebuilt.merge(s.agg());
         assert!(
             rebuilt.same_counters(s.windowed_total()),
             "windowed_total == epoch_base + agg, bit for bit"
@@ -1480,13 +1450,13 @@ mod tests {
         assert_eq!(s.seq_rejects, 0, "seq restarts with the epoch");
         assert_eq!(
             s.windowed_total().total_events(),
-            3 * SLOTS_PER_TARGET as u64
+            3 * HistogramSet::SLOTS as u64
         );
     }
 
     #[test]
     fn checkpoint_resume_bumps_epoch_without_banking() {
-        let slots = SLOTS_PER_TARGET as u64;
+        let slots = HistogramSet::SLOTS as u64;
         // Epoch 1 seq 3, then a restored-from-checkpoint restart: epoch 2
         // with *continued* counters and sequence. The delta chain never
         // breaks, so nothing is banked and nothing is lost.
@@ -1531,12 +1501,12 @@ mod tests {
         let s = &c.status()[0];
         assert_eq!((s.frames_ok, s.decode_failures, s.seq_rejects), (1, 1, 1));
         assert_eq!(s.last_error.unwrap().msg, "stale frame sequence");
-        assert_eq!(s.agg().total_events(), SLOTS_PER_TARGET as u64);
+        assert_eq!(s.agg().total_events(), HistogramSet::SLOTS as u64);
     }
 
     #[test]
     fn window_deltas_resum_to_cumulative_across_gaps() {
-        let slots = SLOTS_PER_TARGET as u64;
+        let slots = HistogramSet::SLOTS as u64;
         // w0 ok, w1 down, w2 ok (bridges w1), w3 ok.
         let eps = vec![FrameEndpoint::new(
             0,

@@ -6,19 +6,19 @@
 //! histograms aggregate *exactly* across a fleet — this crate is that
 //! plane, in three layers:
 //!
-//! * [`wire`] — the `FetchAllHistograms` frame: every per-target,
-//!   per-(metric, lens) histogram snapshot of a host, delta-encoded as
-//!   varint counter vectors (reusing `vscsi_stats::varint`) inside a
-//!   CRC-checked envelope. Decoding is total: corrupt, truncated, or
-//!   hostile bytes produce a [`WireError`], never a panic.
+//! * [`wire`] — the `FetchAllHistograms` frame: every target's
+//!   `vscsi_stats::HistogramSet` (which owns the slot layout and the
+//!   per-target slot codec), delta-encoded as varint counter vectors
+//!   inside a CRC-checked envelope. Decoding is total: corrupt, truncated,
+//!   or hostile bytes produce a [`WireError`], never a panic.
 //! * [`collector`] — virtual-clock polling: a [`FleetCollector`] fetches
 //!   frames from [`HostEndpoint`]s on a window schedule, keeps exact
 //!   per-host ok/fetch-failure/decode-failure ledgers, and ages silent
 //!   hosts into staleness so one bad host degrades only its own slice.
-//! * [`rollup`] — the host → tenant → fleet tree: [`AggSet`] merges
-//!   target sets, [`FleetView::assemble`] builds the tree, and
-//!   [`FleetView::conserves`] proves the root is bin-for-bin the sum of
-//!   its live leaves.
+//! * [`rollup`] — the host → tenant → fleet tree: [`AggSet`] (a newtype
+//!   over one set) merges target sets, [`FleetView::assemble`] builds the
+//!   tree, and [`FleetView::conserves`] proves the root is bin-for-bin the
+//!   sum of its live leaves.
 //!
 //! # Examples
 //!
@@ -52,7 +52,4 @@ pub use collector::{
     FrameEndpoint, HostEndpoint, HostStatus, PollConfig, RetryPolicy, ServiceEndpoint,
 };
 pub use rollup::{AggSet, FleetView, HostId, HostView, RollupNode, TenantId};
-pub use wire::{
-    decode_frame, encode_frame, layout_of, slot_index, slots, HostFrame, TargetHistograms,
-    WireError, FRAME_MAGIC, SLOTS_PER_TARGET,
-};
+pub use wire::{decode_frame, encode_frame, HostFrame, TargetHistograms, WireError, FRAME_MAGIC};

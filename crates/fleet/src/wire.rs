@@ -1,9 +1,10 @@
 //! The `FetchAllHistograms` wire format.
 //!
 //! A host answers a fetch with one **frame**: every (VM, disk) target's
-//! full histogram set — all [`Metric`] × [`Lens`] slots, in a fixed order
-//! both sides derive from [`slots`] — serialized as delta-encoded varint
-//! counter vectors. The integer primitives are [`vscsi_stats::varint`]'s
+//! [`HistogramSet`] as delta-encoded varint counter vectors. This module
+//! frames the header and the target list; the per-target slot section is
+//! [`HistogramSet::encode_slots`] / [`HistogramSet::decode_slots`], which
+//! own the slot order. The integer primitives are [`vscsi_stats::varint`]'s
 //! LEB128/zigzag API, so this format, the trace segment format and the
 //! checkpoint format share one bit-level vocabulary; the envelope is
 //! [`vscsi_stats::frame`]'s, shared with the checkpoint format.
@@ -37,30 +38,21 @@
 //! magnitude (the distributions are peaky), so the zigzagged wrapping
 //! delta keeps most bins at one byte; an idle slot is `bins` bytes of
 //! zeros plus the header varint. The layouts themselves never travel:
-//! they are process-lifetime statics ([`LayoutId`]) on both ends, and the
-//! per-slot `bins` field plus the CRC catch any disagreement.
+//! they are process-lifetime statics (`histo::LayoutId`) on both ends, and
+//! the per-slot `bins` field plus the CRC catch any disagreement.
 //!
 //! Decoding is total: corrupt, truncated, or oversized input yields a
 //! [`WireError`], never a panic — the collector tier counts these per
 //! host and carries on.
 
-use histo::{Histogram, LayoutId};
 use vscsi::{TargetId, VDiskId, VmId};
 use vscsi_stats::frame as envelope;
-use vscsi_stats::varint::{
-    apply_delta, decode_u64, delta, encode_u64, unzigzag, unzigzag128, zigzag, zigzag128,
-};
-use vscsi_stats::{Lens, Metric, StatsService};
+use vscsi_stats::varint::{decode_u64, encode_u64};
+use vscsi_stats::{HistogramSet, StatsService};
 
 /// Frame magic: format name + version. The only one [`encode_frame`]
 /// emits and [`decode_frame`] accepts.
 pub const FRAME_MAGIC: [u8; 8] = *b"VFLHIST2";
-
-/// Bytes of framing around the payload: magic + length + CRC.
-pub const FRAME_HEADER_BYTES: usize = envelope::HEADER_BYTES;
-
-/// Number of histogram slots per target (every metric × lens pair).
-pub const SLOTS_PER_TARGET: usize = Metric::ALL.len() * Lens::ALL.len();
 
 /// Error decoding (or encoding) a frame. Carries a static description so
 /// the collector tier can account failures without allocating.
@@ -82,48 +74,13 @@ const fn err(msg: &'static str) -> WireError {
     WireError { msg }
 }
 
-/// The fixed slot order: metrics in [`Metric::ALL`] order, each split into
-/// lenses in [`Lens::ALL`] order. Both encoder and decoder iterate this.
-pub fn slots() -> impl Iterator<Item = (Metric, Lens)> {
-    Metric::ALL
-        .into_iter()
-        .flat_map(|m| Lens::ALL.into_iter().map(move |l| (m, l)))
-}
-
-/// Index of a (metric, lens) pair in the fixed slot order.
-pub fn slot_index(metric: Metric, lens: Lens) -> usize {
-    let m = Metric::ALL
-        .iter()
-        .position(|&x| x == metric)
-        .expect("metric is registered");
-    let l = Lens::ALL
-        .iter()
-        .position(|&x| x == lens)
-        .expect("lens is registered");
-    m * Lens::ALL.len() + l
-}
-
-/// The registered layout each metric's histograms use. Mirrors the stats
-/// collector's binning; the encoder cross-checks it against the actual
-/// histogram edges so drift fails loudly instead of corrupting frames.
-pub fn layout_of(metric: Metric) -> LayoutId {
-    match metric {
-        Metric::IoLength => LayoutId::IoLengthBytes,
-        Metric::SeekDistance | Metric::SeekDistanceWindowed => LayoutId::SeekDistanceSectors,
-        Metric::Interarrival => LayoutId::InterarrivalUs,
-        Metric::OutstandingIos => LayoutId::OutstandingIos,
-        Metric::Latency => LayoutId::LatencyUs,
-        Metric::Errors => LayoutId::ScsiOutcomes,
-    }
-}
-
-/// One target's full histogram set, in [`slots`] order.
+/// One target's full histogram set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetHistograms {
     /// The (VM, disk) pair the histograms describe.
     pub target: TargetId,
-    /// Exactly [`SLOTS_PER_TARGET`] histograms, in [`slots`] order.
-    pub histograms: Vec<Histogram>,
+    /// Every (metric, lens) slot of that target.
+    pub set: HistogramSet,
 }
 
 /// One host's answer to `FetchAllHistograms`: a capture timestamp plus
@@ -148,116 +105,57 @@ pub struct HostFrame {
 impl HostFrame {
     /// Snapshots every collector of `service` into a frame, stamping the
     /// service's current [`epoch`](StatsService::epoch) and the caller's
-    /// sequence number. Locks one service shard at a time (via
-    /// [`StatsService::collectors`]), so a fetch never stalls ingestion
-    /// fleet-wide.
+    /// sequence number. Still reads through [`StatsService::collectors`]
+    /// (EXPERIMENTS.md, "One histogram set", says why), which cannot say
+    /// whether a wedged shard was left out: whoever ships a frame uses
+    /// [`Self::snapshot_with_skips`].
     pub fn snapshot(
         host_id: u64,
         captured_at_us: u64,
         seq: u64,
         service: &StatsService,
     ) -> HostFrame {
-        let targets = service
-            .collectors()
-            .into_iter()
-            .map(|(target, collector)| TargetHistograms {
-                target,
-                histograms: slots()
-                    .map(|(metric, lens)| collector.histogram(metric, lens))
-                    .collect(),
-            })
-            .collect();
+        let sets = service.collectors().into_iter();
+        let sets = sets.map(|(target, c)| (target, c.histogram_set().clone()));
+        HostFrame::stamp(host_id, captured_at_us, seq, service, sets)
+    }
+
+    /// [`HostFrame::snapshot`] through [`StatsService::histogram_sets`]:
+    /// the counters alone, plus how many shards the read had to skip. A
+    /// frame with a non-zero count is a partial census and must not ship.
+    pub fn snapshot_with_skips(
+        host_id: u64,
+        captured_at_us: u64,
+        seq: u64,
+        service: &StatsService,
+    ) -> (HostFrame, usize) {
+        let (sets, skipped) = service.histogram_sets();
+        let frame = HostFrame::stamp(host_id, captured_at_us, seq, service, sets.into_iter());
+        (frame, skipped)
+    }
+
+    fn stamp(
+        host_id: u64,
+        captured_at_us: u64,
+        seq: u64,
+        service: &StatsService,
+        sets: impl Iterator<Item = (TargetId, HistogramSet)>,
+    ) -> HostFrame {
+        let targets = sets.map(|(target, set)| TargetHistograms { target, set });
         HostFrame {
             host_id,
             captured_at_us,
             epoch: service.epoch(),
             seq,
-            targets,
+            targets: targets.collect(),
         }
     }
 
     /// Total observations across every target and slot — the conservation
     /// numerator fleet rollups are checked against.
     pub fn total_events(&self) -> u64 {
-        self.targets
-            .iter()
-            .flat_map(|t| t.histograms.iter())
-            .map(Histogram::total)
-            .sum()
+        self.targets.iter().map(|t| t.set.total_events()).sum()
     }
-}
-
-fn encode_histogram(h: &Histogram, expect: LayoutId, out: &mut Vec<u8>) -> Result<(), WireError> {
-    if h.edges() != &expect.edges() {
-        return Err(err(
-            "histogram layout drifted from the registered slot layout",
-        ));
-    }
-    encode_u64(h.counts().len() as u64, out);
-    let mut prev = 0u64;
-    for &c in h.counts() {
-        encode_u64(delta(prev, c), out);
-        prev = c;
-    }
-    if h.total() > 0 {
-        let z = zigzag128(h.sum());
-        encode_u64(z as u64, out);
-        encode_u64((z >> 64) as u64, out);
-        encode_u64(zigzag(h.min().expect("non-empty")), out);
-        encode_u64(zigzag(h.max().expect("non-empty")), out);
-    }
-    Ok(())
-}
-
-fn decode_histogram(
-    payload: &[u8],
-    pos: &mut usize,
-    layout: LayoutId,
-) -> Result<Histogram, WireError> {
-    let edges = layout.edges();
-    let bins = decode_u64(payload, pos).ok_or(err("truncated bin count"))? as usize;
-    if bins != edges.bin_count() {
-        return Err(err("bin count disagrees with the registered layout"));
-    }
-    let mut counts = Vec::with_capacity(bins);
-    let mut prev = 0u64;
-    let mut total = 0u64;
-    for _ in 0..bins {
-        let d = decode_u64(payload, pos).ok_or(err("truncated counter"))?;
-        let c = apply_delta(prev, d);
-        total = total.checked_add(c).ok_or(err("counter total overflows"))?;
-        counts.push(c);
-        prev = c;
-    }
-    let (sum, min_max) = if total > 0 {
-        let lo = decode_u64(payload, pos).ok_or(err("truncated sum"))?;
-        let hi = decode_u64(payload, pos).ok_or(err("truncated sum"))?;
-        let sum = unzigzag128(u128::from(lo) | (u128::from(hi) << 64));
-        let min = unzigzag(decode_u64(payload, pos).ok_or(err("truncated min"))?);
-        let max = unzigzag(decode_u64(payload, pos).ok_or(err("truncated max"))?);
-        if min > max {
-            return Err(err("min exceeds max"));
-        }
-        (sum, Some((min, max)))
-    } else {
-        (0, None)
-    };
-    Ok(Histogram::from_parts(edges, counts, sum, min_max))
-}
-
-fn encode_targets(frame: &HostFrame, payload: &mut Vec<u8>) -> Result<(), WireError> {
-    encode_u64(frame.targets.len() as u64, payload);
-    for t in &frame.targets {
-        if t.histograms.len() != SLOTS_PER_TARGET {
-            return Err(err("target does not carry every metric × lens slot"));
-        }
-        encode_u64(u64::from(t.target.vm.0), payload);
-        encode_u64(u64::from(t.target.disk.0), payload);
-        for ((metric, _), h) in slots().zip(&t.histograms) {
-            encode_histogram(h, layout_of(metric), payload)?;
-        }
-    }
-    Ok(())
 }
 
 /// Encodes a frame: a `VFLHIST2` CRC-framed envelope around a
@@ -266,16 +164,19 @@ fn encode_targets(frame: &HostFrame, payload: &mut Vec<u8>) -> Result<(), WireEr
 ///
 /// # Errors
 ///
-/// Fails if any histogram's layout disagrees with its slot's registered
-/// layout, if a target carries the wrong number of slots, or if the
-/// payload exceeds the `u32` length field.
+/// Fails if the payload exceeds the `u32` length field.
 pub fn encode_frame(frame: &HostFrame) -> Result<Vec<u8>, WireError> {
     let mut payload = Vec::with_capacity(64 + frame.targets.len() * 512);
     encode_u64(frame.host_id, &mut payload);
     encode_u64(frame.captured_at_us, &mut payload);
     encode_u64(frame.epoch, &mut payload);
     encode_u64(frame.seq, &mut payload);
-    encode_targets(frame, &mut payload)?;
+    encode_u64(frame.targets.len() as u64, &mut payload);
+    for t in &frame.targets {
+        encode_u64(u64::from(t.target.vm.0), &mut payload);
+        encode_u64(u64::from(t.target.disk.0), &mut payload);
+        t.set.encode_slots(&mut payload);
+    }
     envelope::seal(&FRAME_MAGIC, &payload).map_err(err)
 }
 
@@ -299,7 +200,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<HostFrame, WireError> {
     let target_count = decode_u64(payload, &mut pos).ok_or(err("truncated target count"))?;
     // Each target needs at least 2 id bytes + one byte per slot, so this
     // bound rejects absurd counts before any allocation.
-    if target_count > (payload.len() as u64) / (2 + SLOTS_PER_TARGET as u64) + 1 {
+    if target_count > (payload.len() as u64) / (2 + HistogramSet::SLOTS as u64) + 1 {
         return Err(err("target count exceeds payload size"));
     }
     let mut targets = Vec::with_capacity(target_count as usize);
@@ -308,13 +209,9 @@ pub fn decode_frame(buf: &[u8]) -> Result<HostFrame, WireError> {
         let disk = decode_u64(payload, &mut pos).ok_or(err("truncated disk id"))?;
         let vm = u32::try_from(vm).map_err(|_| err("vm id exceeds 32 bits"))?;
         let disk = u32::try_from(disk).map_err(|_| err("disk id exceeds 32 bits"))?;
-        let mut histograms = Vec::with_capacity(SLOTS_PER_TARGET);
-        for (metric, _) in slots() {
-            histograms.push(decode_histogram(payload, &mut pos, layout_of(metric))?);
-        }
         targets.push(TargetHistograms {
             target: TargetId::new(VmId(vm), VDiskId(disk)),
-            histograms,
+            set: HistogramSet::decode_slots(payload, &mut pos).map_err(err)?,
         });
     }
     if pos != payload.len() {
@@ -330,24 +227,42 @@ pub fn decode_frame(buf: &[u8]) -> Result<HostFrame, WireError> {
 }
 
 #[cfg(test)]
+/// Test fixture shared by this crate's unit tests: target (0, 0) holding
+/// `records` in every (metric, lens) slot.
+pub(crate) fn uniform_target(records: &[i64]) -> TargetHistograms {
+    let binners = HistogramSet::binners();
+    let mut set = HistogramSet::new();
+    for metric in vscsi_stats::Metric::ALL {
+        for lens in vscsi_stats::Lens::ALL {
+            for &v in records {
+                set.record_single(&binners, metric, lens, v);
+            }
+        }
+    }
+    TargetHistograms {
+        target: TargetId::new(VmId(0), VDiskId(0)),
+        set,
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use vscsi_stats::varint::{unzigzag128, zigzag128};
+    use vscsi_stats::{Lens, Metric};
 
     fn sample_frame() -> HostFrame {
+        let binners = HistogramSet::binners();
         let mut targets = Vec::new();
         for vm in 0..3u32 {
-            let mut histograms = Vec::new();
-            for (metric, lens) in slots() {
-                let mut h = Histogram::new(layout_of(metric).edges());
-                if lens != Lens::Writes {
-                    h.record(i64::from(vm) * 7 + 1);
-                    h.record(4096);
-                }
-                histograms.push(h);
+            let mut set = HistogramSet::new();
+            for metric in Metric::ALL {
+                set.record(&binners, metric, Lens::Reads, i64::from(vm) * 7 + 1);
+                set.record(&binners, metric, Lens::Reads, 4096);
             }
             targets.push(TargetHistograms {
                 target: TargetId::new(VmId(vm), VDiskId(0)),
-                histograms,
+                set,
             });
         }
         HostFrame {
@@ -441,22 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_drift_rejected_at_encode_time() {
-        let mut frame = sample_frame();
-        frame.targets[0].histograms[0] = Histogram::with_edges(vec![1, 2, 3]).unwrap();
-        assert!(encode_frame(&frame).is_err());
-    }
-
-    #[test]
-    fn slot_order_is_stable_and_complete() {
-        let all: Vec<_> = slots().collect();
-        assert_eq!(all.len(), SLOTS_PER_TARGET);
-        for (i, &(m, l)) in all.iter().enumerate() {
-            assert_eq!(slot_index(m, l), i);
-        }
-    }
-
-    #[test]
     fn zigzag128_roundtrips_extremes() {
         for v in [0i128, 1, -1, i128::MAX, i128::MIN, 1 << 64, -(1 << 64)] {
             assert_eq!(unzigzag128(zigzag128(v)), v);
@@ -472,8 +371,7 @@ mod tests {
         let resident: usize = frame
             .targets
             .iter()
-            .flat_map(|t| t.histograms.iter())
-            .map(|h| h.counts().len() * 8)
+            .map(|t| size_of_val(t.set.counters()))
             .sum();
         assert!(
             bytes.len() * 3 < resident,

@@ -3,48 +3,51 @@
 //! arbitrary corruption with exact per-host failure accounting.
 
 use fleet::{
-    decode_frame, encode_frame, layout_of, slots, AggSet, FetchError, FleetCollector,
-    FrameEndpoint, HostFrame, PollConfig, TargetHistograms, SLOTS_PER_TARGET,
+    decode_frame, encode_frame, AggSet, FetchError, FleetCollector, FrameEndpoint, HostFrame,
+    PollConfig, TargetHistograms,
 };
-use histo::Histogram;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
 use vscsi::{TargetId, VDiskId, VmId};
+use vscsi_stats::{HistogramSet, Lens, Metric, SlotAgg};
 
 /// An arbitrary but *valid* full slot set for one target: per-slot counts
 /// are free, the exact sum is free, and min/max are present (ordered) iff
-/// occupied — exactly the states a live collector slab can reach. All 21
-/// slots are carved from one flat counter vector so each slot gets its own
-/// layout's bin count.
+/// occupied — exactly the states a live collector slab can reach.
 fn arb_target() -> impl Strategy<Value = TargetHistograms> {
-    let total_bins: usize = slots()
-        .map(|(metric, _)| layout_of(metric).edges().bin_count())
-        .sum();
     (
         any::<u32>(),
         any::<u32>(),
-        vec(0u64..1_000_000u64, total_bins),
-        vec(any::<(i64, i64, i64)>(), SLOTS_PER_TARGET),
+        vec(0u64..1_000_000u64, HistogramSet::new().counters().len()),
+        vec(any::<(i64, i64, i64)>(), HistogramSet::SLOTS),
     )
-        .prop_map(|(vm, disk, all_counts, seeds)| {
+        .prop_map(|(vm, disk, counters, seeds)| {
+            let layout = HistogramSet::new();
+            let slots = Metric::ALL
+                .into_iter()
+                .flat_map(|m| Lens::ALL.into_iter().map(move |l| (m, l)));
             let mut offset = 0;
-            let histograms = slots()
+            let aggs: Vec<SlotAgg> = slots
                 .zip(seeds)
-                .map(|((metric, _), (sum, m1, m2))| {
-                    let edges = layout_of(metric).edges();
-                    let bins = edges.bin_count();
-                    let counts = all_counts[offset..offset + bins].to_vec();
+                .map(|((metric, lens), (sum, m1, m2))| {
+                    let bins = layout.slot(metric, lens).0.len();
+                    let total = counters[offset..offset + bins].iter().sum();
                     offset += bins;
-                    let occupied = counts.iter().any(|&c| c > 0);
-                    let min_max = occupied.then(|| (m1.min(m2), m1.max(m2)));
-                    let sum = if occupied { i128::from(sum) } else { 0 };
-                    Histogram::from_parts(edges.clone(), counts, sum, min_max)
+                    if total == 0 {
+                        return SlotAgg::EMPTY;
+                    }
+                    SlotAgg {
+                        total,
+                        sum: i128::from(sum),
+                        min: m1.min(m2),
+                        max: m1.max(m2),
+                    }
                 })
                 .collect();
             TargetHistograms {
                 target: TargetId::new(VmId(vm), VDiskId(disk)),
-                histograms,
+                set: HistogramSet::from_parts(&counters, &aggs).unwrap(),
             }
         })
 }
@@ -69,15 +72,15 @@ fn arb_frame() -> impl Strategy<Value = HostFrame> {
 /// One-target frame for host 1 holding `records` in every slot, stamped
 /// with an explicit epoch and sequence.
 fn frame_with(records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
-    let histograms = slots()
-        .map(|(metric, _)| {
-            let mut h = Histogram::new(layout_of(metric).edges());
+    let binners = HistogramSet::binners();
+    let mut set = HistogramSet::new();
+    for metric in Metric::ALL {
+        for lens in Lens::ALL {
             for &v in records {
-                h.record(v);
+                set.record_single(&binners, metric, lens, v);
             }
-            h
-        })
-        .collect();
+        }
+    }
     encode_frame(&HostFrame {
         host_id: 1,
         captured_at_us: 0,
@@ -85,7 +88,7 @@ fn frame_with(records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
         seq,
         targets: vec![TargetHistograms {
             target: TargetId::new(VmId(0), VDiskId(0)),
-            histograms,
+            set,
         }],
     })
     .unwrap()
@@ -143,26 +146,7 @@ proptest! {
         flip in 1u8..=255,
         at in any::<prop::sample::Index>(),
     ) {
-        let good = {
-            let histograms = slots()
-                .map(|(metric, _)| {
-                    let mut h = Histogram::new(layout_of(metric).edges());
-                    h.record(4096);
-                    h
-                })
-                .collect();
-            encode_frame(&HostFrame {
-                host_id: 1,
-                captured_at_us: 0,
-                epoch: 0,
-                seq: 0,
-                targets: vec![TargetHistograms {
-                    target: TargetId::new(VmId(0), VDiskId(0)),
-                    histograms,
-                }],
-            })
-            .unwrap()
-        };
+        let good = frame_with(&[4096], 0, 0);
         let mut expect_ok = 0u64;
         let mut expect_fetch = 0u64;
         let mut expect_decode = 0u64;
@@ -215,7 +199,7 @@ proptest! {
         if expect_ok > 0 {
             prop_assert_eq!(
                 status.agg().total_events(),
-                SLOTS_PER_TARGET as u64
+                HistogramSet::SLOTS as u64
             );
         } else {
             prop_assert_eq!(status.agg().total_events(), 0);
@@ -253,7 +237,7 @@ proptest! {
             collector.run_until(now);
             let wv = collector.window_view(now);
             prop_assert!(wv.conserves());
-            resum.merge(&wv.fleet.agg).unwrap();
+            resum.merge(&wv.fleet.agg);
         }
         let status = &collector.status()[0];
         prop_assert!(resum.same_counters(status.agg()), "delta re-sum drifted");
@@ -306,11 +290,11 @@ fn assert_epoch_resets_exact(plan: &[(bool, Vec<i64>)]) {
     assert_eq!(s.seq_rejects, 0);
     assert_eq!(
         s.windowed_total().total_events(),
-        (banked + records.len() as u64) * SLOTS_PER_TARGET as u64,
+        (banked + records.len() as u64) * HistogramSet::SLOTS as u64,
         "every epoch's events counted exactly once"
     );
     let mut rebuilt = s.epoch_base().clone();
-    rebuilt.merge(s.agg()).unwrap();
+    rebuilt.merge(s.agg());
     assert!(rebuilt.same_counters(s.windowed_total()));
     let tv = collector.windowed_total_view(SimTime::from_secs(windows - 1));
     assert!(tv.conserves());

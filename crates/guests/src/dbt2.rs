@@ -425,7 +425,7 @@ mod tests {
         seen.extend(poll.issue.iter().copied());
         for _ in 0..steps {
             if let Some(io) = pending.pop() {
-                now = now + SimDuration::from_micros(50);
+                now += SimDuration::from_micros(50);
                 poll = wl.on_complete(now, io.tag);
             } else if let Some(t) = poll.timer {
                 now = now.max(t);

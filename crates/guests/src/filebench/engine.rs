@@ -392,7 +392,7 @@ mod tests {
         offs.push(p.issue[0].lba);
         let tag = p.issue[0].tag;
         for _ in 0..4 {
-            now = now + SimDuration::from_micros(100);
+            now += SimDuration::from_micros(100);
             let p = wl.on_complete(now, tag);
             let timer = p.timer.unwrap();
             let p = wl.on_timer(timer);

@@ -79,7 +79,7 @@ proptest! {
         // An unaligned write of one record length spans two records.
         let distinct_records: std::collections::HashSet<u64> = offsets
             .iter()
-            .flat_map(|o| (o / rec)..=((o + rec - 1) / rec))
+            .flat_map(|o| (o / rec)..=o.div_ceil(rec))
             .collect();
         prop_assert_eq!(fs.dirty_records(), distinct_records.len());
         let extents = fs.flush(&mut rng);

@@ -50,7 +50,7 @@ proptest! {
             let mut now = SimTime::ZERO;
             let mut out = Vec::new();
             for &(is_read, lba, sectors, gap_us) in &ops {
-                now = now + simkit::SimDuration::from_micros(gap_us);
+                now += simkit::SimDuration::from_micros(gap_us);
                 let dir = if is_read { IoDirection::Read } else { IoDirection::Write };
                 let done = array.submit(dir, Lba::new(lba), sectors, now);
                 out.push(done);
@@ -62,7 +62,7 @@ proptest! {
         prop_assert_eq!(&a, &b);
         let mut now = SimTime::ZERO;
         for (i, &(_, _, _, gap_us)) in ops.iter().enumerate() {
-            now = now + simkit::SimDuration::from_micros(gap_us);
+            now += simkit::SimDuration::from_micros(gap_us);
             prop_assert!(a[i] > now, "completion {} not after submission {}", a[i], now);
         }
     }
