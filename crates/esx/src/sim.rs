@@ -11,6 +11,7 @@ use crate::vm::Attachment;
 use faultkit::FaultPlan;
 use guests::{Poll, Workload};
 use simkit::{EventQueue, IntervalCounter, SimDuration, SimTime};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use storage::{StorageArray, Submission};
 use vscsi::SECTOR_SIZE;
@@ -204,8 +205,8 @@ struct Inflight {
 struct AttachmentRuntime {
     attachment: Attachment,
     workload: Box<dyn Workload>,
-    /// Guest-issued commands not yet sent to the device.
-    pending: Vec<IoRequest>,
+    /// Guest-issued commands not yet sent to the device, oldest first.
+    pending: VecDeque<IoRequest>,
     /// Commands at the device.
     active: u32,
     /// Every command between issue and final delivery, by request id.
@@ -422,7 +423,7 @@ impl Simulation {
             self.attachments.push(AttachmentRuntime {
                 attachment: Attachment::new(vdisk),
                 workload,
-                pending: Vec::new(),
+                pending: VecDeque::new(),
                 active: 0,
                 cmds: InflightTable::new(),
                 timer_generation: 0,
@@ -558,7 +559,7 @@ impl Simulation {
                     status: ScsiStatus::Good,
                 },
             );
-            runtime.pending.push(request);
+            runtime.pending.push_back(request);
         }
         if let Some(at) = poll.timer {
             let runtime = &mut self.attachments[attach];
@@ -581,10 +582,10 @@ impl Simulation {
         let timeout = self.attachments[attach]
             .timeout_override
             .unwrap_or(self.robustness.command_timeout);
-        while self.attachments[attach].active < self.queue_depth
-            && !self.attachments[attach].pending.is_empty()
-        {
-            let request = self.attachments[attach].pending.remove(0);
+        while self.attachments[attach].active < self.queue_depth {
+            let Some(request) = self.attachments[attach].pending.pop_front() else {
+                break;
+            };
             let physical = self.attachments[attach]
                 .attachment
                 .vdisk()
@@ -764,7 +765,7 @@ impl Simulation {
             return;
         }
         let request = cmd.request;
-        runtime.pending.push(request);
+        runtime.pending.push_back(request);
         self.pump(attach, now);
     }
 

@@ -6,8 +6,21 @@
 //! cache softens it, and with the read cache off "all I/Os hit the disk"
 //! (§5.3). The model is a page-granular exact-LRU cache plus a small table
 //! of detected sequential streams that triggers read-ahead.
+//!
+//! Residency is one structure: a doubly linked recency ring of resident
+//! pages held in a `Vec` and linked by `u32` positions, found through a
+//! page index made of lazily allocated chunks of consecutive pages. Touch,
+//! insert and evict are O(1), and a run of consecutive pages (a command's
+//! span, then its read-ahead window) costs one hash lookup per chunk
+//! rather than one per page. Positions rather than pointers because the
+//! cache must stay `Clone` (experiments fork a warm `StorageArray`) and
+//! the crate has no `unsafe`. How residency is stored is not part of the
+//! model: the recency order, and so every victim, hit and simulated
+//! completion time, is that of a textbook LRU (`tests/cache_model.rs`
+//! steps the two side by side).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use vscsi::{Lba, SECTOR_SIZE};
 
 /// Cache page size: 16 KiB (32 sectors), a common array track-buffer unit.
@@ -103,10 +116,14 @@ struct Stream {
 pub struct ArrayCache {
     params: CacheParams,
     capacity_pages: u64,
-    /// page -> LRU stamp.
-    resident: HashMap<u64, u64>,
-    /// LRU stamp -> page (inverse index for O(log n) eviction).
-    lru: BTreeMap<u64, u64>,
+    /// The recency ring, one node per resident page. `nodes[0]` is a
+    /// sentinel that closes it: its `next` is the LRU page (the next
+    /// victim), its `prev` the MRU. A full cache recycles the victim's node
+    /// for the incoming page, so the `Vec` never outgrows the capacity.
+    nodes: Vec<Node>,
+    /// page -> position in `nodes`.
+    index: PageIndex,
+    /// Stamp source for `Stream::last_used`.
     tick: u64,
     streams: Vec<Stream>,
     hits: u64,
@@ -114,15 +131,130 @@ pub struct ArrayCache {
     prefetched_pages: u64,
 }
 
+/// One resident page in the recency ring.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    page: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// Position of the ring's sentinel in `ArrayCache::nodes`.
+const SENTINEL: u32 = 0;
+
+/// The sentinel of an empty ring: linked to itself.
+const EMPTY_RING: Node = Node {
+    page: 0,
+    prev: SENTINEL,
+    next: SENTINEL,
+};
+
+/// Pages per [`Chunk`]. A command touches a run of consecutive pages (its
+/// span, then `readahead_pages` more), so one directory lookup serves up
+/// to this many of them.
+const CHUNK_PAGES: u64 = 64;
+
+/// The index entries of `CHUNK_PAGES` consecutive, aligned pages.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Position in `ArrayCache::nodes` of each page; `SENTINEL` = absent.
+    slots: [u32; CHUNK_PAGES as usize],
+    /// Resident pages among them; a chunk left with none is given back.
+    live: u32,
+}
+
+/// page -> node, as a directory of lazily allocated chunks: memory follows
+/// the resident set (at worst one chunk per resident page), not the LBA
+/// space, and consecutive pages cost no hashing after the first.
+#[derive(Debug, Clone, Default)]
+struct PageIndex {
+    /// chunk number (`page / CHUNK_PAGES`) -> position in `chunks`.
+    directory: HashMap<u64, u32, BuildHasherDefault<ChunkHasher>>,
+    chunks: Vec<Chunk>,
+    /// Positions in `chunks` whose chunk was given back.
+    spare: Vec<u32>,
+}
+
+impl PageIndex {
+    /// Position in `chunks` of the chunk covering `page`, allocated with
+    /// every page absent if the directory has none.
+    fn chunk_for(&mut self, page: u64) -> usize {
+        let PageIndex {
+            directory,
+            chunks,
+            spare,
+        } = self;
+        *directory.entry(page / CHUNK_PAGES).or_insert_with(|| {
+            spare.pop().unwrap_or_else(|| {
+                chunks.push(Chunk {
+                    slots: [SENTINEL; CHUNK_PAGES as usize],
+                    live: 0,
+                });
+                (chunks.len() - 1) as u32
+            })
+        }) as usize
+    }
+
+    /// Forgets resident `page`.
+    fn remove(&mut self, page: u64) {
+        let number = page / CHUNK_PAGES;
+        let at = self.directory[&number];
+        let chunk = &mut self.chunks[at as usize];
+        chunk.slots[(page % CHUNK_PAGES) as usize] = SENTINEL;
+        chunk.live -= 1;
+        if chunk.live == 0 {
+            self.directory.remove(&number);
+            self.spare.push(at);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.directory.clear();
+        self.chunks.clear();
+        self.spare.clear();
+    }
+}
+
+/// One multiply. Chunk numbers come from this program's own generators, so
+/// nothing is lost by dropping SipHash's resistance to crafted keys.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChunkHasher(u64);
+
+impl Hasher for ChunkHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a chunk number hashes through write_u64");
+    }
+
+    fn write_u64(&mut self, number: u64) {
+        // The table takes its bucket from the low bits and guest disks
+        // start at large powers of two: rotate the well-mixed high half of
+        // the product down.
+        self.0 = number.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32);
+    }
+}
+
 impl ArrayCache {
     /// Creates a cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacity is 2^32 - 1 pages (64 TiB) or more: the
+    /// recency ring links pages by `u32` position.
     pub fn new(params: CacheParams) -> Self {
         let capacity_pages = params.read_capacity_bytes / (PAGE_SECTORS * SECTOR_SIZE);
+        assert!(
+            capacity_pages < u64::from(u32::MAX),
+            "array cache of {capacity_pages} pages: the recency ring links pages by u32 position"
+        );
         ArrayCache {
             params,
             capacity_pages,
-            resident: HashMap::new(),
-            lru: BTreeMap::new(),
+            nodes: vec![EMPTY_RING],
+            index: PageIndex::default(),
             tick: 0,
             streams: Vec::new(),
             hits: 0,
@@ -159,7 +291,7 @@ impl ArrayCache {
 
     /// Pages currently resident.
     pub fn resident_pages(&self) -> u64 {
-        self.resident.len() as u64
+        self.nodes.len() as u64 - 1
     }
 
     /// Looks up a read, updates residency/stream state, and reports what
@@ -174,31 +306,19 @@ impl ArrayCache {
                 readahead_sectors: 0,
             };
         }
-        let first_page = lba.sector() / PAGE_SECTORS;
-        let last_page = (lba.sector() + sectors.max(1) - 1) / PAGE_SECTORS;
-        let mut hit_pages = 0u64;
-        let mut miss_pages = 0u64;
-        for page in first_page..=last_page {
-            if self.touch(page) {
-                hit_pages += 1;
-            } else {
-                miss_pages += 1;
-                self.insert(page);
-            }
-        }
+        let (first_page, total_pages) = page_span(lba, sectors);
+        let hit_pages = self.touch_run(first_page, total_pages);
+        let miss_pages = total_pages - hit_pages;
         self.hits += hit_pages;
         self.misses += miss_pages;
 
         let readahead_pages = self.update_streams(lba.sector(), sectors);
-        for i in 0..readahead_pages {
-            self.insert(last_page + 1 + i);
-        }
-        self.prefetched_pages += readahead_pages;
+        let already_resident = self.touch_run(first_page + total_pages, readahead_pages);
+        self.prefetched_pages += readahead_pages - already_resident;
 
         // Attribute sectors proportionally to page hits/misses; exact at
         // page granularity, approximate at the request edges.
-        let total_pages = hit_pages + miss_pages;
-        let miss_sectors = sectors * miss_pages / total_pages.max(1);
+        let miss_sectors = sectors * miss_pages / total_pages;
         ReadOutcome {
             hit_sectors: sectors - miss_sectors,
             miss_sectors,
@@ -211,52 +331,117 @@ impl ArrayCache {
     pub fn write(&mut self, lba: Lba, sectors: u64) -> bool {
         if self.capacity_pages > 0 {
             // Write-allocate into the read cache so read-after-write hits.
-            let first_page = lba.sector() / PAGE_SECTORS;
-            let last_page = (lba.sector() + sectors.max(1) - 1) / PAGE_SECTORS;
-            for page in first_page..=last_page {
-                if !self.touch(page) {
-                    self.insert(page);
-                }
-            }
+            let (first_page, total_pages) = page_span(lba, sectors);
+            self.touch_run(first_page, total_pages);
         }
         self.params.write_back
     }
 
     /// Drops all resident pages and stream state (cache flush).
     pub fn invalidate_all(&mut self) {
-        self.resident.clear();
-        self.lru.clear();
+        self.nodes.clear();
+        self.nodes.push(EMPTY_RING);
+        self.index.clear();
         self.streams.clear();
     }
 
-    /// Touches `page`, refreshing its LRU stamp; `true` if it was resident.
-    fn touch(&mut self, page: u64) -> bool {
-        self.tick += 1;
-        match self.resident.get_mut(&page) {
-            Some(stamp) => {
-                self.lru.remove(stamp);
-                *stamp = self.tick;
-                self.lru.insert(self.tick, page);
-                true
+    /// Touches `count` consecutive pages from `first` upwards, one at a
+    /// time: a resident page moves to the MRU end, an absent one enters
+    /// there and, in a full cache, takes the LRU page's place. Returns how
+    /// many were resident. A span longer than the cache evicts its own
+    /// head, and can evict a page further along it before that page's
+    /// turn (which then counts as absent).
+    ///
+    /// Resident pages that already follow one another in the ring (the
+    /// read-ahead window of an established stream, touched in this order by
+    /// the stream's previous command) are moved as one piece: the ring ends
+    /// up exactly as if each had been moved in turn.
+    fn touch_run(&mut self, first: u64, count: u64) -> u64 {
+        let end = first + count;
+        let mut resident = 0;
+        // Resident nodes met so far that are neighbours in ring order and
+        // have not been moved yet: (first, last).
+        let mut piece: Option<(u32, u32)> = None;
+        let mut page = first;
+        while page < end {
+            let chunk = self.index.chunk_for(page);
+            let chunk_end = end.min((page / CHUNK_PAGES + 1) * CHUNK_PAGES);
+            for page in page..chunk_end {
+                let slot = (page % CHUNK_PAGES) as usize;
+                let node = self.index.chunks[chunk].slots[slot];
+                if node != SENTINEL {
+                    resident += 1;
+                    piece = Some(match piece {
+                        Some((head, tail)) if self.nodes[tail as usize].next == node => {
+                            (head, node)
+                        }
+                        Some((head, tail)) => {
+                            self.move_to_mru(head, tail);
+                            (node, node)
+                        }
+                        None => (node, node),
+                    });
+                } else {
+                    // The victim is chosen from the ring as it stands.
+                    if let Some((head, tail)) = piece.take() {
+                        self.move_to_mru(head, tail);
+                    }
+                    // Counted in before the victim leaves, so that a victim
+                    // from this chunk cannot give the chunk back.
+                    self.index.chunks[chunk].live += 1;
+                    let node = self.admit(page);
+                    self.index.chunks[chunk].slots[slot] = node;
+                    self.link_mru(node, node);
+                }
             }
-            None => false,
+            page = chunk_end;
+        }
+        if let Some((head, tail)) = piece {
+            self.move_to_mru(head, tail);
+        }
+        resident
+    }
+
+    /// Finds an unlinked node for `page`, which is not resident: a new one
+    /// while the cache is filling, the victim's once it is full.
+    fn admit(&mut self, page: u64) -> u32 {
+        if self.resident_pages() < self.capacity_pages {
+            self.nodes.push(Node {
+                page,
+                prev: SENTINEL,
+                next: SENTINEL,
+            });
+            (self.nodes.len() - 1) as u32
+        } else {
+            let victim = self.nodes[SENTINEL as usize].next;
+            self.unlink(victim, victim);
+            self.index.remove(self.nodes[victim as usize].page);
+            self.nodes[victim as usize].page = page;
+            victim
         }
     }
 
-    fn insert(&mut self, page: u64) {
-        if self.capacity_pages == 0 {
-            return;
-        }
-        self.tick += 1;
-        if let Some(old) = self.resident.insert(page, self.tick) {
-            self.lru.remove(&old);
-        }
-        self.lru.insert(self.tick, page);
-        while self.resident.len() as u64 > self.capacity_pages {
-            let (&stamp, &victim) = self.lru.iter().next().expect("lru nonempty");
-            self.lru.remove(&stamp);
-            self.resident.remove(&victim);
-        }
+    /// Moves the piece of ring `head ..= tail` to the MRU end.
+    fn move_to_mru(&mut self, head: u32, tail: u32) {
+        self.unlink(head, tail);
+        self.link_mru(head, tail);
+    }
+
+    /// Takes the piece of ring `head ..= tail` out.
+    fn unlink(&mut self, head: u32, tail: u32) {
+        let before = self.nodes[head as usize].prev;
+        let after = self.nodes[tail as usize].next;
+        self.nodes[before as usize].next = after;
+        self.nodes[after as usize].prev = before;
+    }
+
+    /// Appends the unlinked chain `head ..= tail` at the MRU end.
+    fn link_mru(&mut self, head: u32, tail: u32) {
+        let mru = self.nodes[SENTINEL as usize].prev;
+        self.nodes[head as usize].prev = mru;
+        self.nodes[tail as usize].next = SENTINEL;
+        self.nodes[mru as usize].next = head;
+        self.nodes[SENTINEL as usize].prev = tail;
     }
 
     /// Advances stream detection; returns pages of read-ahead to fetch.
@@ -299,6 +484,14 @@ impl ArrayCache {
     }
 }
 
+/// First page and page count of `[lba, lba + sectors)`; a zero-length
+/// access still looks at the page it points into.
+fn page_span(lba: Lba, sectors: u64) -> (u64, u64) {
+    let first_page = lba.sector() / PAGE_SECTORS;
+    let last_page = (lba.sector() + sectors.max(1) - 1) / PAGE_SECTORS;
+    (first_page, last_page - first_page + 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +501,20 @@ mod tests {
             read_capacity_bytes: pages * PAGE_SECTORS * SECTOR_SIZE,
             ..Default::default()
         })
+    }
+
+    /// `pages` of capacity and no prefetcher, for tests that count nodes.
+    fn plain_cache(pages: u64) -> ArrayCache {
+        ArrayCache::new(CacheParams {
+            read_capacity_bytes: pages * PAGE_SECTORS * SECTOR_SIZE,
+            readahead_pages: 0,
+            ..Default::default()
+        })
+    }
+
+    fn read_page(c: &mut ArrayCache, page: u64) -> bool {
+        c.read(Lba::new(page * PAGE_SECTORS), PAGE_SECTORS)
+            .is_full_hit()
     }
 
     #[test]
@@ -442,5 +649,128 @@ mod tests {
             c.read(Lba::new(i * PAGE_SECTORS), PAGE_SECTORS);
         }
         assert!(c.resident_pages() <= 8);
+    }
+
+    #[test]
+    fn prefetched_pages_counts_pages_brought_in() {
+        let mut c = ArrayCache::new(CacheParams {
+            read_capacity_bytes: 1024 * PAGE_SECTORS * SECTOR_SIZE,
+            readahead_pages: 16,
+            ..Default::default()
+        });
+        let mut requested = 0;
+        for page in 0..64 {
+            requested += c
+                .read(Lba::new(page * PAGE_SECTORS), PAGE_SECTORS)
+                .readahead_sectors
+                / PAGE_SECTORS;
+        }
+        // Every command of the established stream asks for its 16-page
+        // window, but all of a window except its last page came in with
+        // the previous one.
+        assert_eq!(requested, 16 * 62);
+        assert!(
+            c.prefetched_pages() <= 64 + 16,
+            "{} pages prefetched by 64 one-page reads",
+            c.prefetched_pages()
+        );
+        assert_eq!(c.prefetched_pages() + c.misses(), c.resident_pages());
+    }
+
+    #[test]
+    fn full_cache_recycles_nodes_and_chunks() {
+        let mut c = plain_cache(8);
+        // Far-apart pages: one chunk each, the worst case for the index.
+        for i in 0..500u64 {
+            assert!(!read_page(&mut c, i * 1_000));
+            assert!(c.nodes.len() <= 1 + 8, "one node per resident page");
+            assert_eq!(c.index.directory.len() as u64, c.resident_pages());
+            // The incoming page's chunk is taken before the victim's is
+            // given back: one more than the live ones, never more.
+            assert!(c.index.chunks.len() <= 8 + 1);
+        }
+        assert_eq!(c.resident_pages(), 8);
+        // The last eight are the resident ones, oldest first.
+        for i in 492..500u64 {
+            assert!(read_page(&mut c, i * 1_000));
+        }
+    }
+
+    #[test]
+    fn invalidate_all_returns_every_node() {
+        let mut c = plain_cache(8);
+        for page in 0..20 {
+            read_page(&mut c, page);
+        }
+        c.invalidate_all();
+        assert_eq!(c.resident_pages(), 0);
+        assert_eq!((c.nodes.len(), c.index.chunks.len()), (1, 0));
+        // A full re-fill behaves like a new cache.
+        for page in 0..8 {
+            assert!(!read_page(&mut c, page));
+        }
+        for page in 0..8 {
+            assert!(read_page(&mut c, page));
+        }
+        assert_eq!(c.resident_pages(), 8);
+        assert!(!read_page(&mut c, 8));
+        assert!(!read_page(&mut c, 0), "page 0 was the victim");
+    }
+
+    #[test]
+    fn far_addresses_allocate_per_page_not_per_address() {
+        let mut c = plain_cache(64);
+        let far = Lba::new(u64::MAX / 2);
+        assert!(!c.read(far, 1).is_full_hit());
+        assert!(c.read(far, 1).is_full_hit());
+        assert_eq!((c.nodes.len(), c.index.chunks.len()), (2, 1));
+        // A page number that does not fit the ring's u32 links.
+        let wide = (1u64 << 32) + 5;
+        assert!(!read_page(&mut c, wide));
+        assert!(read_page(&mut c, wide));
+        assert_eq!((c.nodes.len(), c.index.chunks.len()), (3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "the recency ring links pages by u32 position")]
+    fn capacity_beyond_u32_links_is_refused() {
+        let _ = ArrayCache::new(CacheParams {
+            read_capacity_bytes: (1u64 << 32) * PAGE_SECTORS * SECTOR_SIZE,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    fn clone_of_a_warm_cache_evicts_in_the_same_order() {
+        let mut rng = simkit::SimRng::seed_from(7);
+        // One random read or write, applied to every cache given.
+        let mut step = |caches: &mut [ArrayCache]| -> Vec<Option<ReadOutcome>> {
+            let lba = Lba::new(rng.range_inclusive(0, 96 * PAGE_SECTORS));
+            let sectors = rng.range_inclusive(1, 3 * PAGE_SECTORS);
+            let write = rng.chance(0.25);
+            caches
+                .iter_mut()
+                .map(|c| {
+                    if write {
+                        c.write(lba, sectors);
+                        None
+                    } else {
+                        Some(c.read(lba, sectors))
+                    }
+                })
+                .collect()
+        };
+        let mut caches = vec![small_cache(32)];
+        for _ in 0..500 {
+            step(&mut caches);
+        }
+        caches.push(caches[0].clone());
+        for op in 0..1000 {
+            let outcomes = step(&mut caches);
+            assert_eq!(outcomes[0], outcomes[1], "op {op}");
+            assert_eq!(caches[0].resident_pages(), caches[1].resident_pages());
+        }
+        let counters = |c: &ArrayCache| (c.hits(), c.misses(), c.prefetched_pages());
+        assert_eq!(counters(&caches[0]), counters(&caches[1]));
     }
 }
