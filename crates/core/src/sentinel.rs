@@ -11,7 +11,7 @@
 //!   a pure function of `(seed, request id)` via splitmix64, so a degraded
 //!   run replays bit-exactly; recovery climbs one rung at a time and only
 //!   after [`SentinelConfig::recover_windows`] consecutive calm windows
-//!   with hysteresis margin ([`SentinelConfig::recover_per_mille`]).
+//!   with a hysteresis margin (70 % of the rung's threshold).
 //! * **Watchdog** — virtual-clock heartbeats per shard (and real-time
 //!   trip counters surfaced by trace sinks via [`SinkHealth`]) detect
 //!   ingests stuck beyond [`SentinelConfig::watchdog_budget_ns`].
@@ -111,6 +111,14 @@ impl ChaosSpec {
     }
 }
 
+/// Keep probability at `SampledSeries`, in 1024ths: half.
+const SAMPLE_KEEP_PER_1024: u32 = 512;
+/// Hysteresis margin for recovery: a window only counts as calm if the
+/// observed rate, inflated by `1000 / RECOVER_PER_MILLE`, still maps below
+/// the current rung (the rate must be under 70% of the rung's admission
+/// threshold).
+const RECOVER_PER_MILLE: u64 = 700;
+
 /// Tuning for the sentinel. All rate thresholds are events (issues plus
 /// completions) per [`SentinelConfig::window_ns`] of *virtual* time, so
 /// the governor is deterministic for a deterministic event stream.
@@ -128,13 +136,6 @@ pub struct SentinelConfig {
     /// Highest per-window event count for `CountersOnly`; above it the
     /// shard sheds.
     pub counters_max_rate: u64,
-    /// Keep probability at `SampledSeries`, in 1024ths (512 = keep half).
-    pub sample_keep_per_1024: u32,
-    /// Hysteresis margin for recovery: a window only counts as calm if
-    /// the observed rate, inflated by `1000 / recover_per_mille`, still
-    /// maps below the current rung (700 ⇒ rate must be under 70% of the
-    /// rung's admission threshold).
-    pub recover_per_mille: u32,
     /// Consecutive calm windows required to climb one rung.
     pub recover_windows: u32,
     /// Per-shard collector memory budget in bytes; once exceeded, the
@@ -165,8 +166,6 @@ impl SentinelConfig {
             full_max_rate: 4_096,
             sampled_max_rate: 16_384,
             counters_max_rate: 65_536,
-            sample_keep_per_1024: 512,
-            recover_per_mille: 700,
             recover_windows: 3,
             memory_budget_bytes: 0,
             watchdog_budget_ns: 50_000_000,
@@ -375,7 +374,7 @@ impl ShardSentinel {
                 Admission::Ingest
             }
             DegradeLevel::SampledSeries => {
-                if keep_coin(config.seed, key, config.sample_keep_per_1024) {
+                if keep_coin(config.seed, key, SAMPLE_KEEP_PER_1024) {
                     self.counters.ingested += 1;
                     Admission::Ingest
                 } else {
@@ -430,8 +429,7 @@ impl ShardSentinel {
         } else if self.level > DegradeLevel::Full {
             // Recover only with headroom: the rate inflated by the margin
             // must still map below the current rung.
-            let margin = u64::from(config.recover_per_mille.clamp(1, 1000));
-            let inflated = rate.saturating_mul(1000) / margin;
+            let inflated = rate.saturating_mul(1000) / RECOVER_PER_MILLE;
             if Self::level_for_rate(inflated, config) < self.level {
                 self.calm_windows += 1;
                 if self.calm_windows >= config.recover_windows.max(1) {

@@ -38,13 +38,12 @@ use crate::sentinel::{
     ShardSentinel,
 };
 use crate::trace::{TraceCapacity, TraceRecord, TraceSink, VscsiTracer};
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::time::{Duration, Instant};
 use vscsi::{IoCompletion, IoRequest, TargetId};
 
 /// Snapshot of a collector's headline counters, for `esxtop`-style listings.
@@ -108,6 +107,14 @@ impl VscsiEvent {
             VscsiEvent::Complete(completion) => completion.request.target,
         }
     }
+}
+
+/// Every blocking lock in this module is taken through here. A hook that
+/// panics under a shard lock poisons it; fencing and booking that panic is
+/// the sentinel's job, not the next caller's to re-raise, so poison is
+/// recovered.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[derive(Debug, Default)]
@@ -428,7 +435,7 @@ impl StatsService {
 
     fn install_tracer(&self, target: TargetId, tracer: VscsiTracer) {
         let shard = self.shard(target);
-        let mut state = shard.state.lock();
+        let mut state = lock(&shard.state);
         let entry = state.targets.entry(target).or_default();
         if entry.tracer.is_none() {
             shard.tracers.fetch_add(1, Ordering::Release);
@@ -444,7 +451,7 @@ impl StatsService {
     /// flushed here — live in the sink).
     pub fn stop_trace(&self, target: TargetId) -> Vec<TraceRecord> {
         let shard = self.shard(target);
-        let mut state = shard.state.lock();
+        let mut state = lock(&shard.state);
         let Some(tracer) = state.targets.get_mut(&target).and_then(|t| t.tracer.take()) else {
             return Vec::new();
         };
@@ -484,7 +491,7 @@ impl StatsService {
         if self.sentinel_on.load(Ordering::Acquire) {
             return self.supervised_issue(self.shard_index(req.target), enabled, req);
         }
-        let mut state = shard.state.lock();
+        let mut state = lock(&shard.state);
         state.apply_issue(enabled, &self.config, req);
         if enabled {
             shard.occupied.store(true, Ordering::Release);
@@ -503,7 +510,7 @@ impl StatsService {
             return self
                 .supervised_complete(self.shard_index(completion.request.target), completion);
         }
-        shard.state.lock().apply_complete(completion);
+        lock(&shard.state).apply_complete(completion);
     }
 
     /// Batched ingestion: feeds every event to [`Self::handle_issue`] or
@@ -531,9 +538,9 @@ impl StatsService {
     /// behavior change.
     pub fn enable_sentinel(&self, config: SentinelConfig) {
         let config = Arc::new(config);
-        *self.sentinel_cfg.lock() = Some(Arc::clone(&config));
+        *lock(&self.sentinel_cfg) = Some(Arc::clone(&config));
         for shard in self.shards.iter() {
-            shard.state.lock().sentinel.enable(Arc::clone(&config));
+            lock(&shard.state).sentinel.enable(Arc::clone(&config));
         }
         self.sentinel_on.store(true, Ordering::Release);
     }
@@ -553,7 +560,7 @@ impl StatsService {
         debug_assert!(sheds_by_shard.len() <= self.shards.len());
         for (shard, &n) in self.shards.iter().zip(sheds_by_shard) {
             if n > 0 {
-                shard.state.lock().sentinel.note_ring_shed(n);
+                lock(&shard.state).sentinel.note_ring_shed(n);
             }
         }
     }
@@ -564,7 +571,7 @@ impl StatsService {
         let shard = &self.shards[idx];
         let now_ns = req.issue_time.as_nanos();
         shard.busy_since_ns.store(now_ns, Ordering::Release);
-        let mut state = shard.state.lock();
+        let mut state = lock(&shard.state);
         let admission = if enabled {
             state.sentinel.admit(now_ns, req.id.0)
         } else {
@@ -624,7 +631,7 @@ impl StatsService {
         let shard = &self.shards[idx];
         let now_ns = completion.complete_time.as_nanos();
         shard.busy_since_ns.store(now_ns, Ordering::Release);
-        let mut state = shard.state.lock();
+        let mut state = lock(&shard.state);
         let admission = state.sentinel.admit(now_ns, completion.request.id.0);
         // A late completion from a generation a quarantine rebuild tore
         // down counts as stale instead of becoming a latency sample of a
@@ -704,7 +711,7 @@ impl StatsService {
         state.sentinel.note_quarantine();
         shard.tracers.store(0, Ordering::Release);
         self.salvages_total.fetch_add(1, Ordering::AcqRel);
-        let mut salvages = self.salvages.lock();
+        let mut salvages = lock(&self.salvages);
         if salvages.len() < Self::SALVAGE_RETENTION {
             salvages.push(SalvageRecord {
                 shard: idx,
@@ -715,26 +722,36 @@ impl StatsService {
         }
     }
 
-    /// Poison-recovering shard access for snapshot/read paths: while the
-    /// sentinel is armed, a reader waits at most the configured patience
-    /// for a shard lock and then *skips the shard* (counting a watchdog
-    /// trip) instead of wedging behind a stuck writer. With the sentinel
-    /// off this is a plain blocking lock, exactly as before.
+    /// Shard access for snapshot/read paths: while the sentinel is armed, a
+    /// reader waits at most the configured patience for a shard lock and
+    /// then *skips the shard* (counting a watchdog trip) instead of wedging
+    /// behind a stuck writer. It sleeps between tries, with a capped
+    /// back-off, so waiting out a wedged shard does not occupy a core. With
+    /// the sentinel off this is a plain blocking lock, exactly as before.
     fn read_state<'a>(&self, shard: &'a Shard) -> Option<MutexGuard<'a, ShardState>> {
+        // Sleeps between tries double from 50 µs up to this.
+        const NAP_CAP: Duration = Duration::from_millis(2);
         if !self.sentinel_on.load(Ordering::Acquire) {
-            return Some(shard.state.lock());
+            return Some(lock(&shard.state));
         }
-        let patience = self
-            .sentinel_cfg
-            .lock()
+        let patience = lock(&self.sentinel_cfg)
             .as_ref()
             .map_or(Duration::from_millis(500), |c| c.reader_patience);
-        match shard.state.try_lock_for(patience) {
-            Some(guard) => Some(guard),
-            None => {
-                self.shard_watchdog_trips.fetch_add(1, Ordering::AcqRel);
-                None
+        let deadline = Instant::now() + patience;
+        let mut nap = Duration::from_micros(50);
+        loop {
+            match shard.state.try_lock() {
+                Ok(guard) => return Some(guard),
+                Err(TryLockError::Poisoned(poisoned)) => return Some(poisoned.into_inner()),
+                Err(TryLockError::WouldBlock) => {}
             }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                self.shard_watchdog_trips.fetch_add(1, Ordering::AcqRel);
+                return None;
+            }
+            std::thread::sleep(nap.min(left));
+            nap = (nap * 2).min(NAP_CAP);
         }
     }
 
@@ -743,9 +760,7 @@ impl StatsService {
     /// before `now_ns` and has not left, counting one trip per stuck
     /// shard. Drive this from the simulation/poll loop.
     pub fn watchdog_check(&self, now_ns: u64) -> Vec<usize> {
-        let budget = self
-            .sentinel_cfg
-            .lock()
+        let budget = lock(&self.sentinel_cfg)
             .as_ref()
             .map_or(u64::MAX, |c| c.watchdog_budget_ns);
         let mut stuck = Vec::new();
@@ -786,7 +801,7 @@ impl StatsService {
         }
         HealthSnapshot {
             shards,
-            salvages: self.salvages.lock().clone(),
+            salvages: lock(&self.salvages).clone(),
             salvages_total: self.salvages_total.load(Ordering::Acquire),
             shard_watchdog_trips: self.shard_watchdog_trips.load(Ordering::Acquire),
             sink_watchdog_trips,
@@ -807,7 +822,7 @@ impl StatsService {
         let mut sentinels = Vec::with_capacity(self.shards.len());
         let mut targets = Vec::new();
         for shard in self.shards.iter() {
-            let state = shard.state.lock();
+            let state = lock(&shard.state);
             sentinels.push(state.sentinel.export_state());
             for (target, t) in state.targets.iter() {
                 targets.push(TargetCheckpoint {
@@ -830,7 +845,7 @@ impl StatsService {
             salvages_total: self.salvages_total.load(Ordering::Acquire),
             shard_watchdog_trips: self.shard_watchdog_trips.load(Ordering::Acquire),
             sentinels,
-            salvages: self.salvages.lock().clone(),
+            salvages: lock(&self.salvages).clone(),
             targets,
         }
     }
@@ -879,13 +894,13 @@ impl StatsService {
             .store(ckpt.salvages_total, Ordering::Release);
         svc.shard_watchdog_trips
             .store(ckpt.shard_watchdog_trips, Ordering::Release);
-        *svc.salvages.lock() = ckpt.salvages.clone();
+        *lock(&svc.salvages) = ckpt.salvages.clone();
         for (shard, state) in svc.shards.iter().zip(ckpt.sentinels.iter()) {
-            shard.state.lock().sentinel.restore_state(state);
+            lock(&shard.state).sentinel.restore_state(state);
         }
         for t in &ckpt.targets {
             let shard = svc.shard(t.target);
-            let mut state = shard.state.lock();
+            let mut state = lock(&shard.state);
             let entry = state.targets.entry(t.target).or_default();
             if let Some(cs) = &t.collector {
                 entry.collector = Some(IoStatsCollector::from_state(cs.clone()));
@@ -898,14 +913,14 @@ impl StatsService {
     /// Attaches the health surface of a checkpoint daemon, enabling the
     /// `checkpoint` command and the checkpoint row in `health` output.
     pub fn attach_checkpoint_health(&self, health: Arc<CheckpointHealth>) {
-        *self.ckpt_health.lock() = Some(health);
+        *lock(&self.ckpt_health) = Some(health);
     }
 
     /// The attached checkpoint daemon's health surface, if one is
     /// attached — operator front-ends (`EsxTop`) read it to render the
     /// checkpoint row next to their own counters.
     pub fn checkpoint_health(&self) -> Option<Arc<CheckpointHealth>> {
-        self.ckpt_health.lock().clone()
+        lock(&self.ckpt_health).clone()
     }
 
     #[cfg(test)]
@@ -1076,14 +1091,14 @@ impl StatsService {
             )),
             "health" => {
                 let mut out = self.health_snapshot().render();
-                if let Some(h) = self.ckpt_health.lock().as_ref() {
+                if let Some(h) = lock(&self.ckpt_health).as_ref() {
                     out.push_str("  checkpoint: ");
                     out.push_str(&h.render());
                     out.push('\n');
                 }
                 Ok(out)
             }
-            "checkpoint" => match self.ckpt_health.lock().as_ref() {
+            "checkpoint" => match lock(&self.ckpt_health).as_ref() {
                 Some(h) => {
                     h.request_now();
                     Ok(format!("vscsiStats: checkpoint requested ({})", h.render()))
@@ -1206,7 +1221,7 @@ mod tests {
         struct SharedSink(Arc<Mutex<Vec<TraceRecord>>>);
         impl TraceSink for SharedSink {
             fn append(&mut self, record: &TraceRecord) {
-                self.0.lock().push(*record);
+                lock(&self.0).push(*record);
             }
         }
         let s = StatsService::default();
@@ -1219,12 +1234,12 @@ mod tests {
         s.handle_issue(&r1);
         s.handle_complete(&IoCompletion::new(r0, SimTime::from_micros(300)));
         // One completed record reached the sink; one is still in flight.
-        assert_eq!(sink.0.lock().len(), 1);
+        assert_eq!(lock(&sink.0).len(), 1);
         assert!(s.tracer_footprint_bytes() > 0);
         // stop_trace flushes the in-flight tail into the sink and returns
         // nothing — the sink owns the trace.
         assert!(s.stop_trace(t).is_empty());
-        let records = sink.0.lock().clone();
+        let records = lock(&sink.0).clone();
         assert_eq!(records.len(), 2);
         assert_eq!(
             records.iter().filter(|r| r.complete_ns.is_some()).count(),
@@ -1680,30 +1695,90 @@ mod tests {
         assert!(s.health_snapshot().conserves());
     }
 
+    /// CPU time this thread has used so far, where the platform tells.
+    fn thread_cpu() -> Option<Duration> {
+        // Fields 14 and 15 of /proc/thread-self/stat (utime, stime), counted
+        // after the parenthesised command name, in 10 ms ticks.
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+        let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+        let ticks = fields.next()?.parse::<u64>().ok()? + fields.next()?.parse::<u64>().ok()?;
+        Some(Duration::from_millis(10 * ticks))
+    }
+
     #[test]
     fn readers_skip_wedged_shard_instead_of_blocking() {
         let s = StatsService::with_shards(CollectorConfig::default(), 1);
         s.enable_all();
         let mut cfg = quiet_sentinel(1);
-        cfg.reader_patience = Duration::from_millis(10);
+        let patience = Duration::from_millis(100);
+        cfg.reader_patience = patience;
         s.enable_sentinel(cfg);
         s.handle_issue(&req(TargetId::default(), 0, 0));
         assert_eq!(s.summaries().len(), 1);
+        let trips = || s.health_snapshot().shard_watchdog_trips;
+        assert_eq!(trips(), 0);
 
-        // Wedge the only shard, as a stuck writer would.
-        let guard = s.shards[0].state.lock();
+        // Wedge the only shard, as a stuck writer would. Each read waits
+        // out its patience — no less, and not much more than one nap more
+        // — then gives up, booking exactly one trip.
+        let guard = lock(&s.shards[0].state);
+        let cpu = thread_cpu();
+        let started = Instant::now();
         assert!(s.summaries().is_empty());
+        let waited = started.elapsed();
+        assert!(
+            waited >= patience && waited < 2 * patience,
+            "gave up after {waited:?}, patience {patience:?}"
+        );
         assert!(s.targets().is_empty());
         let health = s.health_snapshot();
         assert!(!health.shards[0].reachable);
+        assert_eq!(health.shard_watchdog_trips, 3);
+        // Three patiences of wall clock cost next to no CPU: the reader
+        // sleeps between tries instead of spinning on the lock.
+        if let (Some(before), Some(after)) = (cpu, thread_cpu()) {
+            assert!(
+                after - before <= patience / 2,
+                "reader burned {:?} of CPU behind a wedged shard",
+                after - before
+            );
+        }
         drop(guard);
 
-        // Released: everything is visible again, and the give-ups were
-        // counted as watchdog trips.
+        // Released: everything is visible again at no further trip.
         assert_eq!(s.summaries().len(), 1);
-        let health = s.health_snapshot();
-        assert!(health.shards[0].reachable);
-        assert!(health.shard_watchdog_trips >= 3);
+        assert!(s.health_snapshot().shards[0].reachable);
+        assert_eq!(trips(), 3);
+    }
+
+    #[test]
+    fn panic_under_the_unsupervised_shard_lock_does_not_poison_it() {
+        /// Fails on its first record only, so the tracer's drop can flush.
+        #[derive(Debug)]
+        struct FailsOnce(bool);
+        impl TraceSink for FailsOnce {
+            fn append(&mut self, _: &TraceRecord) {
+                if !std::mem::replace(&mut self.0, true) {
+                    panic!("sink failure under the shard lock");
+                }
+            }
+        }
+        let s = StatsService::with_shards(CollectorConfig::default(), 1);
+        s.enable_all();
+        let t = TargetId::default();
+        s.start_trace_streaming(t, Box::new(FailsOnce(false)));
+        let r0 = req(t, 0, 0);
+        s.handle_issue(&r0);
+        // No sentinel, so nothing fences the hook: the panic unwinds through
+        // `handle_complete` while it holds the shard's guard.
+        let done = IoCompletion::new(r0, SimTime::from_micros(40));
+        assert!(catch_unwind(AssertUnwindSafe(|| s.handle_complete(&done))).is_err());
+
+        // Readers, the checkpoint census and the next hook all get the lock.
+        assert_eq!(s.summaries()[0].completed, 1);
+        assert_eq!(s.checkpoint_snapshot().targets.len(), 1);
+        s.handle_issue(&req(t, 1, 50));
+        assert_eq!(s.summaries()[0].issued, 2);
     }
 
     #[test]

@@ -676,11 +676,11 @@ mod tests {
     /// Test sink that shares its buffer with the test body, so records can
     /// be inspected after the tracer consumed the boxed sink.
     #[derive(Debug, Default, Clone)]
-    struct SharedSink(std::sync::Arc<parking_lot::Mutex<Vec<TraceRecord>>>);
+    struct SharedSink(std::sync::Arc<std::sync::Mutex<Vec<TraceRecord>>>);
 
     impl TraceSink for SharedSink {
         fn append(&mut self, record: &TraceRecord) {
-            self.0.lock().push(*record);
+            self.0.lock().unwrap().push(*record);
         }
     }
 
@@ -712,7 +712,7 @@ mod tests {
         streaming.finish();
         streaming.finish(); // idempotent
         assert!(streaming.into_records().is_empty(), "records live in sink");
-        let mut streamed = sink.0.lock().clone();
+        let mut streamed = sink.0.lock().unwrap().clone();
         streamed.sort_by_key(|r| r.serial);
         let expected = mem.into_records();
         assert_eq!(streamed, expected);
@@ -727,7 +727,7 @@ mod tests {
             t.on_issue(&req(i, i * 8, i * 10));
         }
         drop(t);
-        let records = sink.0.lock().clone();
+        let records = sink.0.lock().unwrap().clone();
         assert_eq!(records.len(), 5);
         assert!(records.iter().all(|r| r.complete_ns.is_none()));
         let serials: Vec<u64> = records.iter().map(|r| r.serial).collect();
@@ -744,7 +744,7 @@ mod tests {
         t.on_issue(&req(1, 128, 20));
         t.on_complete(&IoCompletion::new(r, SimTime::from_micros(99)));
         drop(t);
-        let records = sink.0.lock().clone();
+        let records = sink.0.lock().unwrap().clone();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].complete_ns, None);
     }

@@ -50,6 +50,6 @@ mod top;
 mod vm;
 
 pub use host::Testbed;
-pub use sim::{AttachmentStats, CpuParams, RobustnessParams, Simulation};
+pub use sim::{AttachmentStats, RobustnessParams, Simulation};
 pub use top::{EsxTop, TopSample};
 pub use vm::{Attachment, Vm, VmBuilder};

@@ -95,68 +95,49 @@ impl AttachmentStats {
     }
 }
 
-/// Host CPU cost model for the I/O path (Table 2's "CPU out of 800"
-/// accounting). Costs are charged per command at completion time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuParams {
-    /// Fixed vSCSI + VMM + driver cost per command.
-    pub per_command: SimDuration,
-    /// Additional per-4-KiB cost of moving data.
-    pub per_4k: SimDuration,
-    /// Extra cost per command while the histogram service is enabled (set
-    /// this from `ext_e2e`'s measured `hook_ns_per_cmd_p50`).
-    pub stats_overhead: SimDuration,
-    /// Number of physical CPUs (Table 1's host has 8 → "out of 800").
-    pub cpus: u32,
-}
+// Host CPU cost model for the I/O path (Table 2's "CPU out of 800"
+// accounting on Table 1's 8-CPU host), charged per command at delivery.
 
-impl Default for CpuParams {
-    fn default() -> Self {
-        CpuParams {
-            per_command: SimDuration::from_micros(110),
-            per_4k: SimDuration::from_micros(3),
-            stats_overhead: SimDuration::from_nanos(350),
-            cpus: 8,
-        }
-    }
-}
+/// Fixed vSCSI + VMM + driver cost per command.
+const CPU_PER_COMMAND: SimDuration = SimDuration::from_micros(110);
+/// Additional per-4-KiB cost of moving data.
+const CPU_PER_4K: SimDuration = SimDuration::from_micros(3);
+/// Extra cost per command while the histogram service is enabled; `ext_e2e`
+/// measures the real hook as `hook_ns_per_cmd_p50`.
+const CPU_STATS_OVERHEAD: SimDuration = SimDuration::from_nanos(350);
 
-/// Error-handling policy for the hypervisor's I/O path: command
-/// timeouts, bounded retry with exponential backoff, and graceful
-/// degradation of failing targets.
+/// Maximum retry dispatches per command for retryable statuses (`BUSY`,
+/// `UNIT ATTENTION`).
+const MAX_RETRIES: u32 = 4;
+/// Upper bound of the uniform jitter added to each retry backoff (avoids
+/// retry convoys when a whole queue got BUSY at once).
+const RETRY_JITTER: SimDuration = SimDuration::from_micros(500);
+/// Delivered-error fraction above which a target is quarantined.
+const QUARANTINE_ERROR_RATE: f64 = 0.5;
+/// Deliveries required before the error rate is trusted.
+const QUARANTINE_MIN_COMMANDS: u64 = 32;
+/// Simulated latency of aborting one queued command while draining a
+/// quarantined target (an abort task-management round trip).
+const ABORT_DRAIN_LATENCY: SimDuration = SimDuration::from_micros(500);
+
+/// The settable part of the hypervisor's error-handling policy (command
+/// timeouts, bounded retry with exponential backoff, graceful degradation
+/// of failing targets); the rest is fixed in this module.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessParams {
     /// How long a dispatched command may stay unanswered before the
     /// initiator aborts it. Generous by default — well above any healthy
     /// service time — so the timeout path only fires on real hangs.
     pub command_timeout: SimDuration,
-    /// Maximum retry dispatches per command for retryable statuses
-    /// (`BUSY`, `UNIT ATTENTION`).
-    pub max_retries: u32,
     /// First retry backoff; doubles on each subsequent retry.
     pub retry_backoff_base: SimDuration,
-    /// Upper bound of the uniform jitter added to each backoff (avoids
-    /// retry convoys when a whole queue got BUSY at once).
-    pub retry_jitter: SimDuration,
-    /// Delivered-error fraction above which a target is quarantined.
-    pub quarantine_error_rate: f64,
-    /// Deliveries required before the error rate is trusted.
-    pub quarantine_min_commands: u64,
-    /// Simulated latency of aborting one queued command while draining a
-    /// quarantined target (an abort task-management round trip).
-    pub abort_drain_latency: SimDuration,
 }
 
 impl Default for RobustnessParams {
     fn default() -> Self {
         RobustnessParams {
             command_timeout: SimDuration::from_secs(2),
-            max_retries: 4,
             retry_backoff_base: SimDuration::from_millis(1),
-            retry_jitter: SimDuration::from_micros(500),
-            quarantine_error_rate: 0.5,
-            quarantine_min_commands: 32,
-            abort_drain_latency: SimDuration::from_micros(500),
         }
     }
 }
@@ -260,7 +241,6 @@ pub struct Simulation {
     next_request_id: u64,
     /// Device queue depth per attachment (ESX per-VM per-target queue).
     queue_depth: u32,
-    cpu: CpuParams,
     /// Host CPU nanoseconds consumed by the I/O path so far.
     cpu_used_ns: u64,
     robustness: RobustnessParams,
@@ -296,18 +276,12 @@ impl Simulation {
             next_base_sector: 0,
             next_request_id: 0,
             queue_depth: Self::DEFAULT_QUEUE_DEPTH,
-            cpu: CpuParams::default(),
             cpu_used_ns: 0,
             robustness: RobustnessParams::default(),
             retry_rng: rng.fork("retry"),
             rng,
             started: false,
         }
-    }
-
-    /// Overrides the host CPU cost model.
-    pub fn set_cpu_params(&mut self, cpu: CpuParams) {
-        self.cpu = cpu;
     }
 
     /// Overrides the error-handling policy (timeouts, retries,
@@ -650,11 +624,11 @@ impl Simulation {
     }
 
     /// Schedules abort deliveries for everything queued on a quarantined
-    /// target. Deliveries are pushed `abort_drain_latency` into the
+    /// target. Deliveries are pushed `ABORT_DRAIN_LATENCY` into the
     /// future so simulated time always advances even if the guest
     /// instantly reissues — quarantine degrades, it cannot livelock.
     fn drain_quarantined(&mut self, attach: usize, now: SimTime) {
-        let at = now + self.robustness.abort_drain_latency;
+        let at = now + ABORT_DRAIN_LATENCY;
         let runtime = &mut self.attachments[attach];
         let pending = std::mem::take(&mut runtime.pending);
         let mut scheduled = Vec::with_capacity(pending.len());
@@ -696,7 +670,7 @@ impl Simulation {
         }
         let status = cmd.status;
         let quarantined = runtime.quarantined;
-        if status.is_retryable() && cmd.retries < self.robustness.max_retries && !quarantined {
+        if status.is_retryable() && cmd.retries < MAX_RETRIES && !quarantined {
             // Bounded retry with exponential backoff + jitter. The
             // command keeps its identity (no new vSCSI issue hook — the
             // guest sent it once), so characterization streams see it
@@ -712,10 +686,8 @@ impl Simulation {
                     .as_nanos()
                     .saturating_mul(1u64 << exponent),
             );
-            let jitter = SimDuration::from_nanos(
-                self.retry_rng
-                    .range_inclusive(0, self.robustness.retry_jitter.as_nanos().max(1)),
-            );
+            let jitter =
+                SimDuration::from_nanos(self.retry_rng.range_inclusive(0, RETRY_JITTER.as_nanos()));
             self.queue.schedule(
                 now + backoff + jitter,
                 Event::Retry {
@@ -799,12 +771,12 @@ impl Simulation {
         // Host CPU accounting (Table 2): fixed per-command cost, data-size
         // cost (only moved on success), and the stats service's
         // per-command overhead when enabled.
-        let mut cost = self.cpu.per_command.as_nanos();
+        let mut cost = CPU_PER_COMMAND.as_nanos();
         if status.is_good() {
-            cost += self.cpu.per_4k.as_nanos() * (request.len_bytes() / (8 * SECTOR_SIZE));
+            cost += CPU_PER_4K.as_nanos() * (request.len_bytes() / (8 * SECTOR_SIZE));
         }
         if self.service.is_enabled() {
-            cost += self.cpu.stats_overhead.as_nanos();
+            cost += CPU_STATS_OVERHEAD.as_nanos();
         }
         self.cpu_used_ns += cost;
         // Graceful degradation: a target whose delivered error rate
@@ -812,8 +784,8 @@ impl Simulation {
         {
             let runtime = &mut self.attachments[attach];
             if !runtime.quarantined
-                && runtime.stats.delivered() >= self.robustness.quarantine_min_commands
-                && runtime.stats.error_rate() > self.robustness.quarantine_error_rate
+                && runtime.stats.delivered() >= QUARANTINE_MIN_COMMANDS
+                && runtime.stats.error_rate() > QUARANTINE_ERROR_RATE
             {
                 runtime.quarantined = true;
             }

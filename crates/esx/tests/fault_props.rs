@@ -95,7 +95,6 @@ fn run_faulted(seed: u64, specs: &[FaultSpec]) -> Simulation {
         // Tight enough that hangs resolve many times within the horizon.
         command_timeout: SimDuration::from_millis(20),
         retry_backoff_base: SimDuration::from_micros(500),
-        ..RobustnessParams::default()
     });
     sim.attach_fault_plan(build_plan(seed, specs));
     sim.add_vm(VmBuilder::new(0).with_disk(2 * 1024 * 1024 * 1024).attach(

@@ -19,11 +19,18 @@
 //! bug class this module is designed out of.
 
 use crate::index::ZoneStats;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The crate's locks are taken through here. Ring and writer state are
+/// counters and a queue, valid after every statement, so a producer or the
+/// writer that panicked must not take the other side down through poison.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Backpressure accounting, split by cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -173,7 +180,7 @@ impl ChunkRing {
     /// Offers a sealed chunk: when the ring is full, waits for the writer
     /// (up to the block budget) unless demoted, then evicts the oldest.
     pub(crate) fn push_chunk(&self, payload: Vec<u8>, records: u32, stats: ZoneStats) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if state.closed {
             state.drops.closed_chunks += 1;
             state.drops.closed_records += u64::from(records);
@@ -189,7 +196,13 @@ impl ChunkRing {
                 let deadline = Instant::now() + self.block_budget;
                 let mut expired = false;
                 while state.chunks >= self.max_chunks && !state.closed && !self.is_demoted() {
-                    if self.not_full.wait_until(&mut state, deadline).timed_out() {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    let (guard, wait) = self
+                        .not_full
+                        .wait_timeout(state, left)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    state = guard;
+                    if wait.timed_out() {
                         expired = true;
                         break;
                     }
@@ -222,7 +235,7 @@ impl ChunkRing {
     /// Enqueues a control message (never counted against capacity).
     /// Returns `false` if the ring has already shut down.
     pub(crate) fn push_control(&self, msg: Msg) -> bool {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if state.closed {
             return false;
         }
@@ -235,7 +248,7 @@ impl ChunkRing {
     /// Blocks for the next message; `None` once the ring is closed and
     /// drained.
     pub(crate) fn pop(&self) -> Option<Msg> {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         loop {
             if let Some(msg) = state.queue.pop_front() {
                 if let Msg::Chunk { payload, .. } = &msg {
@@ -249,14 +262,17 @@ impl ChunkRing {
             if state.closed {
                 return None;
             }
-            self.not_empty.wait(&mut state);
+            state = self
+                .not_empty
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Marks the ring closed: subsequent chunk pushes are dropped (and
     /// accounted), blocked producers wake, and `pop` drains then ends.
     pub(crate) fn close(&self) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         state.closed = true;
         drop(state);
         self.not_full.notify_all();
@@ -265,7 +281,7 @@ impl ChunkRing {
 
     /// Snapshot of the drop accounting.
     pub(crate) fn drops(&self) -> DropStats {
-        self.state.lock().drops
+        lock(&self.state).drops
     }
 
     /// Allocated bytes of the chunks currently queued.

@@ -25,16 +25,14 @@
 
 use crate::codec::BlockBuilder;
 use crate::index::{encode_index, index_path, tmp_index_path, BlockEntry, SegmentIndex, ZoneStats};
-use crate::ring::{ChunkRing, DropStats, Msg};
+use crate::ring::{lock, ChunkRing, DropStats, Msg};
 use crate::segment::{write_block_with_crc, write_segment_header, SEGMENT_EXTENSION};
-use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use vscsi_stats::crc32::crc32;
@@ -215,7 +213,7 @@ impl Drop for CloseGuard<'_> {
 }
 
 fn record_error(stats: &Mutex<WriterStats>, err: &std::io::Error, lost_records: u64) {
-    let mut stats = stats.lock();
+    let mut stats = lock(stats);
     stats.io_errors += 1;
     stats.io_error_records += lost_records;
     if stats.first_error.is_none() {
@@ -255,7 +253,7 @@ fn close_segment(shared: &Shared, medium: &mut dyn Medium, mut seg: OpenSegment)
     let final_path = index_path(&seg.path);
     match publish_atomic(medium, &tmp_index_path(&final_path), &final_path, &bytes) {
         Ok(_) => {
-            let mut stats = shared.stats.lock();
+            let mut stats = lock(&shared.stats);
             stats.indexes += 1;
             stats.index_bytes += bytes.len() as u64;
         }
@@ -287,7 +285,7 @@ fn writer_loop(shared: &Shared, config: &TraceStoreConfig, medium: &mut dyn Medi
                             next_index += 1;
                             let mut file = medium.create(&path)?;
                             let header = write_segment_header(&mut file)?;
-                            let mut stats = shared.stats.lock();
+                            let mut stats = lock(&shared.stats);
                             stats.segments += 1;
                             stats.bytes_written += header as u64;
                             drop(stats);
@@ -310,7 +308,7 @@ fn writer_loop(shared: &Shared, config: &TraceStoreConfig, medium: &mut dyn Medi
                         stats: (records > 0).then_some(zone),
                     });
                     seg.bytes += written;
-                    let mut stats = shared.stats.lock();
+                    let mut stats = lock(&shared.stats);
                     stats.blocks += 1;
                     stats.records += u64::from(records);
                     stats.bytes_written += written as u64;
@@ -437,7 +435,7 @@ impl TraceStore {
 
     /// Snapshot of the accounting so far (capture may still be running).
     pub fn report(&self) -> StoreReport {
-        let stats = self.shared.stats.lock();
+        let stats = lock(&self.shared.stats);
         StoreReport {
             segments: stats.segments,
             blocks: stats.blocks,
@@ -565,6 +563,7 @@ mod tests {
     use super::*;
     use crate::reader::read_trace;
     use std::io;
+    use std::sync::Condvar;
     use vscsi::{IoDirection, Lba, TargetId};
 
     struct TempDir(PathBuf);
@@ -761,16 +760,16 @@ mod tests {
 
     /// Medium whose segments block every write until the shared gate
     /// opens — a hung disk / dead iSCSI session.
-    struct StuckBackend(Arc<(Mutex<bool>, parking_lot::Condvar)>);
+    struct StuckBackend(Arc<(Mutex<bool>, Condvar)>);
 
-    struct StuckSegment(Arc<(Mutex<bool>, parking_lot::Condvar)>);
+    struct StuckSegment(Arc<(Mutex<bool>, Condvar)>);
 
     impl Write for StuckSegment {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             let (gate, cvar) = &*self.0;
-            let mut open = gate.lock();
+            let mut open = lock(gate);
             while !*open {
-                cvar.wait(&mut open);
+                open = cvar.wait(open).unwrap();
             }
             Ok(buf.len())
         }
@@ -800,7 +799,7 @@ mod tests {
         config.max_chunks = 2;
         config.flush_timeout = Duration::from_millis(50);
         config.block_budget = Duration::from_millis(50);
-        let gate = Arc::new((Mutex::new(false), parking_lot::Condvar::new()));
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let store =
             TraceStore::create_with_medium(config, StuckBackend(Arc::clone(&gate))).unwrap();
         let mut sink = store.handle();
@@ -821,7 +820,7 @@ mod tests {
         }
         assert!(sink.dropped_records() > 0);
         // Open the gate so the writer drains and the store can finish.
-        *gate.0.lock() = true;
+        *lock(&gate.0) = true;
         gate.1.notify_all();
         drop(sink);
         let report = store.finish();
