@@ -2,7 +2,7 @@
 //!
 //! Four seeded crash scenarios run the full pipeline — a live
 //! [`StatsService`] streaming per-target traces into a durable
-//! `tracestore`, a [`CheckpointDaemon`] writing `VSCKPT1` snapshots on a
+//! `tracestore`, a [`CheckpointDaemon`] writing `VSCKPT2` snapshots on a
 //! virtual-clock cadence, and a fleet collector polling the host every
 //! window — then kill the simulated kernel at a scheduled point, restart,
 //! and prove the recovery invariant:

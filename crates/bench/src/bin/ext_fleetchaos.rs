@@ -17,7 +17,7 @@
 //!   opens after 3 failed windows, probes on its cadence, and the host is
 //!   evicted once it is 8 windows past its last good frame.
 //! * **restarter** — rebooted at window 8: a fresh service with a bumped
-//!   epoch (`VFLHIST2` carries it) and a reset frame sequence. The
+//!   epoch (`VFLHIST3` carries it) and a reset frame sequence. The
 //!   collector re-bases, books exactly one lost window, and the restart
 //!   must merge into the windowed running total with *zero*
 //!   double-counting, bit for bit.

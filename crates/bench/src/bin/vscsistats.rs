@@ -153,7 +153,7 @@ fn print_help() {
     println!("  --health       supervise the run with the sentinel and print its health snapshot");
     println!("  --fetch-all    print the FetchAllHistograms dump (every target's full slot set)");
     println!("  --replay P     rebuild histograms from a trace file/directory instead of running");
-    println!("  --checkpoint-dir D  write a durable VSCKPT1 checkpoint of the run into D");
+    println!("  --checkpoint-dir D  write a durable VSCKPT2 checkpoint of the run into D");
     println!("  --restore D    rebuild histograms from the newest durable checkpoint in D");
     println!("\nquery predicate flags (legs AND together; omit all for a full scan):");
     println!("  --from-us N / --to-us N    issue-time window, microseconds since capture start");
@@ -287,8 +287,8 @@ fn run_replay(path: &Path, args: &Args) -> Result<(), String> {
 }
 
 /// `--restore`: rebuild the online histograms from the newest durable
-/// `VSCKPT1` checkpoint in a directory — the restart half of the crash-
-/// consistency plane, without running a simulation. Torn or otherwise
+/// `VSCKPT2` (or `VSCKPT1`) checkpoint in a directory — the restart half
+/// of the crash-consistency plane, without running a simulation. Torn or otherwise
 /// corrupt newer checkpoint files are skipped (and reported), exactly as
 /// a crash-recovering daemon would skip them.
 fn run_restore(dir: &Path, args: &Args) -> Result<(), String> {
@@ -699,7 +699,7 @@ fn main() {
             Ok(dump) => {
                 print!("{dump}");
                 println!(
-                    "wire: VFLHIST2 frame ok ({} bytes, epoch {}, {} target(s))",
+                    "wire: VFLHIST3 frame ok ({} bytes, epoch {}, {} target(s))",
                     bytes.len(),
                     frame.epoch,
                     frame.targets.len()

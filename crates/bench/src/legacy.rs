@@ -278,10 +278,11 @@ impl LegacyCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fleet::{decode_frame, encode_frame, HostFrame, TargetHistograms};
     use proptest::prelude::*;
     use simkit::{SimDuration, SimTime};
     use vscsi::{IoDirection, Lba, ScsiStatus, SenseKey, TargetId};
-    use vscsi_stats::IoStatsCollector;
+    use vscsi_stats::{IoStatsCollector, ServiceCheckpoint, StatsService};
 
     /// One issued command of a stream — `(write, lba, sectors, step_us)`,
     /// where a negative issue-time step runs the clock backwards — then
@@ -324,8 +325,30 @@ mod tests {
         (4, (0..4_000).map(cmd).collect())
     }
 
+    /// All 21 (metric, lens) histograms of `read` — 16 of them stored by
+    /// the slab, 5 derived when read — equal the oracle's, which stores
+    /// and records every one of them separately.
+    fn assert_matches_oracle(
+        legacy: &LegacyCollector,
+        read: impl Fn(Metric, Lens) -> Histogram,
+        path: &str,
+    ) {
+        for metric in Metric::ALL {
+            for lens in Lens::ALL {
+                let (a, b) = (legacy.histogram(metric, lens), read(metric, lens));
+                assert_eq!(a.counts(), b.counts(), "{path}: {metric}/{lens} counts");
+                assert_eq!(a.total(), b.total(), "{path}: {metric}/{lens} total");
+                assert_eq!(a.sum(), b.sum(), "{path}: {metric}/{lens} sum");
+                assert_eq!(a.min(), b.min(), "{path}: {metric}/{lens} min");
+                assert_eq!(a.max(), b.max(), "{path}: {metric}/{lens} max");
+            }
+        }
+    }
+
     /// Drives both collectors with one stream at queue depth `depth` and
-    /// asserts that every histogram, series and counter agrees bit-for-bit.
+    /// asserts that every histogram, series and counter agrees bit-for-bit
+    /// — read from the collector, from a fleet frame that carried its set,
+    /// and from a service restored from a checkpoint of the same stream.
     fn assert_collectors_agree(depth: usize, stream: &[Cmd]) {
         let config = CollectorConfig {
             series_interval: Some(SimDuration::from_secs(1)),
@@ -333,7 +356,9 @@ mod tests {
             ..CollectorConfig::default()
         };
         let mut legacy = LegacyCollector::new(config.clone());
-        let mut slab = IoStatsCollector::new(config);
+        let mut slab = IoStatsCollector::new(config.clone());
+        let service = StatsService::new(config);
+        service.enable_all();
 
         let mut pending: Vec<IoRequest> = Vec::new();
         let mut now_us = 1_000u64;
@@ -360,6 +385,7 @@ mod tests {
             let req = request(i as u64);
             legacy.on_issue(&req);
             slab.on_issue(&req);
+            service.handle_issue(&req);
             pending.push(req);
 
             let mut done = Vec::new();
@@ -379,6 +405,7 @@ mod tests {
                 };
                 legacy.on_complete(&completion);
                 slab.on_complete(&completion);
+                service.handle_complete(&completion);
             }
         }
 
@@ -392,16 +419,29 @@ mod tests {
             legacy.outstanding_series.as_ref(),
             slab.outstanding_series()
         );
-        for metric in Metric::ALL {
-            for lens in Lens::ALL {
-                let a = legacy.histogram(metric, lens);
-                let b = slab.histogram(metric, lens);
-                assert_eq!(a.counts(), b.counts(), "{metric}/{lens} counts");
-                assert_eq!(a.min(), b.min(), "{metric}/{lens} min");
-                assert_eq!(a.max(), b.max(), "{metric}/{lens} max");
-                assert_eq!(a.mean(), b.mean(), "{metric}/{lens} mean");
-            }
-        }
+        assert_matches_oracle(&legacy, |m, l| slab.histogram(m, l), "collector");
+
+        let frame = HostFrame {
+            host_id: 0,
+            captured_at_us: 0,
+            epoch: 0,
+            seq: 0,
+            resumed: false,
+            targets: vec![TargetHistograms {
+                target: TargetId::default(),
+                set: slab.histogram_set().clone(),
+            }],
+        };
+        let shipped = decode_frame(&encode_frame(&frame).unwrap()).unwrap();
+        let set = &shipped.targets[0].set;
+        assert_matches_oracle(&legacy, |m, l| set.histogram(m, l), "frame");
+
+        let bytes = service.checkpoint_snapshot().encode(0);
+        let (_, checkpoint) = ServiceCheckpoint::decode(&bytes).unwrap();
+        let restored = StatsService::from_checkpoint(&checkpoint, None)
+            .collector(TargetId::default())
+            .expect("the stream's one target");
+        assert_matches_oracle(&legacy, |m, l| restored.histogram(m, l), "checkpoint");
         let (la, lb) = (
             legacy.seek_latency_histogram().unwrap(),
             slab.seek_latency_histogram().unwrap(),

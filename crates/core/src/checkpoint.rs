@@ -1,4 +1,4 @@
-//! The crash-consistency plane: durable `VSCKPT1` checkpoints of the
+//! The crash-consistency plane: durable `VSCKPT2` checkpoints of the
 //! whole [`StatsService`], written atomically on a virtual-clock cadence,
 //! restored on startup with zero loss up to the last durable snapshot.
 //!
@@ -19,7 +19,7 @@
 //! Every write follows the classic atomic-replace protocol
 //! ([`publish_atomic`]):
 //!
-//! 1. encode the full [`frame`] (`VSCKPT1` magic ‖ length ‖ CRC ‖ payload);
+//! 1. encode the full [`frame`] (`VSCKPT2` magic ‖ length ‖ CRC ‖ payload);
 //! 2. write it to a `.tmp` sibling;
 //! 3. `fsync` the `.tmp` file;
 //! 4. `rename` it over the final `ckpt-<seq>.vsckpt` name.
@@ -53,6 +53,26 @@
 //! census needed to complete commands that were outstanding at snapshot
 //! time. Only the tail *after the last durable trace block* is lost, and
 //! it is booked as lost — never silently absorbed.
+//!
+//! # Format revisions
+//!
+//! ```text
+//! VSCKPT2  per collector: slab[233]  aggregates[16]  -- the stored slots of
+//!          `HistogramSet`, in `HistogramSet::stored_slots` order
+//! VSCKPT1  per collector: slab[300]  aggregates[21]  -- every metric × lens
+//!          pair, `All` `Reads` `Writes` per metric; read-only
+//! ```
+//!
+//! The rest of the payload is the same in both. Durable bytes outlive the
+//! process that wrote them — the checkpoint a host recovers from after an
+//! upgrade was written by the build before it — so
+//! [`ServiceCheckpoint::decode`] still reads `VSCKPT1`: it keeps the
+//! stored slots and refuses a file whose derived `All` slot is not the
+//! sum of its `Reads` and `Writes` slots, which no `VSCKPT1` writer could
+//! have produced. Nothing writes `VSCKPT1` any more; re-encoding a
+//! recovered checkpoint writes `VSCKPT2`. (A fleet frame is the opposite
+//! case: it lives for one poll, both ends are rebuilt together, and its
+//! previous revision is simply refused.)
 
 use crate::collector::{CollectorConfig, CollectorState, HistogramState};
 use crate::frame;
@@ -67,8 +87,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use vscsi::{TargetId, VDiskId, VmId};
 
-/// Magic prefix of every checkpoint file.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VSCKPT1\0";
+/// Magic prefix of every checkpoint file this build writes.
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VSCKPT2\0";
+
+/// Magic of the previous revision, which [`ServiceCheckpoint::decode`]
+/// still reads: the same payload, except that each collector's histogram
+/// set held all 21 (metric, lens) slots.
+const CHECKPOINT_MAGIC_V1: [u8; 8] = *b"VSCKPT1\0";
 
 /// File extension of a durable checkpoint.
 pub const CHECKPOINT_EXTENSION: &str = "vsckpt";
@@ -89,7 +114,7 @@ pub struct TargetCheckpoint {
 }
 
 /// A complete, plain-data snapshot of a [`StatsService`] — what the
-/// `VSCKPT1` codec persists and [`StatsService::from_checkpoint`]
+/// `VSCKPT2` codec persists and [`StatsService::from_checkpoint`]
 /// restores. Produced by [`StatsService::checkpoint_snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceCheckpoint {
@@ -319,6 +344,7 @@ fn put_collector_state(s: &CollectorState, out: &mut Vec<u8>) {
 fn get_collector_state(
     d: &mut Dec<'_>,
     config: &CollectorConfig,
+    v1: bool,
 ) -> Result<CollectorState, String> {
     let slab = d.vec_u64("slab", MAX_LEN)?;
     let agg_count = d.usize_bounded("agg count", MAX_LEN)?;
@@ -331,7 +357,11 @@ fn get_collector_state(
             max: d.i64()?,
         });
     }
-    let set = HistogramSet::from_parts(&slab, &aggs)?;
+    let set = if v1 {
+        HistogramSet::from_v1_parts(&slab, &aggs)?
+    } else {
+        HistogramSet::from_parts(&slab, &aggs)?
+    };
     let window_ends = d.vec_u64("window ring", MAX_LEN)?;
     let window_cursor = d.u64()?;
     let window_filled = d.u64()?;
@@ -455,7 +485,7 @@ fn get_sentinel_state(d: &mut Dec<'_>) -> Result<SentinelState, String> {
 
 impl ServiceCheckpoint {
     /// Encodes this checkpoint (tagged with the monotonic checkpoint
-    /// sequence number `seq`) as a complete self-verifying `VSCKPT1`
+    /// sequence number `seq`) as a complete self-verifying `VSCKPT2`
     /// [`frame`]: magic ‖ `payload_len:u32le` ‖
     /// `crc32(magic ‖ payload):u32le` ‖ payload.
     pub fn encode(&self, seq: u64) -> Vec<u8> {
@@ -506,13 +536,21 @@ impl ServiceCheckpoint {
         frame::seal(&CHECKPOINT_MAGIC, &p).expect("checkpoint payload fits the frame's u32 length")
     }
 
-    /// Decodes a `VSCKPT1` frame into `(seq, checkpoint)`. Total: every
+    /// Decodes a `VSCKPT2` frame — or a `VSCKPT1` one, whose histogram
+    /// sets are narrowed to the stored slots (module docs, "Format
+    /// revisions") — into `(seq, checkpoint)`. Total: every
     /// corruption mode — truncation, bit flips, bad magic, bad lengths,
     /// structurally impossible states — returns `Err`, never panics, so a
     /// torn or sabotaged checkpoint file is safely skippable.
     pub fn decode(bytes: &[u8]) -> Result<(u64, ServiceCheckpoint), String> {
+        let v1 = bytes.starts_with(&CHECKPOINT_MAGIC_V1);
+        let magic = if v1 {
+            &CHECKPOINT_MAGIC_V1
+        } else {
+            &CHECKPOINT_MAGIC
+        };
         let mut d = Dec {
-            buf: frame::open(&CHECKPOINT_MAGIC, bytes)?,
+            buf: frame::open(magic, bytes)?,
             pos: 0,
         };
         let seq = d.u64()?;
@@ -587,7 +625,7 @@ impl ServiceCheckpoint {
             let vm = d.u32("target vm")?;
             let disk = d.u32("target disk")?;
             let collector = if d.bool()? {
-                Some(get_collector_state(&mut d, &config)?)
+                Some(get_collector_state(&mut d, &config, v1)?)
             } else {
                 None
             };

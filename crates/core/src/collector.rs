@@ -17,10 +17,13 @@
 //! The collector does not hold 21 `Histogram` objects: every per-bin
 //! counter and exact aggregate lives in one [`HistogramSet`], whose module
 //! owns the slot layout. The per-metric `FastBinner` tables are cached
-//! here, so each metric's bin index is computed **exactly once** per event
-//! and each lens costs one extra add (the index-once invariant; see
-//! DESIGN.md). `Histogram` values are materialized only at snapshot time
-//! via [`IoStatsCollector::histogram`].
+//! here, and each observation is binned **exactly once** into exactly one
+//! slot: its direction lens. The `All` lens of those metrics is the sum
+//! of the two and is derived when read (the index-once invariant; see
+//! DESIGN.md); only plain seek distance and outstanding I/Os, whose `All`
+//! lens sees a different value, record it as a second observation.
+//! `Histogram` values are materialized only at snapshot time via
+//! [`IoStatsCollector::histogram`].
 
 use crate::histogram_set::{Binners, HistogramSet};
 use crate::inflight::InflightTable;
@@ -189,7 +192,7 @@ impl IoStatsCollector {
         // Plain seek distance (§3.1): current first block minus previous
         // I/O's last block, signed.
         if let Some(prev_end) = self.last_end_block {
-            self.record_single(
+            self.record(
                 Metric::SeekDistance,
                 Lens::All,
                 signed_distance(prev_end, first),
@@ -197,16 +200,7 @@ impl IoStatsCollector {
         }
         let dir_idx = usize::from(req.direction.is_write());
         if let Some(prev_end) = self.last_end_block_by_dir[dir_idx] {
-            let lens_hist = if req.direction.is_read() {
-                Lens::Reads
-            } else {
-                Lens::Writes
-            };
-            self.record_single(
-                Metric::SeekDistance,
-                lens_hist,
-                signed_distance(prev_end, first),
-            );
+            self.record(Metric::SeekDistance, lens, signed_distance(prev_end, first));
         }
 
         // Windowed min seek distance (§3.1).
@@ -232,8 +226,8 @@ impl IoStatsCollector {
         // commands; the per-direction lenses count outstanding commands of
         // the *same* direction (the Figure 4(c) semantics).
         let oio = i64::from(self.outstanding);
-        self.record_single(Metric::OutstandingIos, Lens::All, oio);
-        self.record_single(
+        self.record(Metric::OutstandingIos, Lens::All, oio);
+        self.record(
             Metric::OutstandingIos,
             lens,
             i64::from(self.outstanding_by_dir[dir_idx]),
@@ -306,11 +300,6 @@ impl IoStatsCollector {
     #[inline]
     fn record(&mut self, metric: Metric, lens: Lens, value: i64) {
         self.set.record(&self.binners, metric, lens, value);
-    }
-
-    #[inline]
-    fn record_single(&mut self, metric: Metric, lens: Lens, value: i64) {
-        self.set.record_single(&self.binners, metric, lens, value);
     }
 
     /// A snapshot histogram for a metric/lens pair, materialized from the

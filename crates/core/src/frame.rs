@@ -1,4 +1,4 @@
-//! The sealed-frame envelope `VSCKPT1` checkpoints and `VFLHIST2` fleet
+//! The sealed-frame envelope `VSCKPT2` checkpoints and `VFLHIST3` fleet
 //! frames share:
 //!
 //! ```text

@@ -1,6 +1,6 @@
 //! The one durable-file seam: how a file reaches stable storage.
 //!
-//! Every plane that persists bytes — `VSCKPT1` checkpoints
+//! Every plane that persists bytes — `VSCKPT2` checkpoints
 //! ([`checkpoint`](crate::checkpoint)), `tracestore`'s `VSTRSEG1` segments
 //! and `VSTRIDX1` sidecars — creates, syncs and renames files through a
 //! [`Medium`]. [`FsMedium`] is the real filesystem; `faultkit` wraps any

@@ -274,12 +274,16 @@ pub struct StatsService {
     /// Restart epoch: bumped whenever the service's cumulative counters
     /// regress on purpose (a [`Self::reset_all`], or a simulated host
     /// restart installing a fresh service via [`Self::set_epoch`]). The
-    /// fleet plane ships this in every `VFLHIST2` frame so collectors can
+    /// fleet plane ships this in every `VFLHIST3` frame so collectors can
     /// re-base per-window deltas instead of mistaking the regression for
     /// corruption.
     epoch: AtomicU64,
+    /// Whether the cumulative counters continue a checkpoint
+    /// ([`Self::from_checkpoint`]) rather than starting from zero. Not
+    /// checkpointed: it describes how this process came to its counters.
+    resumed: AtomicBool,
     /// Fleet frame sequence: the per-host monotonic counter stamped into
-    /// every `VFLHIST2` frame. Owned by the service (not the endpoint
+    /// every `VFLHIST3` frame. Owned by the service (not the endpoint
     /// wrapper) so a checkpoint carries it and a restored host *continues*
     /// the sequence — downstream seq-regression guards then accept the
     /// first post-restart frame instead of mistaking it for a replay.
@@ -324,6 +328,7 @@ impl StatsService {
             salvages_total: AtomicU64::new(0),
             shard_watchdog_trips: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
+            resumed: AtomicBool::new(false),
             frame_seq: AtomicU64::new(0),
             ckpt_health: Mutex::new(None),
             shards: shards.into_boxed_slice(),
@@ -385,6 +390,17 @@ impl StatsService {
     /// predecessor.
     pub fn set_epoch(&self, epoch: u64) {
         self.epoch.store(epoch, Ordering::Release);
+    }
+
+    /// `true` for a service rebuilt by [`Self::from_checkpoint`], until its
+    /// next [`Self::reset_all`]: its counters continue the checkpointed
+    /// ones. Fleet frames carry it next to the epoch, so a collector that
+    /// sees the epoch move knows whether to subtract its last snapshot (a
+    /// resumed host) or to bank it (a fresh one) without guessing from the
+    /// counters, which a busy fresh host can push past the old snapshot
+    /// within one window.
+    pub fn is_resumed(&self) -> bool {
+        self.resumed.load(Ordering::Acquire)
     }
 
     /// The last fleet frame sequence number handed out (0 = none yet).
@@ -691,7 +707,10 @@ impl StatsService {
                                 c.issued_commands(),
                                 c.completed_commands(),
                                 c.outstanding_now(),
-                                c.histogram_set().slot(Metric::Errors, Lens::All).0.to_vec(),
+                                c.histogram_set()
+                                    .slot(Metric::Errors, Lens::All)
+                                    .0
+                                    .into_owned(),
                             )
                         });
                     SalvagedTarget {
@@ -871,7 +890,7 @@ impl StatsService {
     ///
     /// Panics on structurally invalid checkpoints (wrong sentinel count,
     /// non-power-of-two shard count, malformed collector state). Untrusted
-    /// bytes are validated by the `VSCKPT1` decoder before they get here.
+    /// bytes are validated by the checkpoint decoder before they get here.
     pub fn from_checkpoint(ckpt: &ServiceCheckpoint, sentinel: Option<SentinelConfig>) -> Self {
         let svc = StatsService::with_shards(ckpt.config.clone(), ckpt.shard_count as usize);
         assert_eq!(
@@ -889,6 +908,7 @@ impl StatsService {
         }
         svc.enabled.store(ckpt.enabled, Ordering::Release);
         svc.epoch.store(ckpt.epoch, Ordering::Release);
+        svc.resumed.store(true, Ordering::Release);
         svc.frame_seq.store(ckpt.frame_seq, Ordering::Release);
         svc.salvages_total
             .store(ckpt.salvages_total, Ordering::Release);
@@ -936,9 +956,11 @@ impl StatsService {
     ///
     /// A reset is a deliberate cumulative-counter regression, so it bumps
     /// the service [`epoch`](Self::epoch): fleet collectors re-base their
-    /// windowed deltas instead of booking the drop as corruption.
+    /// windowed deltas instead of booking the drop as corruption. After it
+    /// the counters continue nothing, so [`Self::is_resumed`] clears.
     pub fn reset_all(&self) {
         self.epoch.fetch_add(1, Ordering::AcqRel);
+        self.resumed.store(false, Ordering::Release);
         for shard in self.shards.iter() {
             let Some(mut state) = self.read_state(shard) else {
                 continue;

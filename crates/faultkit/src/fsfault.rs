@@ -74,7 +74,7 @@ pub struct FsFaultConfig {
     /// `[0, torn_keep_bound)` bytes. Keep this below the smallest
     /// object the wrapped seam writes so a torn file is never
     /// accidentally complete; the default (24) is under the 26-byte
-    /// minimum of both the `VSCKPT1` and `VSTRIDX1` frames.
+    /// minimum of both the `VSCKPT2` and `VSTRIDX1` frames.
     pub torn_keep_bound: u32,
 }
 

@@ -859,8 +859,9 @@ impl<E: HostEndpoint> FleetCollector<E> {
     }
 
     /// Absorbs a good frame into window `w`: detects restarts (explicit
-    /// wire-epoch change, or implicit counter regression), rebases the
-    /// delta chain, and keeps the windowed running total exact.
+    /// wire-epoch change — fresh or resumed, as the frame says — or
+    /// implicit counter regression), rebases the delta chain, and keeps
+    /// the windowed running total exact.
     fn absorb_good(&mut self, idx: usize, frame: HostFrame, t: SimTime, w: u64) {
         let mut agg = AggSet::new();
         for target in &frame.targets {
@@ -875,27 +876,32 @@ impl<E: HostEndpoint> FleetCollector<E> {
             }
             Some(prev_w) => {
                 let explicit = frame.epoch != s.wire_epoch;
-                // Counters are tried even across an explicit epoch change:
-                // a host restored from a durable checkpoint advertises a
-                // new epoch but *continues* its counters, and its first
-                // frame still deltas cleanly against our last snapshot —
-                // a resumed restart, absorbed with zero double-count and
-                // zero banking. Only when the delta fails (fresh service,
-                // lost tail beyond what replay recovered) does the
-                // classic bank-and-rebase run.
-                let stepwise = agg.try_delta(&s.agg);
+                // Under a new epoch label the frame says which restart it
+                // was. A host restored from a durable checkpoint continues
+                // its counters, so its first frame deltas cleanly against
+                // our last snapshot — a resumed restart, absorbed with
+                // zero double-count and zero banking; if the checkpoint
+                // was older than that snapshot the delta fails and the
+                // restart is banked like any other. A fresh service
+                // starts from zero and is never subtracted from: one busy
+                // window can carry its counters past the old snapshot in
+                // every bin, and the difference would book the dead
+                // epoch's events as never having happened.
+                let stepwise = if explicit && !frame.resumed {
+                    None
+                } else {
+                    agg.try_delta(&s.agg)
+                };
                 match stepwise {
-                    Some(d) if !explicit => {
-                        // Plain window (possibly after a failure gap —
-                        // the cumulative frame recovers those windows).
-                        s.bridged_windows += w - prev_w - 1;
-                        d
-                    }
                     Some(d) => {
-                        // Resumed restart: epoch label moves, delta chain
-                        // does not. Nothing was lost across the crash.
-                        s.resumed_epochs += 1;
-                        s.epoch = frame.epoch;
+                        // Plain window (possibly after a failure gap — the
+                        // cumulative frame recovers those windows), or a
+                        // resumed restart: the epoch label moves, the
+                        // delta chain does not.
+                        if explicit {
+                            s.resumed_epochs += 1;
+                            s.epoch = frame.epoch;
+                        }
                         s.bridged_windows += w - prev_w - 1;
                         d
                     }
@@ -1130,18 +1136,28 @@ impl<E: HostEndpoint> FleetCollector<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::uniform_target;
-    use vscsi_stats::HistogramSet;
+    use crate::wire::{uniform_target, UNIFORM_SLOTS};
 
-    fn frame_bytes_with(host: HostId, records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
+    fn encoded(host: HostId, records: &[i64], epoch: u64, seq: u64, resumed: bool) -> Vec<u8> {
         encode_frame(&HostFrame {
             host_id: host,
             captured_at_us: 1,
             epoch,
             seq,
+            resumed,
             targets: vec![uniform_target(records)],
         })
         .unwrap()
+    }
+
+    /// The frame of a host that started from zero.
+    fn frame_bytes_with(host: HostId, records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
+        encoded(host, records, epoch, seq, false)
+    }
+
+    /// The frame of a host restored from a checkpoint.
+    fn resumed_frame_bytes(host: HostId, records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
+        encoded(host, records, epoch, seq, true)
     }
 
     fn frame_bytes(host: HostId, records: &[i64]) -> Vec<u8> {
@@ -1173,12 +1189,12 @@ mod tests {
         c.run_until(SimTime::ZERO);
         let v0 = c.view(SimTime::ZERO);
         assert_eq!(v0.fleet.hosts, 2);
-        assert_eq!(v0.fleet.agg.total_events(), 2 * HistogramSet::SLOTS as u64);
+        assert_eq!(v0.fleet.agg.total_events(), 2 * UNIFORM_SLOTS);
         assert!(v0.conserves());
         // Second window: cumulative snapshots replace, never double-count.
         c.run_until(SimTime::from_secs(1));
         let v1 = c.view(SimTime::from_secs(1));
-        assert_eq!(v1.fleet.agg.total_events(), 4 * HistogramSet::SLOTS as u64);
+        assert_eq!(v1.fleet.agg.total_events(), 4 * UNIFORM_SLOTS);
         assert!(v1.conserves());
         assert_eq!(c.status()[0].frames_ok, 2);
         assert_eq!(c.status()[0].polls(), 2);
@@ -1219,7 +1235,7 @@ mod tests {
         assert!(!c.is_stale(&c.status()[0], SimTime::from_secs(3)));
         let v = c.view(SimTime::from_secs(3));
         assert_eq!(v.fleet.hosts, 1);
-        assert_eq!(v.fleet.agg.total_events(), 3 * HistogramSet::SLOTS as u64);
+        assert_eq!(v.fleet.agg.total_events(), 3 * UNIFORM_SLOTS);
     }
 
     #[test]
@@ -1416,7 +1432,7 @@ mod tests {
         let s = &c.status()[0];
         assert_eq!((s.epoch_bumps, s.regressions, s.lost_windows), (1, 1, 1));
         assert_eq!(s.epoch, 1, "local epoch bump");
-        let slots = HistogramSet::SLOTS as u64;
+        let slots = UNIFORM_SLOTS;
         assert_eq!(s.agg().total_events(), slots, "cumulative = fresh epoch");
         assert_eq!(
             s.windowed_total().total_events(),
@@ -1448,15 +1464,12 @@ mod tests {
         assert_eq!((s.epoch_bumps, s.regressions, s.lost_windows), (1, 0, 1));
         assert_eq!((s.epoch, s.wire_epoch), (2, 2));
         assert_eq!(s.seq_rejects, 0, "seq restarts with the epoch");
-        assert_eq!(
-            s.windowed_total().total_events(),
-            3 * HistogramSet::SLOTS as u64
-        );
+        assert_eq!(s.windowed_total().total_events(), 3 * UNIFORM_SLOTS);
     }
 
     #[test]
     fn checkpoint_resume_bumps_epoch_without_banking() {
-        let slots = HistogramSet::SLOTS as u64;
+        let slots = UNIFORM_SLOTS;
         // Epoch 1 seq 3, then a restored-from-checkpoint restart: epoch 2
         // with *continued* counters and sequence. The delta chain never
         // breaks, so nothing is banked and nothing is lost.
@@ -1465,7 +1478,7 @@ mod tests {
             0,
             vec![
                 Ok(frame_bytes_with(0, &[1, 2], 1, 3)),
-                Ok(frame_bytes_with(0, &[1, 2, 9], 2, 4)),
+                Ok(resumed_frame_bytes(0, &[1, 2, 9], 2, 4)),
             ],
         )];
         let mut c = FleetCollector::new(cfg(), eps);
@@ -1487,6 +1500,37 @@ mod tests {
     }
 
     #[test]
+    fn fresh_restart_is_banked_even_when_its_counters_dominate() {
+        // The same two snapshots as the resume above, but the second host
+        // says it started from zero: it really did see 1, 2 and 9 again.
+        let script = |second: Vec<u8>| {
+            let first = Ok(frame_bytes_with(0, &[1, 2], 1, 3));
+            vec![FrameEndpoint::new(0, 0, vec![first, Ok(second)])]
+        };
+        let mut c = FleetCollector::new(cfg(), script(frame_bytes_with(0, &[1, 2, 9], 2, 1)));
+        c.run_until(SimTime::from_secs(1));
+        let s = &c.status()[0];
+        assert_eq!(
+            (
+                s.epoch_bumps,
+                s.resumed_epochs,
+                s.regressions,
+                s.lost_windows
+            ),
+            (1, 0, 0, 1)
+        );
+        assert_eq!(s.epoch_base().total_events(), 2 * UNIFORM_SLOTS);
+        assert_eq!(s.windowed_total().total_events(), 5 * UNIFORM_SLOTS);
+        // A resumed host whose checkpoint predates our snapshot cannot be
+        // subtracted from either, and is banked the same way.
+        let mut c = FleetCollector::new(cfg(), script(resumed_frame_bytes(0, &[1], 2, 4)));
+        c.run_until(SimTime::from_secs(1));
+        let s = &c.status()[0];
+        assert_eq!((s.epoch_bumps, s.resumed_epochs, s.lost_windows), (1, 0, 1));
+        assert_eq!(s.windowed_total().total_events(), 3 * UNIFORM_SLOTS);
+    }
+
+    #[test]
     fn replayed_frames_are_rejected_by_sequence() {
         let eps = vec![FrameEndpoint::new(
             0,
@@ -1501,12 +1545,12 @@ mod tests {
         let s = &c.status()[0];
         assert_eq!((s.frames_ok, s.decode_failures, s.seq_rejects), (1, 1, 1));
         assert_eq!(s.last_error.unwrap().msg, "stale frame sequence");
-        assert_eq!(s.agg().total_events(), HistogramSet::SLOTS as u64);
+        assert_eq!(s.agg().total_events(), UNIFORM_SLOTS);
     }
 
     #[test]
     fn window_deltas_resum_to_cumulative_across_gaps() {
-        let slots = HistogramSet::SLOTS as u64;
+        let slots = UNIFORM_SLOTS;
         // w0 ok, w1 down, w2 ok (bridges w1), w3 ok.
         let eps = vec![FrameEndpoint::new(
             0,

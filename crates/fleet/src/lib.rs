@@ -8,9 +8,10 @@
 //!
 //! * [`wire`] — the `FetchAllHistograms` frame: every target's
 //!   `vscsi_stats::HistogramSet` (which owns the slot layout and the
-//!   per-target slot codec), delta-encoded as varint counter vectors
-//!   inside a CRC-checked envelope. Decoding is total: corrupt, truncated,
-//!   or hostile bytes produce a [`WireError`], never a panic.
+//!   per-target slot codec), its 16 stored slots delta-encoded as varint
+//!   counter vectors inside a CRC-checked envelope. Decoding is total:
+//!   corrupt, truncated, or hostile bytes produce a [`WireError`], never a
+//!   panic.
 //! * [`collector`] — virtual-clock polling: a [`FleetCollector`] fetches
 //!   frames from [`HostEndpoint`]s on a window schedule, keeps exact
 //!   per-host ok/fetch-failure/decode-failure ledgers, and ages silent
@@ -29,7 +30,14 @@
 //! use simkit::SimTime;
 //!
 //! // A host with nothing recorded still frames and decodes exactly.
-//! let frame = HostFrame { host_id: 7, captured_at_us: 0, epoch: 0, seq: 0, targets: Vec::new() };
+//! let frame = HostFrame {
+//!     host_id: 7,
+//!     captured_at_us: 0,
+//!     epoch: 0,
+//!     seq: 0,
+//!     resumed: false,
+//!     targets: Vec::new(),
+//! };
 //! let bytes = encode_frame(&frame).unwrap();
 //! assert_eq!(decode_frame(&bytes).unwrap(), frame);
 //!

@@ -212,7 +212,7 @@ impl FleetView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::uniform_target;
+    use crate::wire::{uniform_target, UNIFORM_SLOTS};
 
     fn target_set(seed: i64) -> TargetHistograms {
         uniform_target(&[seed, seed * 3 + 1])
@@ -244,11 +244,8 @@ mod tests {
         assert_eq!(view.fleet.hosts, 3);
         assert_eq!(view.fleet.targets, 6);
         assert_eq!(view.tenants.len(), 2);
-        // 6 target sets × `SLOTS` slots × 2 records each.
-        assert_eq!(
-            view.fleet.agg.total_events(),
-            6 * HistogramSet::SLOTS as u64 * 2
-        );
+        // 6 target sets × 2 records each, in `UNIFORM_SLOTS` slots.
+        assert_eq!(view.fleet.agg.total_events(), 6 * UNIFORM_SLOTS * 2);
         assert!(view.conserves());
     }
 
@@ -258,10 +255,7 @@ mod tests {
         let view = FleetView::assemble(0, hosts);
         assert_eq!(view.fleet.hosts, 1);
         assert_eq!(view.stale_hosts(), 1);
-        assert_eq!(
-            view.fleet.agg.total_events(),
-            HistogramSet::SLOTS as u64 * 2
-        );
+        assert_eq!(view.fleet.agg.total_events(), UNIFORM_SLOTS * 2);
         assert!(view.conserves());
     }
 

@@ -10,29 +10,36 @@
 //! [`vscsi_stats::frame`]'s, shared with the checkpoint format.
 //!
 //! ```text
-//! magic[8] = "VFLHIST2"   payload_len:u32le   crc32(magic ‖ payload):u32le
+//! magic[8] = "VFLHIST3"   payload_len:u32le   crc32(magic ‖ payload):u32le
 //! payload:
 //!   host_id:varint  captured_at_us:varint
 //!   epoch:varint  seq:varint
+//!   flags:varint               -- bit 0: the counters continue a checkpoint
 //!   target_count:varint
 //!   per target:
 //!     vm:varint  disk:varint
-//!     per slot (Metric::ALL × Lens::ALL, fixed order):
+//!     per stored slot (HistogramSet::stored_slots, fixed order, 16):
 //!       bins:varint            -- must equal the slot layout's bin count
 //!       count[0..bins]:Δvarint -- delta-chained from 0, zigzag-wrapped
 //!       if any count > 0:
 //!         sum:zz128 (lo:varint hi:varint)  min:zz  max:zz
 //! ```
 //!
-//! The header carries the two fields the restart-safe windowed rollup
+//! The header carries the three fields the restart-safe windowed rollup
 //! needs: the host's **epoch** (bumped by every deliberate counter
-//! regression — a stats reset or a host restart) and a **frame sequence
+//! regression — a stats reset or a host restart), a **frame sequence
 //! number** (monotone per epoch, so a collector can reject replayed or
-//! reordered frames). The CRC covers the magic as well as the payload.
-//! `VFLHIST2` is the only format: its predecessor `VFLHIST1` (no epoch or
-//! seq, CRC over the payload alone) has had no producer since the fields
-//! were added, and a frame carrying that magic is rejected like any other
-//! unknown magic.
+//! reordered frames) and the **resumed** flag (whether the counters under
+//! a new epoch continue the ones before it, which the counters themselves
+//! cannot say). The CRC covers the magic as well as the payload.
+//!
+//! A target's `All` lens of the five metrics that record one value per
+//! command does not travel: the receiver adds `Reads` and `Writes`
+//! ([`HistogramSet::slot`]). `VFLHIST3` is the only format. A frame lives
+//! for one poll and both ends are built from one checkout, so unlike a
+//! checkpoint (`VSCKPT1` still decodes) its predecessors have no reader:
+//! `VFLHIST2` (21 slots per target, no flags) and `VFLHIST1` (no epoch or
+//! seq either) are rejected like any other unknown magic.
 //!
 //! Counts across consecutive bins of a real histogram are close in
 //! magnitude (the distributions are peaky), so the zigzagged wrapping
@@ -52,7 +59,10 @@ use vscsi_stats::{HistogramSet, StatsService};
 
 /// Frame magic: format name + version. The only one [`encode_frame`]
 /// emits and [`decode_frame`] accepts.
-pub const FRAME_MAGIC: [u8; 8] = *b"VFLHIST2";
+pub const FRAME_MAGIC: [u8; 8] = *b"VFLHIST3";
+
+/// `flags` bit 0: [`HostFrame::resumed`].
+const FLAG_RESUMED: u64 = 1;
 
 /// Error decoding (or encoding) a frame. Carries a static description so
 /// the collector tier can account failures without allocating.
@@ -73,6 +83,10 @@ impl std::error::Error for WireError {}
 const fn err(msg: &'static str) -> WireError {
     WireError { msg }
 }
+
+/// The fewest payload bytes one target takes: `vm`, `disk`, and a slot
+/// section of empty slots (251).
+const MIN_TARGET_BYTES: usize = 2 + HistogramSet::MIN_ENCODED_BYTES;
 
 /// One target's full histogram set.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,6 +112,11 @@ pub struct HostFrame {
     /// Frame sequence number, monotone within an epoch. 0 means
     /// *unsequenced*; sequenced emitters start at 1.
     pub seq: u64,
+    /// Whether the host's counters continue a checkpoint
+    /// ([`StatsService::is_resumed`]). Read when the epoch moved: a resumed
+    /// host's frame is subtracted from the last snapshot, a fresh host's
+    /// is not, however large its counters already are.
+    pub resumed: bool,
     /// Per-target histogram sets, sorted by target.
     pub targets: Vec<TargetHistograms>,
 }
@@ -147,6 +166,7 @@ impl HostFrame {
             captured_at_us,
             epoch: service.epoch(),
             seq,
+            resumed: service.is_resumed(),
             targets: targets.collect(),
         }
     }
@@ -158,7 +178,7 @@ impl HostFrame {
     }
 }
 
-/// Encodes a frame: a `VFLHIST2` CRC-framed envelope around a
+/// Encodes a frame: a `VFLHIST3` CRC-framed envelope around a
 /// delta-varint payload. The CRC covers the magic too, so flipping the
 /// version byte of a sealed frame can never produce another valid frame.
 ///
@@ -171,6 +191,7 @@ pub fn encode_frame(frame: &HostFrame) -> Result<Vec<u8>, WireError> {
     encode_u64(frame.captured_at_us, &mut payload);
     encode_u64(frame.epoch, &mut payload);
     encode_u64(frame.seq, &mut payload);
+    encode_u64(u64::from(frame.resumed) * FLAG_RESUMED, &mut payload);
     encode_u64(frame.targets.len() as u64, &mut payload);
     for t in &frame.targets {
         encode_u64(u64::from(t.target.vm.0), &mut payload);
@@ -180,7 +201,7 @@ pub fn encode_frame(frame: &HostFrame) -> Result<Vec<u8>, WireError> {
     envelope::seal(&FRAME_MAGIC, &payload).map_err(err)
 }
 
-/// Decodes one `VFLHIST2` frame after verifying magic, length, CRC, and
+/// Decodes one `VFLHIST3` frame after verifying magic, length, CRC, and
 /// every field.
 ///
 /// Total: any malformed input — truncation anywhere, a flipped bit, an
@@ -197,10 +218,14 @@ pub fn decode_frame(buf: &[u8]) -> Result<HostFrame, WireError> {
     let captured_at_us = decode_u64(payload, &mut pos).ok_or(err("truncated capture time"))?;
     let epoch = decode_u64(payload, &mut pos).ok_or(err("truncated epoch"))?;
     let seq = decode_u64(payload, &mut pos).ok_or(err("truncated frame seq"))?;
+    let flags = decode_u64(payload, &mut pos).ok_or(err("truncated flags"))?;
+    if flags & !FLAG_RESUMED != 0 {
+        return Err(err("unknown frame flags"));
+    }
     let target_count = decode_u64(payload, &mut pos).ok_or(err("truncated target count"))?;
-    // Each target needs at least 2 id bytes + one byte per slot, so this
-    // bound rejects absurd counts before any allocation.
-    if target_count > (payload.len() as u64) / (2 + HistogramSet::SLOTS as u64) + 1 {
+    // A target is never shorter than its two id bytes plus an empty slot
+    // section, so this bound rejects absurd counts before any allocation.
+    if target_count > (payload.len() / MIN_TARGET_BYTES) as u64 {
         return Err(err("target count exceeds payload size"));
     }
     let mut targets = Vec::with_capacity(target_count as usize);
@@ -222,21 +247,20 @@ pub fn decode_frame(buf: &[u8]) -> Result<HostFrame, WireError> {
         captured_at_us,
         epoch,
         seq,
+        resumed: flags & FLAG_RESUMED != 0,
         targets,
     })
 }
 
 #[cfg(test)]
 /// Test fixture shared by this crate's unit tests: target (0, 0) holding
-/// `records` in every (metric, lens) slot.
+/// `records` in every stored slot.
 pub(crate) fn uniform_target(records: &[i64]) -> TargetHistograms {
     let binners = HistogramSet::binners();
     let mut set = HistogramSet::new();
-    for metric in vscsi_stats::Metric::ALL {
-        for lens in vscsi_stats::Lens::ALL {
-            for &v in records {
-                set.record_single(&binners, metric, lens, v);
-            }
+    for (metric, lens) in HistogramSet::stored_slots() {
+        for &v in records {
+            set.record(&binners, metric, lens, v);
         }
     }
     TargetHistograms {
@@ -244,6 +268,12 @@ pub(crate) fn uniform_target(records: &[i64]) -> TargetHistograms {
         set,
     }
 }
+
+#[cfg(test)]
+/// Logical slots that count one record of [`uniform_target`]: the 16
+/// stored ones, and each of the 5 derived `All` lenses twice (its `Reads`
+/// and its `Writes` both hold the record).
+pub(crate) const UNIFORM_SLOTS: u64 = 16 + 5 * 2;
 
 #[cfg(test)]
 mod tests {
@@ -258,7 +288,7 @@ mod tests {
             let mut set = HistogramSet::new();
             for metric in Metric::ALL {
                 set.record(&binners, metric, Lens::Reads, i64::from(vm) * 7 + 1);
-                set.record(&binners, metric, Lens::Reads, 4096);
+                set.record(&binners, metric, Lens::Writes, 4096);
             }
             targets.push(TargetHistograms {
                 target: TargetId::new(VmId(vm), VDiskId(0)),
@@ -270,6 +300,7 @@ mod tests {
             captured_at_us: 6_000_000,
             epoch: 3,
             seq: 17,
+            resumed: true,
             targets,
         }
     }
@@ -291,6 +322,7 @@ mod tests {
             captured_at_us: 0,
             epoch: 0,
             seq: 0,
+            resumed: false,
             targets: Vec::new(),
         };
         let bytes = encode_frame(&frame).unwrap();
@@ -298,12 +330,60 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_magic_is_rejected() {
-        // "VFLHIST1" is one bit away from the current magic and was once a
-        // decodable format; it is now just another unknown magic.
-        let mut bytes = encode_frame(&sample_frame()).unwrap();
-        bytes[..8].copy_from_slice(b"VFLHIST1");
-        assert_eq!(decode_frame(&bytes).unwrap_err().msg, "bad frame magic");
+    fn earlier_magics_are_rejected() {
+        // "VFLHIST2" and "VFLHIST1" were once decodable formats; each is
+        // now just another unknown magic.
+        for magic in [b"VFLHIST2", b"VFLHIST1"] {
+            let mut bytes = encode_frame(&sample_frame()).unwrap();
+            bytes[..8].copy_from_slice(magic);
+            assert_eq!(decode_frame(&bytes).unwrap_err().msg, "bad frame magic");
+        }
+    }
+
+    /// Seals a header with the given flags and target count over `body`.
+    fn sealed(flags: u64, target_count: u64, body: &[u8]) -> Vec<u8> {
+        let mut payload = vec![0, 0, 0, 0];
+        encode_u64(flags, &mut payload);
+        encode_u64(target_count, &mut payload);
+        payload.extend_from_slice(body);
+        envelope::seal(&FRAME_MAGIC, &payload).unwrap()
+    }
+
+    #[test]
+    fn target_count_is_bounded_by_the_smallest_target() {
+        // One empty target is exactly MIN_TARGET_BYTES; the six header
+        // bytes around it are not enough to claim a second one.
+        let mut empty = vec![0, 0];
+        HistogramSet::new().encode_slots(&mut empty);
+        assert_eq!(empty.len(), MIN_TARGET_BYTES);
+        assert_eq!(
+            decode_frame(&sealed(0, 1, &empty)).unwrap().targets.len(),
+            1
+        );
+        // 12 was inside the previous bound, which allowed a target one
+        // byte per slot: 257 / (2 + 21) + 1.
+        for claimed in [2, 12, u64::MAX] {
+            let err = decode_frame(&sealed(0, claimed, &empty)).unwrap_err();
+            assert_eq!(err.msg, "target count exceeds payload size");
+        }
+    }
+
+    #[test]
+    fn resumed_is_flag_bit_0_and_unknown_bits_are_rejected() {
+        // (Both values round-trip in the two tests above.)
+        assert!(!decode_frame(&sealed(0, 0, &[])).unwrap().resumed);
+        assert!(decode_frame(&sealed(FLAG_RESUMED, 0, &[])).unwrap().resumed);
+        let err = decode_frame(&sealed(2, 0, &[])).unwrap_err();
+        assert_eq!(err.msg, "unknown frame flags");
+    }
+
+    #[test]
+    fn uniform_fixture_counts_each_record_in_26_logical_slots() {
+        assert_eq!(uniform_target(&[7]).set.total_events(), UNIFORM_SLOTS);
+        assert_eq!(
+            uniform_target(&[7, 8, 9]).set.total_events(),
+            3 * UNIFORM_SLOTS
+        );
     }
 
     #[test]
@@ -366,7 +446,7 @@ mod tests {
     fn wire_is_compact_for_sparse_histograms() {
         let frame = sample_frame();
         let bytes = encode_frame(&frame).unwrap();
-        // 3 targets × 21 slots: mostly-empty histograms should cost around
+        // 3 targets × 16 stored slots: mostly-empty histograms should cost around
         // one byte per bin, far below the 8 bytes/counter resident form.
         let resident: usize = frame
             .targets

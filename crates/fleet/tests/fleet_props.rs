@@ -10,25 +10,26 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
 use vscsi::{TargetId, VDiskId, VmId};
-use vscsi_stats::{HistogramSet, Lens, Metric, SlotAgg};
+use vscsi_stats::{HistogramSet, SlotAgg};
 
-/// An arbitrary but *valid* full slot set for one target: per-slot counts
-/// are free, the exact sum is free, and min/max are present (ordered) iff
-/// occupied — exactly the states a live collector slab can reach.
+/// An arbitrary but *valid* stored-slot set for one target: per-slot
+/// counts are free, the exact sum is free, and min/max are present
+/// (ordered) iff occupied — exactly the states a live collector slab can
+/// reach.
 fn arb_target() -> impl Strategy<Value = TargetHistograms> {
     (
         any::<u32>(),
         any::<u32>(),
         vec(0u64..1_000_000u64, HistogramSet::new().counters().len()),
-        vec(any::<(i64, i64, i64)>(), HistogramSet::SLOTS),
+        vec(
+            any::<(i64, i64, i64)>(),
+            HistogramSet::new().aggregates().len(),
+        ),
     )
         .prop_map(|(vm, disk, counters, seeds)| {
             let layout = HistogramSet::new();
-            let slots = Metric::ALL
-                .into_iter()
-                .flat_map(|m| Lens::ALL.into_iter().map(move |l| (m, l)));
             let mut offset = 0;
-            let aggs: Vec<SlotAgg> = slots
+            let aggs: Vec<SlotAgg> = HistogramSet::stored_slots()
                 .zip(seeds)
                 .map(|((metric, lens), (sum, m1, m2))| {
                     let bins = layout.slot(metric, lens).0.len();
@@ -58,27 +59,37 @@ fn arb_frame() -> impl Strategy<Value = HostFrame> {
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
+        any::<bool>(),
         vec(arb_target(), 0..4),
     )
-        .prop_map(|(host_id, captured_at_us, epoch, seq, targets)| HostFrame {
-            host_id,
-            captured_at_us,
-            epoch,
-            seq,
-            targets,
-        })
+        .prop_map(
+            |(host_id, captured_at_us, epoch, seq, resumed, targets)| HostFrame {
+                host_id,
+                captured_at_us,
+                epoch,
+                seq,
+                resumed,
+                targets,
+            },
+        )
 }
 
-/// One-target frame for host 1 holding `records` in every slot, stamped
-/// with an explicit epoch and sequence.
+/// Logical slots that count one record of [`frame_with`]: the stored
+/// ones, and each derived `All` lens once per half.
+fn slots_per_record() -> u64 {
+    let stored = HistogramSet::stored_slots().count();
+    (stored + 2 * (HistogramSet::SLOTS - stored)) as u64
+}
+
+/// One-target frame for host 1 holding `records` in every stored slot,
+/// stamped with an explicit epoch and sequence; a host that started from
+/// zero.
 fn frame_with(records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
     let binners = HistogramSet::binners();
     let mut set = HistogramSet::new();
-    for metric in Metric::ALL {
-        for lens in Lens::ALL {
-            for &v in records {
-                set.record_single(&binners, metric, lens, v);
-            }
+    for (metric, lens) in HistogramSet::stored_slots() {
+        for &v in records {
+            set.record(&binners, metric, lens, v);
         }
     }
     encode_frame(&HostFrame {
@@ -86,6 +97,7 @@ fn frame_with(records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
         captured_at_us: 0,
         epoch,
         seq,
+        resumed: false,
         targets: vec![TargetHistograms {
             target: TargetId::new(VmId(0), VDiskId(0)),
             set,
@@ -197,10 +209,7 @@ proptest! {
         // The rollup reflects good frames only: if the host ever answered,
         // its snapshot is the good frame's aggregate, untouched by faults.
         if expect_ok > 0 {
-            prop_assert_eq!(
-                status.agg().total_events(),
-                HistogramSet::SLOTS as u64
-            );
+            prop_assert_eq!(status.agg().total_events(), slots_per_record());
         } else {
             prop_assert_eq!(status.agg().total_events(), 0);
         }
@@ -290,7 +299,7 @@ fn assert_epoch_resets_exact(plan: &[(bool, Vec<i64>)]) {
     assert_eq!(s.seq_rejects, 0);
     assert_eq!(
         s.windowed_total().total_events(),
-        (banked + records.len() as u64) * HistogramSet::SLOTS as u64,
+        (banked + records.len() as u64) * slots_per_record(),
         "every epoch's events counted exactly once"
     );
     let mut rebuilt = s.epoch_base().clone();
@@ -301,9 +310,10 @@ fn assert_epoch_resets_exact(plan: &[(bool, Vec<i64>)]) {
 }
 
 /// `[465] ⟲ [153, 3675] ⟲ [3808] ⟲ [2144, 3235]`, the case the offline
-/// stub sampler draws for the property above.
+/// stub sampler draws for the property above: the second epoch's counters
+/// dominate the first's in every bin, and only the frame's `resumed` flag
+/// says they are not its continuation.
 #[test]
-#[ignore = "ROADMAP item 3: absorb_good takes a dominating fresh restart for a resumed one"]
 fn epoch_reset_whose_counters_dominate_the_last_snapshot() {
     assert_epoch_resets_exact(&[
         (false, vec![465]),
