@@ -51,6 +51,8 @@
 //! assert!(view.conserves());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod collector;
 pub mod rollup;
 pub mod wire;

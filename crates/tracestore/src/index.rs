@@ -4,8 +4,8 @@
 //! (`trace-00000.vidx` beside `trace-00000.vseg`) holding one zone map
 //! per block: issue-time window, LBA band, serial range, a command-kind
 //! bitmask, and a 64-bit target bloom. A query evaluates its predicate
-//! against these few dozen bytes and skips whole blocks without ever
-//! touching — let alone varint-decoding — their payloads.
+//! against these few dozen bytes and never reads the blocks they rule
+//! out; it reads the ones they keep by the offsets recorded here.
 //!
 //! ```text
 //! header:  magic "VSTRIDX1" (8)  version:u32le  flags:u32le
@@ -16,12 +16,14 @@
 //!           min_serial  span_serial  kinds:u8  target_bloom]
 //! ```
 //!
-//! Decoding is *total*: truncation, CRC mismatch, or a stale
-//! `segment_bytes` (the segment changed since indexing) all invalidate
-//! the sidecar, and [`load_or_build`] silently rebuilds it from the
-//! segment bytes — the backfill path that also serves legacy captures
-//! written before sidecars existed. A rebuilt index is byte-identical to
-//! the one the writer would have emitted for the same clean segment.
+//! Decoding is *total*: truncation, CRC mismatch, or a `segment_bytes`
+//! that is not the segment's length today (it changed since indexing)
+//! all invalidate the sidecar, and [`load_or_build_file`] silently
+//! rebuilds it from the segment bytes — the backfill path that also
+//! serves legacy captures written before sidecars existed. Accepting a
+//! sidecar takes the segment's `stat`, not its contents: only a rebuild
+//! reads the segment. A rebuilt index is byte-identical to the one the
+//! writer would have emitted for the same clean segment.
 //!
 //! Blocks that are framed but fail CRC/decode at index-build time get an
 //! entry *without* stats ([`BlockEntry::stats`] `None`): the zone check
@@ -64,7 +66,7 @@ pub const KIND_COMPLETED: u8 = 0x04;
 pub const KIND_INFLIGHT: u8 = 0x08;
 
 /// Per-block zone map: the ranges a predicate is checked against before
-/// any payload byte is read. Accumulated record-by-record on the
+/// any byte of the block is read. Accumulated record-by-record on the
 /// producer side ([`ZoneStats::observe`]) so the writer thread never has
 /// to decode its own chunks, and re-derived identically by the backfill
 /// path.
@@ -410,27 +412,22 @@ pub enum IndexSource {
     Rebuilt,
 }
 
-/// Loads the sidecar for `segment_path`, validating it against the
-/// actual segment bytes (`data`); on any mismatch rebuilds the index
-/// from `data` and rewrites the sidecar (best-effort — a read-only
-/// archive still queries fine, it just re-derives per scan).
-///
-/// # Errors
-///
-/// Only when `data` was never a segment.
-pub fn load_or_build(
-    segment_path: &Path,
-    data: &[u8],
-) -> Result<(SegmentIndex, IndexSource), SegmentError> {
-    let sidecar = index_path(segment_path);
-    if let Ok(bytes) = fs::read(&sidecar) {
-        if let Ok(index) = decode_index(&bytes) {
-            if index.segment_bytes == data.len() as u64 {
-                return Ok((index, IndexSource::Sidecar));
-            }
-        }
-    }
+/// The sidecar of `segment_path`, if one is on disk, decodes, and
+/// describes a segment of exactly `segment_len` bytes. Being current is
+/// a question about the segment's length, not its bytes.
+fn load_sidecar(segment_path: &Path, segment_len: u64) -> Option<SegmentIndex> {
+    let bytes = fs::read(index_path(segment_path)).ok()?;
+    decode_index(&bytes)
+        .ok()
+        .filter(|index| index.segment_bytes == segment_len)
+}
+
+/// Builds the index from the segment's bytes and rewrites the sidecar
+/// (best-effort — a read-only archive still queries fine, it just
+/// re-derives per scan).
+fn rebuild_sidecar(segment_path: &Path, data: &[u8]) -> Result<SegmentIndex, SegmentError> {
     let index = build_index(data)?;
+    let sidecar = index_path(segment_path);
     // Published atomically, so a crash leaves the previous sidecar (or
     // none) or the complete new one — never a torn `VSTRIDX1`.
     let _ = publish_atomic(
@@ -439,19 +436,49 @@ pub fn load_or_build(
         &sidecar,
         &encode_index(&index),
     );
-    Ok((index, IndexSource::Rebuilt))
+    Ok(index)
 }
 
-/// [`load_or_build`] reading the segment from disk too.
+/// Loads the sidecar for `segment_path`, validating it against the
+/// length of the actual segment bytes (`data`); on any mismatch rebuilds
+/// the index from `data` and rewrites the sidecar.
+///
+/// # Errors
+///
+/// Only when `data` was never a segment.
+pub fn load_or_build(
+    segment_path: &Path,
+    data: &[u8],
+) -> Result<(SegmentIndex, IndexSource), SegmentError> {
+    match load_sidecar(segment_path, data.len() as u64) {
+        Some(index) => Ok((index, IndexSource::Sidecar)),
+        None => Ok((rebuild_sidecar(segment_path, data)?, IndexSource::Rebuilt)),
+    }
+}
+
+/// `InvalidData` naming the file that was never a segment.
+pub(crate) fn invalid_data(path: &Path, e: SegmentError) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{}: {e}", path.display()),
+    )
+}
+
+/// [`load_or_build`] from the path alone: a current sidecar is accepted
+/// on the segment's `stat` length, and the segment itself is read only
+/// when the index has to be rebuilt from it.
 ///
 /// # Errors
 ///
 /// I/O failures, plus `InvalidData` when the file is not a tracestore
 /// segment.
 pub fn load_or_build_file(segment_path: &Path) -> io::Result<(SegmentIndex, IndexSource)> {
+    if let Some(index) = load_sidecar(segment_path, fs::metadata(segment_path)?.len()) {
+        return Ok((index, IndexSource::Sidecar));
+    }
     let data = fs::read(segment_path)?;
-    load_or_build(segment_path, &data)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    let index = rebuild_sidecar(segment_path, &data).map_err(|e| invalid_data(segment_path, e))?;
+    Ok((index, IndexSource::Rebuilt))
 }
 
 #[cfg(test)]

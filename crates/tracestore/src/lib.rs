@@ -52,6 +52,8 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod index;
 pub mod query;

@@ -8,13 +8,18 @@
 //! offline half of that bargain:
 //!
 //! ```text
-//!            segments + VSTRIDX1 sidecars (index.rs)
+//!       segment lengths + VSTRIDX1 sidecars (index.rs)
 //!                     |
-//!      work spans  <--+-- load_or_build (backfills legacy segments)
-//!         |
-//!   phase 1: scan   --- T workers claim spans from a shared cursor; zone
-//!         |             maps prune blocks, survivors decode into a reused
-//!         |             scratch, matches are grouped per target per span
+//!        load      ---+-- a sidecar that names the segment's length is
+//!         |               the index; only a missing, stale or malformed
+//!         |               one has the segment read whole, to rebuild it
+//!        prune     --- on the calling thread: every zone map is checked
+//!         |             once; the surviving (segment, block) pairs, in
+//!         |             file order, are cut into spans
+//!   phase 1: scan   --- T workers claim spans from a shared cursor; each
+//!         |             block is fetched by one positioned read into a
+//!         |             reused buffer, verified, decoded into a reused
+//!         |             scratch; matches are grouped per target per span
 //!   spans by index  --- a target's groups, concatenated in span order,
 //!         |             are its matched records in file order
 //!   phase 2: replay --- the same T workers claim targets from a second
@@ -23,13 +28,23 @@
 //! ```
 //!
 //! The T workers are T−1 scoped threads plus the calling thread, so a
-//! one-thread run spawns nothing.
+//! one-thread run — or an answer of one span — spawns nothing. A span is
+//! `min(span_blocks, ⌈survivors ÷ T⌉)` blocks, so an answer smaller than
+//! the pool is still shared out. No segment is ever resident: a scanner
+//! holds one open file and one block, which bounds a query's memory by
+//! workers × block plus what matched, whatever the archive's size, and
+//! [`QueryReport::bytes_read`] says what the answer cost in segment I/O.
+//! With the index off (`use_index: false`) every segment is read whole
+//! once, to frame it, and dropped before the scan. Positioned reads are
+//! `std::os::unix::fs::FileExt::read_exact_at`; the crate targets Unix.
 //!
 //! Three properties are load-bearing and tested:
 //!
 //! * **Pushdown is only ever a skip.** A zone map can prove a block
 //!   irrelevant; it can never fabricate a match. Blocks without stats
 //!   (corrupt at index time, or hand-built empties) are always scanned.
+//!   A skipped block costs no I/O at all: not opened, not read, not
+//!   CRC'd.
 //! * **Parallelism is invisible in the result.** Spans are numbered in
 //!   file order and a worker scans the span it claimed front to back, so
 //!   laying the spans' per-target groups end to end by span number *is*
@@ -39,17 +54,21 @@
 //! * **The ledger closes.** For every file and in total:
 //!   `scanned + skipped_by_index + skipped_by_corruption == total
 //!   blocks`, with damaged blocks accounted (never silently dropped),
-//!   exactly as the capture side conserves appended records.
+//!   exactly as the capture side conserves appended records. A block the
+//!   file no longer holds (the segment shrank after its index was
+//!   accepted) is a damaged block, not an error.
 
 use crate::codec::decode_block_into;
-use crate::index::{load_or_build, IndexSource, SegmentIndex, ZoneStats};
+use crate::index::{invalid_data, load_or_build_file};
+use crate::index::{BlockEntry, IndexSource, SegmentIndex, ZoneStats};
 use crate::index::{KIND_COMPLETED, KIND_INFLIGHT, KIND_READ, KIND_WRITE};
 use crate::reader::{list_segments, IntegrityReport};
 use crate::segment::{walk_frames, FrameEvent, SegmentError, BLOCK_HEADER_BYTES, BLOCK_MAGIC};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
+use std::fs::{self, File};
 use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use vscsi::{IoDirection, TargetId};
@@ -189,8 +208,8 @@ pub struct SegmentScan {
     pub total_blocks: u64,
     /// Blocks decoded and predicate-filtered.
     pub scanned_blocks: u64,
-    /// Blocks skipped because their zone map proved no match — payload
-    /// bytes never touched.
+    /// Blocks skipped because their zone map proved no match — never
+    /// read.
     pub skipped_by_index: u64,
     /// Blocks attempted but failing CRC/decode.
     pub skipped_by_corruption: u64,
@@ -202,6 +221,10 @@ pub struct SegmentScan {
     pub records_lost: u64,
     /// Declared records inside index-skipped blocks.
     pub records_skipped_by_index: u64,
+    /// Segment bytes the scan fetched: header + payload of every block it
+    /// attempted and the file still held. Sidecars, and a segment read
+    /// whole to (re)build its index, are not counted.
+    pub bytes_read: u64,
     /// Whether the segment ends mid-block.
     pub truncated_tail: bool,
     /// Whether the sidecar was missing/stale and rebuilt from segment
@@ -238,6 +261,9 @@ pub struct QueryReport {
     pub records_lost: u64,
     /// Sum of per-file `records_skipped_by_index`.
     pub records_skipped_by_index: u64,
+    /// Sum of per-file `bytes_read`: what the answer cost in segment
+    /// I/O, index (re)build reads not counted.
+    pub bytes_read: u64,
     /// Sidecars that had to be rebuilt (missing, stale, or malformed).
     pub indexes_rebuilt: u64,
     /// Segments ending mid-block.
@@ -271,6 +297,7 @@ impl QueryReport {
         self.records_matched += scan.records_matched;
         self.records_lost += scan.records_lost;
         self.records_skipped_by_index += scan.records_skipped_by_index;
+        self.bytes_read += scan.bytes_read;
         self.indexes_rebuilt += u64::from(scan.index_rebuilt);
         self.truncated_tails += u64::from(scan.truncated_tail);
         self.files.push(scan);
@@ -357,17 +384,8 @@ pub struct QueryOutcome {
 
 struct LoadedSegment {
     path: PathBuf,
-    data: Vec<u8>,
     index: SegmentIndex,
     rebuilt: bool,
-}
-
-/// A claimable unit of scan work: a run of blocks within one segment.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    seg: u32,
-    start: u32,
-    end: u32,
 }
 
 /// Per-(scanner, segment) counters, merged into [`SegmentScan`]s at
@@ -375,12 +393,11 @@ struct Span {
 #[derive(Debug, Clone, Copy, Default)]
 struct LocalScan {
     scanned_blocks: u64,
-    skipped_by_index: u64,
     skipped_by_corruption: u64,
     records_scanned: u64,
     records_matched: u64,
     records_lost: u64,
-    records_skipped_by_index: u64,
+    bytes_read: u64,
 }
 
 /// Index-shaped framing of a segment *without* zone stats, for the
@@ -398,7 +415,7 @@ fn frame_entries(data: &[u8]) -> Result<SegmentIndex, SegmentError> {
             record_count,
             crc,
             payload,
-        } => index.entries.push(crate::index::BlockEntry {
+        } => index.entries.push(BlockEntry {
             offset: offset as u64,
             payload_len: payload.len() as u32,
             record_count,
@@ -411,16 +428,13 @@ fn frame_entries(data: &[u8]) -> Result<SegmentIndex, SegmentError> {
     Ok(index)
 }
 
-fn invalid_data(path: &Path, e: SegmentError) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{}: {e}", path.display()),
-    )
-}
-
 /// One span's matched records, grouped per target; each group is in file
 /// order because the span was scanned front to back.
 type SpanMatches = BTreeMap<TargetId, Vec<TraceRecord>>;
+
+/// What one scanner brings back: its per-segment counters and, keyed by
+/// span number, the matches of every span it scanned.
+type WorkerScan = (Vec<LocalScan>, Vec<(usize, SpanMatches)>);
 
 /// Runs `work` on `threads` workers — `threads - 1` scoped threads plus
 /// the calling thread — and returns every worker's result.
@@ -437,55 +451,69 @@ fn run_workers<R: Send>(threads: usize, work: impl Fn() -> R + Sync) -> Vec<R> {
     })
 }
 
-/// Phase 1: claims spans until the cursor runs out. Returns this worker's
-/// per-segment counters and, keyed by span number, the matches of every
-/// span it scanned.
+/// Fetches one block — header and payload in a single positioned read
+/// into `buf` — and decodes it into `scratch`. `Ok(false)` is a block
+/// the serial reader would lose too: the file ends before the block does,
+/// the header no longer says what the index entry says, the CRC fails or
+/// the payload does not decode.
+fn fetch_block(
+    file: &File,
+    entry: &BlockEntry,
+    buf: &mut Vec<u8>,
+    scratch: &mut Vec<TraceRecord>,
+    bytes_read: &mut u64,
+) -> io::Result<bool> {
+    buf.resize(BLOCK_HEADER_BYTES + entry.payload_len as usize, 0);
+    match file.read_exact_at(buf, entry.offset) {
+        Ok(()) => *bytes_read += buf.len() as u64,
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
+        Err(e) => return Err(e),
+    }
+    let (header, payload) = buf.split_at(BLOCK_HEADER_BYTES);
+    // A flip inside the 16 header bytes leaves the payload CRC intact,
+    // but the serial reader would refuse to re-frame the block — and the
+    // engine must lose exactly what the reader loses, or "bit-identical
+    // to the reference" breaks.
+    let header_ok = header[..4] == BLOCK_MAGIC.to_le_bytes()
+        && header[4..8] == entry.payload_len.to_le_bytes()
+        && header[8..12] == entry.record_count.to_le_bytes()
+        && header[12..16] == entry.crc32.to_le_bytes();
+    scratch.clear();
+    Ok(header_ok
+        && crc32(payload) == entry.crc32
+        && decode_block_into(payload, entry.record_count, scratch).is_ok())
+}
+
+/// Phase 1: claims spans — runs of `span_len` zone-surviving
+/// `(segment, block)` pairs — until the cursor runs out. Resident bytes
+/// are one block: the segment being scanned is open, never loaded.
 fn scan_worker(
     segments: &[LoadedSegment],
-    spans: &[Span],
+    survivors: &[(u32, u32)],
+    span_len: usize,
     cursor: &AtomicUsize,
     predicate: &Predicate,
-) -> (Vec<LocalScan>, Vec<(usize, SpanMatches)>) {
+) -> io::Result<WorkerScan> {
     let mut stats = vec![LocalScan::default(); segments.len()];
     let mut found = Vec::new();
+    let mut open: Option<(u32, File)> = None;
+    let mut buf: Vec<u8> = Vec::new();
     let mut scratch: Vec<TraceRecord> = Vec::new();
     loop {
         let item = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(span) = spans.get(item) else {
+        let Some(span) = survivors.chunks(span_len).nth(item) else {
             break;
         };
-        let seg = &segments[span.seg as usize];
-        let local = &mut stats[span.seg as usize];
         let mut matches = SpanMatches::new();
-        for block in span.start..span.end {
-            let entry = &seg.index.entries[block as usize];
-            if !predicate.zone_check(entry.stats.as_ref()) {
-                local.skipped_by_index += 1;
-                local.records_skipped_by_index += u64::from(entry.record_count);
-                continue;
-            }
-            // The block header must still say what the index entry says:
-            // a flip inside the 16 header bytes leaves the payload CRC
-            // intact, but the serial reader would refuse to re-frame the
-            // block — and the engine must lose exactly what the reader
-            // loses, or "bit-identical to the reference" breaks.
-            let start = entry.offset as usize + BLOCK_HEADER_BYTES;
-            let header_ok = seg.data.get(entry.offset as usize..start).is_some_and(|h| {
-                h[..4] == BLOCK_MAGIC.to_le_bytes()
-                    && h[4..8] == entry.payload_len.to_le_bytes()
-                    && h[8..12] == entry.record_count.to_le_bytes()
-                    && h[12..16] == entry.crc32.to_le_bytes()
-            });
-            let decoded = header_ok
-                && seg
-                    .data
-                    .get(start..start + entry.payload_len as usize)
-                    .filter(|payload| crc32(payload) == entry.crc32)
-                    .is_some_and(|payload| {
-                        scratch.clear();
-                        decode_block_into(payload, entry.record_count, &mut scratch).is_ok()
-                    });
-            if !decoded {
+        for &(seg, block) in span {
+            let segment = &segments[seg as usize];
+            let (_, file) = match open.take().filter(|(at, _)| *at == seg) {
+                Some(kept) => open.insert(kept),
+                None => open.insert((seg, File::open(&segment.path)?)),
+            };
+            let entry = &segment.index.entries[block as usize];
+            let local = &mut stats[seg as usize];
+            if !fetch_block(file, entry, &mut buf, &mut scratch, &mut local.bytes_read)? {
                 local.skipped_by_corruption += 1;
                 local.records_lost += u64::from(entry.record_count);
                 continue;
@@ -499,7 +527,7 @@ fn scan_worker(
         }
         found.push((item, matches));
     }
-    (stats, found)
+    Ok((stats, found))
 }
 
 /// Phase 2: claims targets until the cursor runs out and replays each
@@ -523,15 +551,29 @@ fn replay_worker(
 
 /// The indexed, parallel scan engine. Construct once, run queries
 /// against archives (store directories or single segment files).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct QueryEngine {
     config: QueryConfig,
+    /// `config.threads` with `0` resolved, once: asking the OS re-reads
+    /// the cgroup files every time.
+    threads: usize,
+}
+
+impl Default for QueryEngine {
+    fn default() -> Self {
+        QueryEngine::new(QueryConfig::default())
+    }
 }
 
 impl QueryEngine {
     /// An engine with the given tuning.
     pub fn new(config: QueryConfig) -> Self {
-        QueryEngine { config }
+        let threads = if config.threads > 0 {
+            config.threads
+        } else {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        };
+        QueryEngine { config, threads }
     }
 
     /// The tuning this engine runs with.
@@ -539,12 +581,34 @@ impl QueryEngine {
         &self.config
     }
 
-    fn resolved_threads(&self) -> usize {
-        if self.config.threads > 0 {
-            self.config.threads
+    /// Every segment's block census, in name order: its sidecar when
+    /// that is current, an index built from the segment's bytes otherwise
+    /// (or always, without zone maps, when the index is off). Bytes read
+    /// to build an index are dropped here; the scan fetches the blocks it
+    /// wants.
+    fn load(&self, path: &Path) -> io::Result<Vec<LoadedSegment>> {
+        let paths = if path.is_dir() {
+            list_segments(path)?
         } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            vec![path.to_path_buf()]
+        };
+        let mut segments = Vec::with_capacity(paths.len());
+        for path in paths {
+            let (index, rebuilt) = if self.config.use_index {
+                let (index, source) = load_or_build_file(&path)?;
+                (index, source == IndexSource::Rebuilt)
+            } else {
+                let data = fs::read(&path)?;
+                let index = frame_entries(&data).map_err(|e| invalid_data(&path, e))?;
+                (index, false)
+            };
+            segments.push(LoadedSegment {
+                path,
+                index,
+                rebuilt,
+            });
         }
+        Ok(segments)
     }
 
     /// Runs `predicate` over the archive at `path` (a store directory or
@@ -552,7 +616,9 @@ impl QueryEngine {
     ///
     /// Corruption inside segments is not an error — damaged blocks are
     /// skipped and accounted in the report, mirroring
-    /// [`read_trace`](crate::read_trace).
+    /// [`read_trace`](crate::read_trace). So is a segment that shrinks
+    /// under the scan: the blocks no longer there are
+    /// `skipped_by_corruption`.
     ///
     /// # Errors
     ///
@@ -563,59 +629,56 @@ impl QueryEngine {
     ///
     /// Propagates panics from worker threads (none are expected).
     pub fn run(&self, path: &Path, predicate: &Predicate) -> io::Result<QueryOutcome> {
-        let paths = if path.is_dir() {
-            list_segments(path)?
-        } else {
-            vec![path.to_path_buf()]
-        };
-        let mut segments = Vec::with_capacity(paths.len());
-        for seg_path in paths {
-            let data = fs::read(&seg_path)?;
-            let (index, rebuilt) = if self.config.use_index {
-                let (index, source) =
-                    load_or_build(&seg_path, &data).map_err(|e| invalid_data(&seg_path, e))?;
-                (index, source == IndexSource::Rebuilt)
-            } else {
-                let index = frame_entries(&data).map_err(|e| invalid_data(&seg_path, e))?;
-                (index, false)
-            };
-            segments.push(LoadedSegment {
-                path: seg_path,
-                data,
-                index,
-                rebuilt,
-            });
-        }
+        self.scan(&self.load(path)?, predicate)
+    }
 
-        let span_blocks = self.config.span_blocks.max(1);
-        let mut spans = Vec::new();
+    /// Prune on this thread, scan what survives, replay what matched.
+    fn scan(&self, segments: &[LoadedSegment], predicate: &Predicate) -> io::Result<QueryOutcome> {
+        // Prune here, once: the zone maps are a few hundred entries, and
+        // work is then cut over what is left to do, not over what exists.
+        let mut scans: Vec<SegmentScan> = Vec::with_capacity(segments.len());
+        let mut survivors: Vec<(u32, u32)> = Vec::new();
         for (seg_idx, seg) in segments.iter().enumerate() {
-            let blocks = seg.index.entries.len() as u32;
-            let mut start = 0u32;
-            while start < blocks {
-                let end = (start + span_blocks).min(blocks);
-                spans.push(Span {
-                    seg: seg_idx as u32,
-                    start,
-                    end,
-                });
-                start = end;
+            let mut scan = SegmentScan {
+                path: seg.path.clone(),
+                total_blocks: seg.index.entries.len() as u64,
+                truncated_tail: seg.index.truncated_tail,
+                index_rebuilt: seg.rebuilt,
+                ..SegmentScan::default()
+            };
+            for (block, entry) in seg.index.entries.iter().enumerate() {
+                if predicate.zone_check(entry.stats.as_ref()) {
+                    survivors.push((seg_idx as u32, block as u32));
+                } else {
+                    scan.skipped_by_index += 1;
+                    scan.records_skipped_by_index += u64::from(entry.record_count);
+                }
             }
+            scans.push(scan);
         }
+        // Enough spans that every worker gets one, none longer than the
+        // configured claim.
+        let span_len = (self.config.span_blocks as usize)
+            .min(survivors.len().div_ceil(self.threads))
+            .max(1);
+        let spans = survivors.len().div_ceil(span_len);
 
-        let threads = self.resolved_threads();
         let cursor = AtomicUsize::new(0);
-        let (scan_stats, found): (Vec<_>, Vec<_>) = run_workers(threads.min(spans.len()), || {
-            scan_worker(&segments, &spans, &cursor, predicate)
-        })
-        .into_iter()
-        .unzip();
+        let mut scan_stats = Vec::new();
+        let mut found = Vec::new();
+        for worker in run_workers(self.threads.min(spans), || {
+            scan_worker(segments, &survivors, span_len, &cursor, predicate)
+        }) {
+            let (stats, matches) = worker?;
+            scan_stats.push(stats);
+            found.extend(matches);
+        }
 
         // Whoever scanned it, a span's matches go to the slot with its
         // number; walking the slots in order then hands every target its
         // groups in file order.
-        let mut by_span = vec![SpanMatches::new(); spans.len()];
-        for (item, matches) in found.into_iter().flatten() {
+        let mut by_span = vec![SpanMatches::new(); spans];
+        for (item, matches) in found {
             by_span[item] = matches;
         }
         let mut by_target: BTreeMap<TargetId, Vec<Vec<TraceRecord>>> = BTreeMap::new();
@@ -626,7 +689,7 @@ impl QueryEngine {
 
         let cursor = AtomicUsize::new(0);
         let mut target_rows: Vec<TargetQueryResult> =
-            run_workers(threads.min(by_target.len()), || {
+            run_workers(self.threads.min(by_target.len()), || {
                 replay_worker(&by_target, &cursor, &self.config.collector)
             })
             .into_iter()
@@ -637,23 +700,15 @@ impl QueryEngine {
         target_rows.sort_by_key(|row| row.target);
 
         let mut report = QueryReport::default();
-        for (seg_idx, seg) in segments.into_iter().enumerate() {
-            let mut scan = SegmentScan {
-                path: seg.path,
-                total_blocks: seg.index.entries.len() as u64,
-                truncated_tail: seg.index.truncated_tail,
-                index_rebuilt: seg.rebuilt,
-                ..SegmentScan::default()
-            };
+        for (seg_idx, mut scan) in scans.into_iter().enumerate() {
             for per_scanner in &scan_stats {
                 let local = &per_scanner[seg_idx];
                 scan.scanned_blocks += local.scanned_blocks;
-                scan.skipped_by_index += local.skipped_by_index;
                 scan.skipped_by_corruption += local.skipped_by_corruption;
                 scan.records_scanned += local.records_scanned;
                 scan.records_matched += local.records_matched;
                 scan.records_lost += local.records_lost;
-                scan.records_skipped_by_index += local.records_skipped_by_index;
+                scan.bytes_read += local.bytes_read;
             }
             report.absorb(scan);
         }
@@ -914,5 +969,80 @@ mod tests {
         )
         .unwrap();
         assert_eq!(digests(&outcome.targets), digests(&reference));
+    }
+
+    #[test]
+    fn a_store_still_appending_answers_from_the_prefix_on_disk() {
+        let dir = TempDir::new("live");
+        let mut config = TraceStoreConfig::new(&dir.0);
+        config.chunk_bytes = 256;
+        config.segment_max_bytes = 4096;
+        let store = TraceStore::create(config).unwrap();
+        let mut sink = store.handle();
+        for i in 0..700 {
+            vscsi_stats::TraceSink::append(&mut sink, &rec(i));
+        }
+        // Acknowledged by the writer: the prefix is on disk, the active
+        // segment has no sidecar, and nothing moves until the next append.
+        vscsi_stats::TraceSink::flush(&mut sink);
+        let predicate = Predicate::TimeNs {
+            from_ns: 500_000,
+            to_ns: 699_000,
+        };
+        for threads in [1, 2] {
+            let outcome = engine(threads, true).run(&dir.0, &predicate).unwrap();
+            assert!(outcome.report.conserves(), "{:?}", outcome.report);
+            assert!(outcome.report.skipped_by_index > 0);
+            assert_eq!(outcome.report.records_matched, 200);
+            // The first run indexes the active segment from its prefix.
+            assert_eq!(outcome.report.indexes_rebuilt, u64::from(threads == 1));
+            let (reference, _) =
+                reference_scan(&dir.0, &predicate, &CollectorConfig::paper_figures()).unwrap();
+            assert_eq!(digests(&outcome.targets), digests(&reference));
+        }
+        // The prefix's sidecar goes stale as the segment grows; the store
+        // and later queries are none the worse for it.
+        for i in 700..1_000 {
+            vscsi_stats::TraceSink::append(&mut sink, &rec(i));
+        }
+        drop(sink);
+        assert_eq!(store.finish().records, 1_000);
+        let all = engine(2, true).run(&dir.0, &Predicate::True).unwrap();
+        assert_eq!(all.report.records_matched, 1_000);
+        assert_eq!(all.report.indexes_rebuilt, 0);
+    }
+
+    #[test]
+    fn a_segment_that_shrinks_under_the_scan_is_booked_as_corruption() {
+        let dir = capture("shrink", 1_000);
+        for threads in [1, 3] {
+            let engine = engine(threads, true);
+            let segments = engine.load(&dir.0).unwrap();
+            let clean = engine.scan(&segments, &Predicate::True).unwrap().report;
+            assert_eq!(clean.skipped_by_corruption, 0);
+
+            // Cut the first segment inside its third block, after the
+            // index was accepted on the full length.
+            let first = &segments[0];
+            let cut = first.index.entries[2].offset + BLOCK_HEADER_BYTES as u64 + 1;
+            let bytes = fs::read(&first.path).unwrap();
+            fs::write(&first.path, &bytes[..cut as usize]).unwrap();
+            let outcome = engine.scan(&segments, &Predicate::True).unwrap();
+            fs::write(&first.path, &bytes).unwrap();
+
+            let report = &outcome.report;
+            assert!(report.conserves(), "{report:?}");
+            let gone = first.index.entries.len() as u64 - 2;
+            assert_eq!(report.skipped_by_corruption, gone);
+            assert_eq!(report.files[0].skipped_by_corruption, gone);
+            assert_eq!(report.scanned_blocks, clean.scanned_blocks - gone);
+            assert_eq!(report.records_matched + report.records_lost, 1_000);
+            // A block the file no longer holds was not fetched.
+            let lost_bytes: u64 = first.index.entries[2..]
+                .iter()
+                .map(|e| BLOCK_HEADER_BYTES as u64 + u64::from(e.payload_len))
+                .sum();
+            assert_eq!(report.bytes_read, clean.bytes_read - lost_bytes);
+        }
     }
 }

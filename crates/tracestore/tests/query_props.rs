@@ -11,8 +11,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tracestore::{
-    index_path, reference_scan, CommandKind, Predicate, QueryConfig, QueryEngine,
-    TargetQueryResult, TraceStore, TraceStoreConfig, SEGMENT_EXTENSION,
+    index_path, load_or_build_file, reference_scan, CommandKind, IndexSource, Predicate,
+    QueryConfig, QueryEngine, TargetQueryResult, TraceStore, TraceStoreConfig, SEGMENT_EXTENSION,
 };
 use vscsi::{IoDirection, Lba, TargetId, VDiskId, VmId};
 use vscsi_stats::{CollectorConfig, TraceRecord, TraceSink};
@@ -143,6 +143,89 @@ fn digests(rows: &[TargetQueryResult]) -> Vec<(TargetId, u64, u64)> {
         .collect()
 }
 
+/// What a scan of the clean, indexed archive in `dir` may fetch for
+/// `predicate`: the blocks whose zone maps do not rule it out, and their
+/// bytes on disk (16-byte header + payload).
+fn zone_survivors(dir: &Path, predicate: &Predicate) -> (u64, u64) {
+    const BLOCK_HEADER_BYTES: u64 = 16;
+    let mut kept = (0, 0);
+    for segment in segment_files(dir) {
+        let (index, source) = load_or_build_file(&segment).unwrap();
+        assert_eq!(source, IndexSource::Sidecar, "the writer left a sidecar");
+        for entry in &index.entries {
+            if entry.stats.is_none_or(|stats| predicate.may_match(&stats)) {
+                kept.0 += 1;
+                kept.1 += BLOCK_HEADER_BYTES + u64::from(entry.payload_len);
+            }
+        }
+    }
+    kept
+}
+
+/// Runs `predicate` at 1, 2 and 64 threads over the clean archive in
+/// `dir`: every run fetches exactly the zone survivors, agrees with the
+/// reference, and reports what the one-thread run reports.
+fn assert_pays_for_what_it_keeps(dir: &Path, predicate: &Predicate) -> (u64, u64) {
+    let (blocks, bytes) = zone_survivors(dir, predicate);
+    let (reference, _) = reference_scan(dir, predicate, &CollectorConfig::paper_figures()).unwrap();
+    let mut serial = None;
+    for threads in [1, 2, 64] {
+        let engine = QueryEngine::new(QueryConfig {
+            threads,
+            span_blocks: 2,
+            ..QueryConfig::default()
+        });
+        let outcome = engine.run(dir, predicate).unwrap();
+        let report = outcome.report;
+        assert!(report.conserves(), "threads={threads}: {report}");
+        assert_eq!(report.scanned_blocks, blocks, "threads={threads}");
+        assert_eq!(report.skipped_by_corruption, 0, "threads={threads}");
+        assert_eq!(report.bytes_read, bytes, "threads={threads}");
+        assert_eq!(
+            digests(&outcome.targets),
+            digests(&reference),
+            "threads={threads}"
+        );
+        assert_eq!(serial.get_or_insert(report.clone()), &report);
+    }
+    (blocks, bytes)
+}
+
+/// Answers that are smaller than the pool: a time-ordered capture, so a
+/// window's width picks how many blocks survive the zone maps.
+#[test]
+fn answers_of_zero_one_and_a_few_blocks_cost_their_blocks_at_any_thread_count() {
+    let dir = temp_dir("narrow");
+    let records: Vec<TraceRecord> = (0..1_500u64)
+        .map(|i| TraceRecord {
+            serial: i,
+            target: TargetId::new(VmId((i % 3) as u32), VDiskId(0)),
+            direction: IoDirection::Read,
+            lba: Lba::new(i * 8),
+            num_sectors: 8,
+            issue_ns: i * 1_000,
+            complete_ns: Some(i * 1_000 + 400),
+            complete_seq: Some(i),
+        })
+        .collect();
+    capture(&dir, &records);
+    let window = |from_ns, to_ns| Predicate::TimeNs { from_ns, to_ns };
+
+    let (all, all_bytes) = assert_pays_for_what_it_keeps(&dir, &Predicate::True);
+    assert!(all > 64, "more blocks than the widest pool: {all}");
+    assert_eq!(
+        assert_pays_for_what_it_keeps(&dir, &window(1_600_000, 1_700_000)),
+        (0, 0)
+    );
+    let (one, one_bytes) = assert_pays_for_what_it_keeps(&dir, &window(300_000, 300_000));
+    assert_eq!(one, 1);
+    assert!(one_bytes < all_bytes / 32);
+    let (few, _) = assert_pays_for_what_it_keeps(&dir, &window(100_000, 140_000));
+    assert!((2..64).contains(&few), "fewer blocks than workers: {few}");
+
+    fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -165,6 +248,7 @@ proptest! {
         capture(&dir, &records);
         let files = segment_files(&dir);
         prop_assert!(!files.is_empty());
+        assert_pays_for_what_it_keeps(&dir, &predicate);
 
         // Injected damage. Flips keep file sizes, so stale-but-valid
         // sidecars stay in play and the scan must *discover* the rot;
