@@ -112,13 +112,6 @@ impl Prepared {
         self.sim.stream_trace(idx, sink);
     }
 
-    /// Mutable access to the underlying simulation, for pre-run
-    /// configuration: attaching a fault plan, tuning the robustness
-    /// policy, or overriding per-target timeouts.
-    pub fn sim_mut(&mut self) -> &mut Simulation {
-        &mut self.sim
-    }
-
     /// Runs the scenario to its horizon and collects the results. Any
     /// active traces are stopped first, so streaming sinks receive their
     /// in-flight tails before the caller finalizes the backing store.
@@ -423,7 +416,7 @@ pub const FAULT_REPLAY_PERIOD: SimDuration = SimDuration::from_millis(50);
 /// a probabilistic BUSY window, a latency-spike window and a path flap.
 /// Deliberately no hangs — every command is delivered inside one
 /// [`FAULT_REPLAY_PERIOD`].
-pub fn fault_demo_plan(seed: u64) -> FaultPlan {
+pub(crate) fn fault_demo_plan(seed: u64) -> FaultPlan {
     FaultPlanBuilder::new(seed)
         .media_error(
             Lba::new(FAULT_MEDIA_BAND.0),
@@ -439,7 +432,7 @@ pub fn fault_demo_plan(seed: u64) -> FaultPlan {
 /// The fault plan for the closed-loop `ext_faults` storm phase: every
 /// command hangs during the first half second, forcing the timeout/abort
 /// path and then target quarantine.
-pub fn fault_storm_plan(seed: u64) -> FaultPlan {
+pub(crate) fn fault_storm_plan(seed: u64) -> FaultPlan {
     FaultPlanBuilder::new(seed)
         .hang(SimTime::ZERO, SimTime::from_millis(500), 1.0)
         .build()
@@ -451,7 +444,7 @@ pub fn fault_storm_plan(seed: u64) -> FaultPlan {
 /// plans: one command per [`FAULT_REPLAY_PERIOD`], mostly a sequential
 /// read run with periodic far seeks, writes mixed in, and every 11th
 /// command aimed into [`FAULT_MEDIA_BAND`].
-pub fn fault_replay_schedule(duration: SimTime) -> Vec<ScheduledIo> {
+pub(crate) fn fault_replay_schedule(duration: SimTime) -> Vec<ScheduledIo> {
     let period = FAULT_REPLAY_PERIOD;
     let count = duration.as_nanos() / period.as_nanos();
     let mut schedule = Vec::with_capacity(count as usize);

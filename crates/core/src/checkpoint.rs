@@ -672,7 +672,7 @@ pub struct CheckpointFile {
 
 impl CheckpointFile {
     /// The file name for checkpoint `seq`.
-    pub fn name(seq: u64) -> String {
+    pub(crate) fn name(seq: u64) -> String {
         format!("ckpt-{seq:010}.{CHECKPOINT_EXTENSION}")
     }
 
@@ -776,7 +776,7 @@ impl CheckpointHealth {
 
     /// Virtual nanoseconds between the last tick and the last durable
     /// checkpoint — how stale a restore-right-now would be.
-    pub fn age_ns(&self) -> Option<u64> {
+    pub(crate) fn age_ns(&self) -> Option<u64> {
         self.last_durable_seq()?;
         Some(
             self.last_tick_ns
@@ -787,7 +787,7 @@ impl CheckpointHealth {
 
     /// Requests an immediate checkpoint from the daemon's next tick
     /// (the seam behind `command("checkpoint")`).
-    pub fn request_now(&self) {
+    pub(crate) fn request_now(&self) {
         self.requested.store(true, Ordering::Release);
     }
 
@@ -796,8 +796,8 @@ impl CheckpointHealth {
     }
 
     /// One-line operator rendering: last durable seq, age, and failure
-    /// counters — the row `command("health")` and `EsxTop` display.
-    pub fn render(&self) -> String {
+    /// counters — the row `command("health")` displays.
+    pub(crate) fn render(&self) -> String {
         let l = self.ledger();
         let (seq, age) = match (self.last_durable_seq(), self.age_ns()) {
             (Some(seq), Some(age)) => (seq.to_string(), format!("{}us", age / 1_000)),
@@ -898,11 +898,6 @@ impl CheckpointDaemon {
         Arc::clone(&self.health)
     }
 
-    /// The daemon's configuration.
-    pub fn config(&self) -> &CheckpointConfig {
-        &self.config
-    }
-
     /// One scheduler step at virtual time `now_ns`: writes a checkpoint
     /// if the cadence is due or one was requested, otherwise does
     /// nothing. Returns `None` when no write was attempted. The first
@@ -923,7 +918,7 @@ impl CheckpointDaemon {
 
     /// Unconditionally writes a checkpoint at virtual time `now_ns`,
     /// returning its sequence number. Books exactly one ledger bucket.
-    pub fn checkpoint_now(&mut self, now_ns: u64) -> io::Result<u64> {
+    pub(crate) fn checkpoint_now(&mut self, now_ns: u64) -> io::Result<u64> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.health.attempts.fetch_add(1, Ordering::AcqRel);

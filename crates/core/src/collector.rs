@@ -175,11 +175,6 @@ impl IoStatsCollector {
         }
     }
 
-    /// The configuration this collector was built with.
-    pub fn config(&self) -> &CollectorConfig {
-        &self.config
-    }
-
     /// Observes a command at issue time.
     pub fn on_issue(&mut self, req: &IoRequest) {
         let lens = direction_lens(req);
@@ -378,7 +373,7 @@ impl IoStatsCollector {
 
     /// Clears all histograms and per-stream state; in-flight commands keep
     /// counting so outstanding-I/O tracking stays consistent.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.set = HistogramSet::new();
         self.window.reset();
         self.last_end_block = None;
@@ -443,7 +438,7 @@ impl IoStatsCollector {
     /// The checkpoint plane serializes this; [`IoStatsCollector::from_state`]
     /// is the exact inverse: `from_state(export_state(c))` reproduces `c`'s
     /// every histogram, counter, and future observation bit-for-bit.
-    pub fn export_state(&self) -> CollectorState {
+    pub(crate) fn export_state(&self) -> CollectorState {
         let (ends, cursor, filled) = self.window.to_parts();
         fn series_state(s: Option<&HistogramSeries>) -> Vec<HistogramState> {
             s.map(|s| {
@@ -491,7 +486,7 @@ impl IoStatsCollector {
     /// must pass [`CollectorState::validate`] first; the checkpoint
     /// decoder does, so a corrupt checkpoint surfaces as a decode error,
     /// never a panic.
-    pub fn from_state(state: CollectorState) -> IoStatsCollector {
+    pub(crate) fn from_state(state: CollectorState) -> IoStatsCollector {
         let mut c = IoStatsCollector::new(state.config.clone());
         c.set = state.set;
         assert_eq!(
@@ -570,8 +565,8 @@ pub struct HistogramState {
 
 /// A complete, plain-data export of one [`IoStatsCollector`] — everything
 /// the checkpoint plane must persist to rebuild the collector bit-for-bit.
-/// Produced by [`IoStatsCollector::export_state`], consumed by
-/// [`IoStatsCollector::from_state`].
+/// Produced by `IoStatsCollector::export_state`, consumed by
+/// `IoStatsCollector::from_state`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectorState {
     /// The collector's configuration (determines layouts, window size, and
@@ -620,7 +615,7 @@ pub struct CollectorState {
 
 impl CollectorState {
     /// Structural validation for untrusted (deserialized) state: every
-    /// length and range [`IoStatsCollector::from_state`] would otherwise
+    /// length and range `IoStatsCollector::from_state` would otherwise
     /// panic on. The checkpoint decoder calls this so corrupt bytes become
     /// decode errors.
     pub fn validate(&self) -> Result<(), String> {

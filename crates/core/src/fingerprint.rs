@@ -96,7 +96,7 @@ impl WorkloadFingerprint {
     }
 
     /// The normalized feature vector (each component in `[0, 1]`).
-    pub fn feature_vector(&self) -> [f64; 8] {
+    pub(crate) fn feature_vector(&self) -> [f64; 8] {
         // log2 size scaled into [0,1] over the 512 B .. 1 MiB range.
         let size_feat = ((self.mean_io_bytes.max(512.0) / 512.0).log2() / 11.0).clamp(0.0, 1.0);
         [
@@ -285,16 +285,6 @@ impl FingerprintLibrary {
         self.entries.push((label.into(), fp));
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The best-matching label and its similarity, if the library is
     /// non-empty.
     pub fn nearest(&self, fp: &WorkloadFingerprint) -> Option<(&str, f64)> {
@@ -408,7 +398,6 @@ mod tests {
     #[test]
     fn library_nearest_neighbour() {
         let mut lib = FingerprintLibrary::new();
-        assert!(lib.is_empty());
         assert!(lib
             .nearest(&WorkloadFingerprint::from_collector(&feed(100, 8, 1.0, true, 1), 1).unwrap())
             .is_none());
@@ -420,7 +409,7 @@ mod tests {
             "backup",
             WorkloadFingerprint::from_collector(&feed(2_000, 256, 1.0, true, 4), 1).unwrap(),
         );
-        assert_eq!(lib.len(), 2);
+        assert_eq!(lib.entries.len(), 2);
         let probe =
             WorkloadFingerprint::from_collector(&feed(1_500, 16, 0.75, false, 20), 1).unwrap();
         let (label, score) = lib.nearest(&probe).unwrap();

@@ -154,13 +154,6 @@ impl<V> InflightTable<V> {
         self.fast_len += 1;
     }
 
-    /// Entries currently resident in the heap spill (0 in the steady
-    /// state; nonzero only while more than [`Self::FAST_CAPACITY`] entries
-    /// are simultaneously in flight).
-    pub fn spilled_len(&self) -> usize {
-        self.spill.len()
-    }
-
     /// Backward-shift deletion: walk the chain after the hole and move back
     /// any entry whose ideal slot does not lie strictly between the hole and
     /// its current position (cyclically), preserving probe invariants.
@@ -191,7 +184,7 @@ impl<V> InflightTable<V> {
 
     /// Heap bytes held beyond `size_of::<Self>()` (probe array + spill
     /// nodes, approximately), for memory-footprint accounting.
-    pub fn heap_footprint_bytes(&self) -> usize {
+    pub(crate) fn heap_footprint_bytes(&self) -> usize {
         SLOTS * std::mem::size_of::<Option<(u64, V)>>()
             + self.spill.len() * std::mem::size_of::<(u64, V)>()
     }
@@ -200,7 +193,7 @@ impl<V> InflightTable<V> {
     /// serializers (the checkpoint plane). The table is a map, so sorted
     /// entries re-inserted in order rebuild an equivalent table regardless
     /// of the probe-chain shapes the original went through.
-    pub fn entries(&self) -> Vec<(u64, V)>
+    pub(crate) fn entries(&self) -> Vec<(u64, V)>
     where
         V: Clone,
     {
@@ -297,7 +290,7 @@ mod tests {
         for k in 0..cap + 30 {
             t.insert(k, k);
         }
-        assert_eq!(t.spilled_len(), 30);
+        assert_eq!(t.spill.len(), 30);
         let spilled_footprint = t.heap_footprint_bytes();
         // Remove 30 of the *original fast* keys (0..cap inserted first, so
         // they are the resident ones); each remove must pull one spilled
@@ -306,7 +299,7 @@ mod tests {
             assert_eq!(t.remove(k), Some(k));
         }
         assert_eq!(t.len(), cap as usize);
-        assert_eq!(t.spilled_len(), 0, "spill must drain to empty");
+        assert_eq!(t.spill.len(), 0, "spill must drain to empty");
         assert!(t.heap_footprint_bytes() < spilled_footprint);
         // Every surviving key is still reachable, wherever it now lives.
         for k in 30..cap + 30 {
@@ -348,8 +341,8 @@ mod tests {
             // The structural invariant behind the fix: the heap spill is
             // only ever occupied while the fast array is full.
             assert!(
-                t.spilled_len() == 0
-                    || t.len() - t.spilled_len() == InflightTable::<u64>::FAST_CAPACITY
+                t.spill.is_empty()
+                    || t.len() - t.spill.len() == InflightTable::<u64>::FAST_CAPACITY
             );
         }
         // Drain completely; the spill must be long gone before empty.
@@ -357,7 +350,7 @@ mod tests {
             assert_eq!(t.remove(key), oracle.remove(&key));
         }
         assert!(t.is_empty());
-        assert_eq!(t.spilled_len(), 0);
+        assert_eq!(t.spill.len(), 0);
     }
 
     #[test]

@@ -336,14 +336,14 @@ impl StatsService {
     }
 
     /// Number of shards in the table (a power of two).
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// Shard index a target routes to. The thread-per-core pipeline uses
     /// this to assign each target's events to the aggregator that owns the
     /// shard, so no two aggregators ever contend on one shard lock.
-    pub fn shard_index_of(&self, target: TargetId) -> usize {
+    pub(crate) fn shard_index_of(&self, target: TargetId) -> usize {
         self.shard_index(target)
     }
 
@@ -377,7 +377,7 @@ impl StatsService {
     }
 
     /// The service's restart epoch. Starts at 0; every counter regression
-    /// the service performs on purpose ([`Self::reset_all`]) bumps it, and
+    /// the service performs on purpose (`command("reset")`) bumps it, and
     /// a simulated host restart carries it forward via [`Self::set_epoch`].
     /// Fleet frames embed it so downstream windowed rollups re-base
     /// exactly once per restart.
@@ -393,7 +393,7 @@ impl StatsService {
     }
 
     /// `true` for a service rebuilt by [`Self::from_checkpoint`], until its
-    /// next [`Self::reset_all`]: its counters continue the checkpointed
+    /// next `command("reset")`: its counters continue the checkpointed
     /// ones. Fleet frames carry it next to the epoch, so a collector that
     /// sees the epoch move knows whether to subtract its last snapshot (a
     /// resumed host) or to bank it (a fresh one) without guessing from the
@@ -475,25 +475,6 @@ impl StatsService {
         tracer.into_records()
     }
 
-    /// Resident bytes attributable to tracers right now, across all shards
-    /// (in-flight records plus each streaming backend's buffers). Useful
-    /// for asserting the bounded-memory property of streaming traces.
-    pub fn tracer_footprint_bytes(&self) -> usize {
-        let mut total = 0;
-        for shard in self.shards.iter() {
-            let Some(state) = self.read_state(shard) else {
-                continue;
-            };
-            total += state
-                .targets
-                .values()
-                .filter_map(|t| t.tracer.as_ref())
-                .map(VscsiTracer::memory_footprint_bytes)
-                .sum::<usize>();
-        }
-        total
-    }
-
     /// Hot-path hook: command issue.
     ///
     /// Disabled and untraced, this is one atomic load and one branch — no
@@ -562,7 +543,7 @@ impl StatsService {
     }
 
     /// Whether the sentinel supervision layer is armed.
-    pub fn sentinel_enabled(&self) -> bool {
+    pub(crate) fn sentinel_enabled(&self) -> bool {
         self.sentinel_on.load(Ordering::Acquire)
     }
 
@@ -936,13 +917,6 @@ impl StatsService {
         *lock(&self.ckpt_health) = Some(health);
     }
 
-    /// The attached checkpoint daemon's health surface, if one is
-    /// attached — operator front-ends (`EsxTop`) read it to render the
-    /// checkpoint row next to their own counters.
-    pub fn checkpoint_health(&self) -> Option<Arc<CheckpointHealth>> {
-        lock(&self.ckpt_health).clone()
-    }
-
     #[cfg(test)]
     fn debug_mark_busy(&self, idx: usize, now_ns: u64) {
         self.shards[idx]
@@ -958,7 +932,7 @@ impl StatsService {
     /// the service [`epoch`](Self::epoch): fleet collectors re-base their
     /// windowed deltas instead of booking the drop as corruption. After it
     /// the counters continue nothing, so [`Self::is_resumed`] clears.
-    pub fn reset_all(&self) {
+    pub(crate) fn reset_all(&self) {
         self.epoch.fetch_add(1, Ordering::AcqRel);
         self.resumed.store(false, Ordering::Release);
         for shard in self.shards.iter() {
@@ -1257,7 +1231,6 @@ mod tests {
         s.handle_complete(&IoCompletion::new(r0, SimTime::from_micros(300)));
         // One completed record reached the sink; one is still in flight.
         assert_eq!(lock(&sink.0).len(), 1);
-        assert!(s.tracer_footprint_bytes() > 0);
         // stop_trace flushes the in-flight tail into the sink and returns
         // nothing — the sink owns the trace.
         assert!(s.stop_trace(t).is_empty());
@@ -1267,7 +1240,6 @@ mod tests {
             records.iter().filter(|r| r.complete_ns.is_some()).count(),
             1
         );
-        assert_eq!(s.tracer_footprint_bytes(), 0);
     }
 
     #[test]

@@ -192,10 +192,10 @@ pub enum TraceCapacity {
 
 /// Destination for trace records produced by a streaming tracer.
 ///
-/// A [`VscsiTracer`] built with [`VscsiTracer::streaming`] keeps only the
-/// in-flight commands in memory; each record is handed to the sink the
-/// moment it completes (and the still-in-flight remainder is handed over,
-/// with `complete_ns: None`, when the tracer is finished or dropped).
+/// A streaming [`VscsiTracer`] keeps only the in-flight commands in
+/// memory; each record is handed to the sink the moment it completes (and
+/// the still-in-flight remainder is handed over, with `complete_ns: None`,
+/// when the tracer is finished or dropped).
 /// Implementations decide what durability means — the `tracestore` crate
 /// provides a bounded-memory binary segment store with explicit
 /// backpressure; a `Vec<TraceRecord>` newtype is enough for tests.
@@ -308,7 +308,7 @@ impl VscsiTracer {
     /// tracer is [`finish`](Self::finish)ed, stopped, or dropped. Memory is
     /// therefore bounded by the device queue depth plus whatever the sink
     /// itself buffers — O(outstanding), not O(trace length).
-    pub fn streaming(sink: Box<dyn TraceSink>) -> Self {
+    pub(crate) fn streaming(sink: Box<dyn TraceSink>) -> Self {
         VscsiTracer {
             backend: Backend::Streaming {
                 sink,
@@ -320,15 +320,10 @@ impl VscsiTracer {
         }
     }
 
-    /// Whether this tracer streams completed records to a [`TraceSink`].
-    pub fn is_streaming(&self) -> bool {
-        matches!(self.backend, Backend::Streaming { .. })
-    }
-
     /// The next event sequence number this tracer will assign — the
     /// checkpoint plane's replay watermark. Every record already observed
     /// has `serial` (and `complete_seq`, when present) strictly below this.
-    pub fn next_event_seq(&self) -> u64 {
+    pub(crate) fn next_event_seq(&self) -> u64 {
         self.next_event_seq
     }
 
@@ -336,7 +331,7 @@ impl VscsiTracer {
     /// values are ignored). A restored tracer continues the checkpointed
     /// sequence so post-restart records sort after every pre-crash record
     /// and replay's `(seq, kind)` ordering stays globally consistent.
-    pub fn resume_event_seq(&mut self, seq: u64) {
+    pub(crate) fn resume_event_seq(&mut self, seq: u64) {
         self.next_event_seq = self.next_event_seq.max(seq);
     }
 
@@ -440,7 +435,7 @@ impl VscsiTracer {
     /// Finishes the tracer and returns the records still held in memory:
     /// everything for a memory tracer, nothing for a streaming one (its
     /// records — including the in-flight tail — are in the sink).
-    pub fn into_records(mut self) -> Vec<TraceRecord> {
+    pub(crate) fn into_records(mut self) -> Vec<TraceRecord> {
         self.finish();
         std::mem::take(&mut self.records).into()
     }
@@ -468,26 +463,10 @@ impl VscsiTracer {
             .collect()
     }
 
-    /// Rough resident size in bytes. For a memory tracer this is O(n) in
-    /// trace length — contrast with
-    /// [`IoStatsCollector::memory_footprint_bytes`]. For a streaming tracer
-    /// it covers the in-flight deque *plus the active backend's real
-    /// footprint* (the sink's buffers and queued chunks), and stays bounded
-    /// no matter how long the trace runs.
-    pub fn memory_footprint_bytes(&self) -> usize {
-        let sink_bytes = match &self.backend {
-            Backend::Memory { .. } => 0,
-            Backend::Streaming { sink, .. } => sink.memory_footprint_bytes(),
-        };
-        std::mem::size_of::<Self>()
-            + self.records.capacity() * std::mem::size_of::<TraceRecord>()
-            + sink_bytes
-    }
-
     /// Supervision health of the tracer's sink pipeline: demotions and
     /// watchdog trips for a streaming backend, always-healthy for the
     /// in-memory backend.
-    pub fn sink_health(&self) -> SinkHealth {
+    pub(crate) fn sink_health(&self) -> SinkHealth {
         match &self.backend {
             Backend::Memory { .. } => SinkHealth::default(),
             Backend::Streaming { sink, .. } => sink.health(),
@@ -662,17 +641,6 @@ mod tests {
         assert_eq!(online.issued_commands(), replayed.issued_commands());
     }
 
-    #[test]
-    fn tracer_memory_grows_with_commands() {
-        let mut t = VscsiTracer::new(TraceCapacity::Unbounded);
-        t.on_issue(&req(0, 0, 0));
-        let small = t.memory_footprint_bytes();
-        for i in 1..10_000 {
-            t.on_issue(&req(i, i * 8, i * 10));
-        }
-        assert!(t.memory_footprint_bytes() > small * 10);
-    }
-
     /// Test sink that shares its buffer with the test body, so records can
     /// be inspected after the tracer consumed the boxed sink.
     #[derive(Debug, Default, Clone)]
@@ -692,7 +660,6 @@ mod tests {
         let sink = SharedSink::default();
         let mut mem = VscsiTracer::new(TraceCapacity::Unbounded);
         let mut streaming = VscsiTracer::streaming(Box::new(sink.clone()));
-        assert!(streaming.is_streaming() && !mem.is_streaming());
         let mut inflight = Vec::new();
         for i in 0..100u64 {
             let r = req(i, (i * 11) % 5_000, i * 20);

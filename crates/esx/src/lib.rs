@@ -46,10 +46,8 @@
 
 mod host;
 mod sim;
-mod top;
 mod vm;
 
 pub use host::Testbed;
 pub use sim::{AttachmentStats, RobustnessParams, Simulation};
-pub use top::{EsxTop, TopSample};
 pub use vm::{Attachment, Vm, VmBuilder};

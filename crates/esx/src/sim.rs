@@ -58,12 +58,12 @@ impl AttachmentStats {
     }
 
     /// Commands whose final outcome has been delivered to the guest.
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.completed + self.failed + self.aborted
     }
 
     /// Fraction of delivered commands that ended in error or abort.
-    pub fn error_rate(&self) -> f64 {
+    pub(crate) fn error_rate(&self) -> f64 {
         if self.delivered() == 0 {
             return 0.0;
         }
@@ -198,8 +198,6 @@ struct AttachmentRuntime {
     timer_generation: u64,
     /// Quarantined targets stop dispatching and drain with aborts.
     quarantined: bool,
-    /// Per-target timeout override (else [`RobustnessParams`] applies).
-    timeout_override: Option<SimDuration>,
     stats: AttachmentStats,
 }
 
@@ -239,8 +237,6 @@ pub struct Simulation {
     /// Placement cursor for virtual disks on the backing array.
     next_base_sector: u64,
     next_request_id: u64,
-    /// Device queue depth per attachment (ESX per-VM per-target queue).
-    queue_depth: u32,
     /// Host CPU nanoseconds consumed by the I/O path so far.
     cpu_used_ns: u64,
     robustness: RobustnessParams,
@@ -262,8 +258,8 @@ impl std::fmt::Debug for Simulation {
 }
 
 impl Simulation {
-    /// Default per-(VM, target) device queue depth (ESX's typical 32).
-    pub const DEFAULT_QUEUE_DEPTH: u32 = 32;
+    /// Device queue depth per (VM, target) attachment (ESX's typical 32).
+    const QUEUE_DEPTH: u32 = 32;
 
     /// Creates a simulation around one shared storage array.
     pub fn new(array_params: storage::ArrayParams, service: Arc<StatsService>, seed: u64) -> Self {
@@ -275,7 +271,6 @@ impl Simulation {
             attachments: Vec::new(),
             next_base_sector: 0,
             next_request_id: 0,
-            queue_depth: Self::DEFAULT_QUEUE_DEPTH,
             cpu_used_ns: 0,
             robustness: RobustnessParams::default(),
             retry_rng: rng.fork("retry"),
@@ -288,20 +283,6 @@ impl Simulation {
     /// quarantine).
     pub fn set_robustness(&mut self, params: RobustnessParams) {
         self.robustness = params;
-    }
-
-    /// The active error-handling policy.
-    pub fn robustness(&self) -> RobustnessParams {
-        self.robustness
-    }
-
-    /// Overrides the command timeout for one attachment only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn set_target_timeout(&mut self, idx: usize, timeout: SimDuration) {
-        self.attachments[idx].timeout_override = Some(timeout);
     }
 
     /// Attaches a fault plan to the backing array; subsequent dispatches
@@ -331,7 +312,7 @@ impl Simulation {
     }
 
     /// Host CPU seconds consumed by the I/O path so far.
-    pub fn cpu_used_seconds(&self) -> f64 {
+    pub(crate) fn cpu_used_seconds(&self) -> f64 {
         self.cpu_used_ns as f64 / 1e9
     }
 
@@ -344,16 +325,6 @@ impl Simulation {
         self.cpu_used_seconds() / horizon.as_secs_f64() * 100.0
     }
 
-    /// Overrides the per-attachment device queue depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn set_queue_depth(&mut self, depth: u32) {
-        assert!(depth > 0, "queue depth must be positive");
-        self.queue_depth = depth;
-    }
-
     /// The simulation's base RNG (fork it for workloads).
     pub fn rng(&self) -> &simkit::SimRng {
         &self.rng
@@ -364,23 +335,9 @@ impl Simulation {
         self.queue.now()
     }
 
-    /// The shared array (for cache/utilization inspection).
+    /// The shared array (for cache and I/O-count inspection).
     pub fn array(&self) -> &StorageArray {
         &self.array
-    }
-
-    /// The stats service.
-    pub fn service(&self) -> &Arc<StatsService> {
-        &self.service
-    }
-
-    /// Supervision health of the stats service at the current instant
-    /// (see [`vscsi_stats::HealthSnapshot`]). Also runs the sentinel
-    /// watchdog against the simulated clock so stuck-shard detection
-    /// keys off virtual rather than wall time.
-    pub fn health_snapshot(&self) -> vscsi_stats::HealthSnapshot {
-        self.service.watchdog_check(self.now().as_nanos());
-        self.service.health_snapshot()
     }
 
     /// Adds a VM (all its attachments); accepts a finished [`crate::Vm`] or
@@ -402,7 +359,6 @@ impl Simulation {
                 cmds: InflightTable::new(),
                 timer_generation: 0,
                 quarantined: false,
-                timeout_override: None,
                 stats: AttachmentStats::new(),
             });
         }
@@ -553,10 +509,8 @@ impl Simulation {
             self.drain_quarantined(attach, now);
             return;
         }
-        let timeout = self.attachments[attach]
-            .timeout_override
-            .unwrap_or(self.robustness.command_timeout);
-        while self.attachments[attach].active < self.queue_depth {
+        let timeout = self.robustness.command_timeout;
+        while self.attachments[attach].active < Self::QUEUE_DEPTH {
             let Some(request) = self.attachments[attach].pending.pop_front() else {
                 break;
             };
@@ -849,24 +803,23 @@ mod tests {
         let service = Arc::new(StatsService::default());
         service.enable_all();
         let mut sim = Simulation::new(presets::clariion_cx3_cache_off(), Arc::clone(&service), 2);
-        sim.set_queue_depth(4);
         let vm = VmBuilder::new(0).with_disk(8 * 1024 * 1024 * 1024).attach(
             sim.rng().fork("w"),
             |rng| {
                 Box::new(IometerWorkload::new(
                     "w",
-                    AccessSpec::random_read_8k(32, 6 * 1024 * 1024 * 1024),
+                    AccessSpec::random_read_8k(64, 6 * 1024 * 1024 * 1024),
                     rng,
                 ))
             },
         );
         sim.add_vm(vm);
         sim.run_until(SimTime::from_millis(500));
-        // The guest sees 32 outstanding (vSCSI layer)...
+        // The guest sees 64 outstanding (vSCSI layer)...
         let c = service.collector(sim.attachment_target(0)).unwrap();
         let h = c.histogram(Metric::OutstandingIos, Lens::All);
-        assert!(h.max().unwrap() >= 30, "vSCSI OIO max = {:?}", h.max());
-        // ...while completions still happen (device got only 4 at a time).
+        assert!(h.max().unwrap() >= 60, "vSCSI OIO max = {:?}", h.max());
+        // ...while completions still happen (device got only 32 at a time).
         assert!(sim.attachment_stats(0).completed > 50);
     }
 
@@ -1066,25 +1019,6 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn per_target_timeout_override_applies() {
-        use faultkit::FaultPlanBuilder;
-        let (mut sim, _service) = sim_with_iometer(AccessSpec::seq_read_4k(4, 1024 * 1024 * 1024));
-        // Hang everything; only the per-target override (5 ms) should
-        // govern how fast aborts come back, not the 2 s default.
-        sim.attach_fault_plan(
-            FaultPlanBuilder::new(1)
-                .hang(SimTime::ZERO, SimTime::from_secs(10), 1.0)
-                .build(),
-        );
-        sim.set_target_timeout(0, SimDuration::from_millis(5));
-        sim.run_until(SimTime::from_millis(100));
-        assert!(
-            sim.attachment_stats(0).aborted > 0,
-            "5 ms override must have fired well within 100 ms"
-        );
     }
 
     #[test]

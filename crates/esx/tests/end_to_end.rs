@@ -1,107 +1,11 @@
-//! End-to-end hypervisor tests with realistic guest stacks.
+//! End-to-end hypervisor test: CPU accounting follows command throughput.
 
-use esx::{EsxTop, Simulation, VmBuilder};
-use guests::filebench::{fileserver_model, parse_model, webserver_model};
-use guests::fs::{Ntfs, NtfsParams, Ufs, UfsParams};
-use guests::{AccessSpec, FilebenchWorkload, IometerWorkload};
-use simkit::{SimDuration, SimTime};
+use esx::{Simulation, VmBuilder};
+use guests::{AccessSpec, IometerWorkload};
+use simkit::SimTime;
 use std::sync::Arc;
 use storage::presets;
-use vscsi_stats::{Lens, Metric, StatsService};
-
-fn filebench_sim(model: String, fs_is_ntfs: bool, seed: u64) -> (Simulation, Arc<StatsService>) {
-    let service = Arc::new(StatsService::default());
-    service.enable_all();
-    let mut sim = Simulation::new(presets::symmetrix(), Arc::clone(&service), seed);
-    let spec = parse_model(&model).expect("bundled model parses");
-    sim.add_vm(VmBuilder::new(0).with_disk(64 * 1024 * 1024 * 1024).attach(
-        sim.rng().fork("fb"),
-        move |rng| {
-            let fs: Box<dyn guests::fs::Filesystem> = if fs_is_ntfs {
-                Box::new(Ntfs::new(NtfsParams::default()))
-            } else {
-                Box::new(Ufs::new(UfsParams::default()))
-            };
-            Box::new(FilebenchWorkload::new("fb", spec, fs, rng))
-        },
-    ));
-    (sim, service)
-}
-
-#[test]
-fn webserver_personality_is_read_heavy_through_the_stack() {
-    let (mut sim, service) = filebench_sim(webserver_model(), false, 31);
-    sim.run_until(SimTime::from_secs(5));
-    let c = service.collector(sim.attachment_target(0)).unwrap();
-    assert!(c.issued_commands() > 500);
-    let rf = c.read_fraction().unwrap();
-    assert!(rf > 0.8, "webserver read fraction = {rf}");
-    // Log appends make the write stream near-sequential.
-    let w = c.histogram(Metric::SeekDistance, Lens::Writes);
-    assert!(w.fraction_in(0, 500) > 0.5, "weblog should append");
-}
-
-#[test]
-fn fileserver_personality_mixes_roles() {
-    let (mut sim, service) = filebench_sim(fileserver_model(), true, 32);
-    sim.run_until(SimTime::from_secs(5));
-    let c = service.collector(sim.attachment_target(0)).unwrap();
-    assert!(c.issued_commands() > 300);
-    // NTFS journalling + lazy-writer flushes amplify the block-level write
-    // count well past the application's op mix — exactly the filesystem
-    // reshaping §4.1 is about — so only require a genuine read/write mix.
-    let rf = c.read_fraction().unwrap();
-    assert!((0.2..0.95).contains(&rf), "fileserver read fraction = {rf}");
-    // 128 KiB whole-file reads dominate the length histogram's upper bins.
-    let len = c.histogram(Metric::IoLength, Lens::Reads);
-    assert!(len.fraction_in(65_536, 131_072) > 0.5);
-}
-
-#[test]
-fn esxtop_over_two_vms_separates_rates() {
-    let service = Arc::new(StatsService::default());
-    let mut sim = Simulation::new(presets::clariion_cx3(), Arc::clone(&service), 33);
-    // VM 0: fast cache-friendly sequential; VM 1: slow random.
-    sim.add_vm(VmBuilder::new(0).with_disk(2 * 1024 * 1024 * 1024).attach(
-        sim.rng().fork("seq"),
-        |rng| {
-            Box::new(IometerWorkload::new(
-                "seq",
-                AccessSpec::seq_read_4k(8, 1024 * 1024 * 1024),
-                rng,
-            ))
-        },
-    ));
-    sim.add_vm(VmBuilder::new(1).with_disk(2 * 1024 * 1024 * 1024).attach(
-        sim.rng().fork("rand"),
-        |rng| {
-            Box::new(IometerWorkload::new(
-                "rand",
-                AccessSpec::random_read_8k(8, 1024 * 1024 * 1024),
-                rng,
-            ))
-        },
-    ));
-    let top = EsxTop::run(
-        &mut sim,
-        SimDuration::from_millis(200),
-        SimDuration::from_millis(600),
-        SimDuration::from_millis(200),
-    );
-    let seq = top.iops_stats(0);
-    let rand = top.iops_stats(1);
-    assert_eq!(seq.count(), 3);
-    assert!(
-        seq.mean() > rand.mean() * 3.0,
-        "seq {} vs rand {}",
-        seq.mean(),
-        rand.mean()
-    );
-    // Latency separation too.
-    let seq_lat: Vec<f64> = top.for_attachment(0).map(|s| s.mean_latency_us).collect();
-    let rand_lat: Vec<f64> = top.for_attachment(1).map(|s| s.mean_latency_us).collect();
-    assert!(seq_lat.iter().sum::<f64>() < rand_lat.iter().sum::<f64>());
-}
+use vscsi_stats::StatsService;
 
 #[test]
 fn cpu_accounting_tracks_throughput_difference() {

@@ -137,7 +137,7 @@ pub struct FsFaultPlan {
 
 impl FsFaultPlan {
     /// A plan drawing from `seed` with the given rates.
-    pub fn new(seed: u64, config: FsFaultConfig) -> Self {
+    pub(crate) fn new(seed: u64, config: FsFaultConfig) -> Self {
         FsFaultPlan { seed, config }
     }
 
@@ -226,13 +226,8 @@ pub struct FsFaultStats {
 }
 
 impl FsFaultStats {
-    /// Create ops that went through untouched.
-    pub fn healthy_creates(&self) -> u64 {
-        self.create_ops - self.injected_writes()
-    }
-
     /// Create ops that were sabotaged (each in exactly one bucket).
-    pub fn injected_writes(&self) -> u64 {
+    pub(crate) fn injected_writes(&self) -> u64 {
         self.torn_writes + self.dropped_fsyncs + self.rename_reorders
     }
 

@@ -141,7 +141,7 @@ pub struct FaultPlan {
 ///     .transient_busy(SimTime::ZERO, SimTime::from_millis(100), 0.3)
 ///     .latency_spike(SimTime::from_millis(50), SimTime::from_millis(80), 4.0)
 ///     .build();
-/// assert_eq!(plan.specs().len(), 2);
+/// assert_eq!(plan.stats().consults, 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultPlanBuilder {
@@ -219,16 +219,6 @@ impl FaultPlanBuilder {
 }
 
 impl FaultPlan {
-    /// The seed the plan was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The specs the plan was built from.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
-    }
-
     /// Injection counts so far.
     pub fn stats(&self) -> FaultStats {
         self.stats

@@ -72,7 +72,7 @@ impl FetchError {
     }
 
     /// The same failure stamped with the poll window it landed in.
-    pub fn at_window(self, window: u64) -> Self {
+    pub(crate) fn at_window(self, window: u64) -> Self {
         FetchError {
             msg: self.msg,
             window: Some(window),
@@ -140,11 +140,6 @@ impl ServiceEndpoint {
             tenant,
             service,
         }
-    }
-
-    /// The wrapped service.
-    pub fn service(&self) -> &Arc<StatsService> {
-        &self.service
     }
 
     /// Swaps in a replacement service — a host restart. A fresh service
@@ -362,7 +357,7 @@ impl RetryPolicy {
     /// The wait before retry `attempt` (1-based) of `window` against
     /// `host`: `min(base · 2^(attempt−1), max)` plus a deterministic
     /// jitter in `[0, capped/4]`.
-    pub fn backoff(&self, host: HostId, window: u64, attempt: u32) -> SimDuration {
+    pub(crate) fn backoff(&self, host: HostId, window: u64, attempt: u32) -> SimDuration {
         let exp = attempt.saturating_sub(1).min(20);
         let base_ns = self.backoff_base.as_nanos().saturating_mul(1u64 << exp);
         let capped = base_ns.min(self.backoff_max.as_nanos());
@@ -623,12 +618,6 @@ impl HostStatus {
         &self.agg
     }
 
-    /// The delta the latest good frame contributed, and the window it
-    /// landed in. After a rebase this is the fresh epoch's full snapshot.
-    pub fn delta(&self) -> (&AggSet, Option<u64>) {
-        (&self.delta, self.delta_window)
-    }
-
     /// Closed epochs banked at rebase time: the last good snapshot of
     /// every epoch before the current one, merged.
     pub fn epoch_base(&self) -> &AggSet {
@@ -683,12 +672,19 @@ impl<E: HostEndpoint> FleetCollector<E> {
     }
 
     /// The poll-window index containing virtual time `t`.
-    pub fn window_of(&self, t: SimTime) -> u64 {
+    pub(crate) fn window_of(&self, t: SimTime) -> u64 {
         t.as_nanos() / self.config.interval.as_nanos()
     }
 
     /// Polls every endpoint whose next poll is due at or before `now`,
     /// then reschedules it one interval later. Returns how many polls ran.
+    ///
+    /// The schedule advances one interval per call, not to `now`: a caller
+    /// whose clock jumps several intervals leaves it lagging, and later
+    /// calls poll a host again in a window it was already polled in until
+    /// the schedule catches up. Each such poll is its own scheduled window
+    /// in the ledger and its frame is absorbed like any other; it bridges
+    /// and loses no windows. [`Self::run_until`] never lags.
     pub fn poll_due(&mut self, now: SimTime) -> usize {
         let mut ran = 0;
         for idx in 0..self.endpoints.len() {
@@ -902,7 +898,9 @@ impl<E: HostEndpoint> FleetCollector<E> {
                             s.resumed_epochs += 1;
                             s.epoch = frame.epoch;
                         }
-                        s.bridged_windows += w - prev_w - 1;
+                        // A second good frame in the window of the
+                        // last one (a lagging schedule) bridges nothing.
+                        s.bridged_windows += w.saturating_sub(prev_w + 1);
                         d
                     }
                     None => {
@@ -910,7 +908,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
                         // book the unrecoverable windows, re-base on the
                         // fresh snapshot.
                         s.epoch_bumps += 1;
-                        s.lost_windows += w - prev_w;
+                        s.lost_windows += w.saturating_sub(prev_w);
                         s.epoch_base.merge(&s.agg);
                         s.epoch = if explicit {
                             frame.epoch
@@ -977,10 +975,13 @@ impl<E: HostEndpoint> FleetCollector<E> {
 
     /// Whether `status` counts as stale at `now`: no good frame yet, or
     /// the last one is at least [`PollConfig::stale_after`] windows old.
-    pub fn is_stale(&self, status: &HostStatus, now: SimTime) -> bool {
+    /// A `now` earlier than the last good frame is not stale.
+    pub(crate) fn is_stale(&self, status: &HostStatus, now: SimTime) -> bool {
         match status.last_success {
             None => true,
-            Some(t) => self.window_of(now) - self.window_of(t) >= self.config.stale_after,
+            Some(t) => {
+                self.window_of(now).saturating_sub(self.window_of(t)) >= self.config.stale_after
+            }
         }
     }
 
@@ -1006,7 +1007,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
                 captured_at_us: s.captured_at_us,
             })
             .collect();
-        FleetView::assemble_with_evicted(self.window_of(now), hosts, self.evicted_hosts())
+        FleetView::assemble(self.window_of(now), hosts, self.evicted_hosts())
     }
 
     /// The per-window delta view at `now`: each live host contributes
@@ -1034,7 +1035,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
                 }
             })
             .collect();
-        FleetView::assemble_with_evicted(w, hosts, self.evicted_hosts())
+        FleetView::assemble(w, hosts, self.evicted_hosts())
     }
 
     /// The restart-safe running total view at `now`: each live host
@@ -1054,7 +1055,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
                 captured_at_us: s.captured_at_us,
             })
             .collect();
-        FleetView::assemble_with_evicted(self.window_of(now), hosts, self.evicted_hosts())
+        FleetView::assemble(self.window_of(now), hosts, self.evicted_hosts())
     }
 
     /// The fleet status pane: fleet-wide discipline counters plus one
@@ -1580,6 +1581,50 @@ mod tests {
         let tv = c.windowed_total_view(SimTime::from_secs(3));
         let cv = c.view(SimTime::from_secs(3));
         assert_eq!(tv.fleet.agg, cv.fleet.agg);
+    }
+
+    #[test]
+    fn second_good_frame_in_one_window_bridges_nothing() {
+        let eps = vec![FrameEndpoint::new(
+            0,
+            0,
+            vec![
+                Ok(frame_bytes(0, &[5])),
+                Ok(frame_bytes(0, &[5, 6])),
+                Ok(frame_bytes(0, &[5, 6, 7])),
+            ],
+        )];
+        // The default 6 s interval: the caller's clock jumps to w3 while
+        // the schedule lags at 12 s, so 21 s polls w3 a second time.
+        let mut c = FleetCollector::new(PollConfig::basic(), eps);
+        for t in [0, 20, 21] {
+            assert_eq!(c.poll_due(SimTime::from_secs(t)), 1, "t = {t} s");
+        }
+        let s = &c.status()[0];
+        assert_eq!(s.bridged_windows, 2, "w1 and w2, once, at the first w3");
+        assert_eq!(s.lost_windows, 0);
+        assert_eq!((s.windows_scheduled, s.ok_windows), (3, 3));
+        assert_eq!(
+            s.windows_scheduled,
+            s.ok_windows + s.failed_windows + s.suppressed_windows
+        );
+        let mut rebuilt = s.epoch_base().clone();
+        rebuilt.merge(s.agg());
+        assert!(rebuilt.same_counters(s.windowed_total()));
+        assert_eq!(s.agg().total_events(), 3 * UNIFORM_SLOTS);
+    }
+
+    #[test]
+    fn view_before_the_last_success_is_not_stale() {
+        let eps = vec![FrameEndpoint::new(0, 0, vec![Ok(frame_bytes(0, &[5]))])];
+        let mut c = FleetCollector::new(cfg(), eps);
+        assert_eq!(c.poll_due(SimTime::from_secs(10)), 1);
+        // A reader whose clock is behind the collector's last good frame.
+        let early = SimTime::from_secs(3);
+        assert!(!c.is_stale(&c.status()[0], early));
+        let v = c.view(early);
+        assert_eq!((v.fleet.hosts, v.stale_hosts()), (1, 0));
+        assert_eq!(v.fleet.agg.total_events(), UNIFORM_SLOTS);
     }
 
     #[test]

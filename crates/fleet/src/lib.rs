@@ -17,7 +17,7 @@
 //!   per-host ok/fetch-failure/decode-failure ledgers, and ages silent
 //!   hosts into staleness so one bad host degrades only its own slice.
 //! * [`rollup`] — the host → tenant → fleet tree: [`AggSet`] (a newtype
-//!   over one set) merges target sets, [`FleetView::assemble`] builds the
+//!   over one set) merges target sets, the collector assembles a [`FleetView`]
 //!   tree, and [`FleetView::conserves`] proves the root is bin-for-bin the
 //!   sum of its live leaves.
 //!

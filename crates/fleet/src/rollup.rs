@@ -11,9 +11,9 @@
 //! thousands.
 
 use crate::wire::TargetHistograms;
-use histo::{Histogram, MergeError};
+use histo::MergeError;
 use std::collections::BTreeMap;
-use vscsi_stats::{HistogramSet, Lens, Metric};
+use vscsi_stats::HistogramSet;
 
 /// Identifies a simulated host within the fleet.
 pub type HostId = u64;
@@ -31,11 +31,6 @@ impl AggSet {
     /// An empty set.
     pub fn new() -> Self {
         AggSet::default()
-    }
-
-    /// The histogram for one (metric, lens) slot, materialized.
-    pub fn histogram(&self, metric: Metric, lens: Lens) -> Histogram {
-        self.0.histogram(metric, lens)
     }
 
     /// Merges one target's decoded histogram set into this node.
@@ -124,16 +119,11 @@ pub struct FleetView {
 }
 
 impl FleetView {
-    /// Assembles the tree from per-host leaves. Stale hosts are carried in
+    /// Assembles the tree from per-host leaves, booking `evicted` hosts
+    /// that no longer have one. Stale hosts are carried in
     /// [`FleetView::hosts`] but contribute nothing to tenant or fleet
     /// nodes.
-    pub fn assemble(window: u64, hosts: Vec<HostView>) -> FleetView {
-        FleetView::assemble_with_evicted(window, hosts, 0)
-    }
-
-    /// [`FleetView::assemble`], booking `evicted` hosts that no longer
-    /// have a leaf.
-    pub fn assemble_with_evicted(window: u64, hosts: Vec<HostView>, evicted: usize) -> FleetView {
+    pub(crate) fn assemble(window: u64, hosts: Vec<HostView>, evicted: usize) -> FleetView {
         let mut fleet = RollupNode::default();
         let mut tenants: BTreeMap<TenantId, RollupNode> = BTreeMap::new();
         for h in hosts.iter().filter(|h| !h.stale) {
@@ -158,8 +148,7 @@ impl FleetView {
     /// (counters, totals, sums, min/max). Also checks the tenant layer
     /// partitions the fleet: summed tenant nodes equal the root.
     pub fn conserves(&self) -> bool {
-        let rebuilt =
-            FleetView::assemble_with_evicted(self.window, self.hosts.clone(), self.evicted);
+        let rebuilt = FleetView::assemble(self.window, self.hosts.clone(), self.evicted);
         if rebuilt.fleet != self.fleet || rebuilt.tenants != self.tenants {
             return false;
         }
@@ -175,37 +164,6 @@ impl FleetView {
     /// Hosts currently marked stale.
     pub fn stale_hosts(&self) -> usize {
         self.hosts.iter().filter(|h| h.stale).count()
-    }
-
-    /// A compact human-readable summary: fleet totals, per-tenant totals,
-    /// and staleness — the "fleet view" surface the CLI dumps.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "fleet: {} host(s) live, {} stale, {} evicted, {} target(s), {} event(s)",
-            self.fleet.hosts,
-            self.stale_hosts(),
-            self.evicted,
-            self.fleet.targets,
-            self.fleet.agg.total_events(),
-        );
-        for (tenant, node) in &self.tenants {
-            let _ = writeln!(
-                out,
-                "  tenant {tenant}: {} host(s), {} target(s), {} event(s)",
-                node.hosts,
-                node.targets,
-                node.agg.total_events(),
-            );
-        }
-        let lat = self.fleet.agg.histogram(Metric::Latency, Lens::All);
-        if !lat.is_empty() {
-            let _ = writeln!(out, "fleet latency (all):");
-            let _ = writeln!(out, "{lat}");
-        }
-        out
     }
 }
 
@@ -240,7 +198,7 @@ mod tests {
             host(1, 0, &[100], false),
             host(2, 1, &[7, 8, 2000], false),
         ];
-        let view = FleetView::assemble(3, hosts);
+        let view = FleetView::assemble(3, hosts, 0);
         assert_eq!(view.fleet.hosts, 3);
         assert_eq!(view.fleet.targets, 6);
         assert_eq!(view.tenants.len(), 2);
@@ -252,7 +210,7 @@ mod tests {
     #[test]
     fn stale_hosts_are_reported_but_not_merged() {
         let hosts = vec![host(0, 0, &[5], false), host(1, 0, &[9], true)];
-        let view = FleetView::assemble(0, hosts);
+        let view = FleetView::assemble(0, hosts, 0);
         assert_eq!(view.fleet.hosts, 1);
         assert_eq!(view.stale_hosts(), 1);
         assert_eq!(view.fleet.agg.total_events(), UNIFORM_SLOTS * 2);
@@ -278,14 +236,5 @@ mod tests {
         let mut cum = base.clone();
         cum.merge_target(&target_set(9)).unwrap();
         assert!(base.try_delta(&cum).is_none(), "count regression");
-    }
-
-    #[test]
-    fn render_mentions_tenants_and_staleness() {
-        let view = FleetView::assemble(0, vec![host(0, 7, &[64], false), host(1, 8, &[9], true)]);
-        let text = view.render();
-        assert!(text.contains("tenant 7"));
-        assert!(text.contains("1 stale"));
-        assert!(text.contains("fleet latency"));
     }
 }

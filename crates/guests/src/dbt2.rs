@@ -143,16 +143,6 @@ impl Dbt2Workload {
         }
     }
 
-    /// Completed transactions.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
-
-    /// Dirty pages currently queued for writeback.
-    pub fn dirty_pages(&self) -> usize {
-        self.dirty.len()
-    }
-
     fn arm(&mut self, at: SimTime, kind: TimerKind) {
         self.timers.push(Reverse((at, self.timer_seq, kind)));
         self.timer_seq += 1;
@@ -451,7 +441,7 @@ mod tests {
     fn transactions_complete_and_dirty_pages_accumulate() {
         let mut wl = small();
         drive(&mut wl, 5_000);
-        assert!(wl.transactions() > 10, "txns = {}", wl.transactions());
+        assert!(wl.transactions > 10, "txns = {}", wl.transactions);
     }
 
     #[test]
@@ -606,7 +596,7 @@ mod tests {
             SimRng::seed_from(1),
         );
         let ios = drive(&mut wl, 20_000);
-        assert!(wl.transactions() > 10, "txns still complete without WAL");
+        assert!(wl.transactions > 10, "txns still complete without WAL");
         assert!(
             ios.iter().all(|io| io.tag < WAL_TAG_BASE),
             "no WAL I/Os may be issued"

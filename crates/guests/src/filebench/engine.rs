@@ -116,16 +116,6 @@ impl FilebenchWorkload {
         }
     }
 
-    /// Flowops executed so far (all kinds, including thinks).
-    pub fn ops_executed(&self) -> u64 {
-        self.ops_executed
-    }
-
-    /// The filesystem model in use.
-    pub fn filesystem_name(&self) -> &'static str {
-        self.fs.name()
-    }
-
     fn arm(&mut self, at: SimTime, kind: TimerKind) {
         self.timers.push(Reverse((at, self.timer_seq, kind)));
         self.timer_seq += 1;
@@ -533,8 +523,7 @@ mod tests {
         let mut wl = ufs_workload(spec);
         let poll = wl.start(SimTime::ZERO);
         assert!(!poll.issue.is_empty());
-        assert!(wl.ops_executed() > 0);
-        assert_eq!(wl.filesystem_name(), "ufs");
+        assert!(wl.ops_executed > 0);
         assert_eq!(wl.name(), "test");
     }
 

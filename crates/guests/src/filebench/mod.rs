@@ -50,57 +50,6 @@ define process name=oltp,instances=1 {
     .to_owned()
 }
 
-/// A web-server personality, after Filebench's `webserver.f`: a pool of
-/// threads reading files mostly sequentially (whole-file reads of mixed
-/// sizes) plus one weblog appender. Read-dominated, moderately sequential.
-pub fn webserver_model() -> String {
-    "\
-# Filebench webserver personality (open files, stream them, append a log)
-define file name=docroot,size=4g
-define file name=weblog,size=256m
-
-define process name=webserver,instances=1 {
-  thread name=html-reader,instances=16 {
-    flowop read name=readpage,file=docroot,iosize=16k,random
-    flowop read name=readbody,file=docroot,iosize=64k,random
-    flowop think name=service,value=1ms
-  }
-  thread name=weblog-writer,instances=1 {
-    flowop append name=weblogwrite,file=weblog,iosize=8k,sync
-    flowop think name=logpause,value=4ms
-  }
-}
-"
-    .to_owned()
-}
-
-/// A file-server personality, after Filebench's `fileserver.f`: threads
-/// that read whole files, write new ones, and append — a mixed, bursty
-/// pattern with a broad size distribution.
-pub fn fileserver_model() -> String {
-    "\
-# Filebench fileserver personality (mixed read/write/append)
-define file name=share,size=8g
-define file name=newfiles,size=2g
-
-define process name=fileserver,instances=1 {
-  thread name=filereader,instances=10 {
-    flowop read name=wholeread,file=share,iosize=128k,random
-    flowop think name=t1,value=3ms
-  }
-  thread name=filewriter,instances=5 {
-    flowop write name=create,file=newfiles,iosize=64k,random
-    flowop think name=t2,value=6ms
-  }
-  thread name=appender,instances=2 {
-    flowop append name=app,file=newfiles,iosize=16k,sync
-    flowop think name=t3,value=8ms
-  }
-}
-"
-    .to_owned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,42 +61,5 @@ mod tests {
         assert_eq!(spec.file("datafile").unwrap().size, 10 * 1024 * 1024 * 1024);
         assert_eq!(spec.file("logfile").unwrap().size, 1024 * 1024 * 1024);
         assert_eq!(spec.total_threads(), 31);
-    }
-
-    #[test]
-    fn webserver_model_parses_and_is_read_heavy() {
-        let spec = parse_model(&webserver_model()).unwrap();
-        assert_eq!(spec.total_threads(), 17);
-        let reads = spec.processes[0].threads[0]
-            .flowops
-            .iter()
-            .filter(|f| matches!(f.kind, FlowopKind::Read { .. }))
-            .count();
-        assert_eq!(reads, 2);
-    }
-
-    #[test]
-    fn fileserver_model_parses_with_three_roles() {
-        let spec = parse_model(&fileserver_model()).unwrap();
-        assert_eq!(spec.processes[0].threads.len(), 3);
-        assert_eq!(spec.total_threads(), 17);
-        assert!(spec.file("share").unwrap().size > spec.file("newfiles").unwrap().size);
-    }
-
-    #[test]
-    fn bundled_personalities_run_on_ufs() {
-        use crate::fs::{Ufs, UfsParams};
-        use crate::workload::Workload;
-        for model in [webserver_model(), fileserver_model()] {
-            let spec = parse_model(&model).unwrap();
-            let mut wl = FilebenchWorkload::new(
-                "p",
-                spec,
-                Box::new(Ufs::new(UfsParams::default())),
-                simkit::SimRng::seed_from(1),
-            );
-            let poll = wl.start(simkit::SimTime::ZERO);
-            assert!(!poll.issue.is_empty());
-        }
     }
 }

@@ -84,11 +84,6 @@ impl Ext3 {
         &self.params
     }
 
-    /// Dirty data blocks awaiting writeback.
-    pub fn dirty_blocks(&self) -> usize {
-        self.dirty.len()
-    }
-
     fn locate(&self, file: FileId, offset: u64) -> Lba {
         let chunk_idx = offset / self.params.chunk_bytes;
         let within = offset % self.params.chunk_bytes;
@@ -237,10 +232,10 @@ mod tests {
         let mut fs = ext3();
         let mut rng = SimRng::seed_from(1);
         assert!(fs.write(FileId(0), 0, 4096, false, &mut rng).is_empty());
-        assert_eq!(fs.dirty_blocks(), 1);
+        assert_eq!(fs.dirty.len(), 1);
         let out = fs.flush(&mut rng);
         assert!(!out.is_empty());
-        assert_eq!(fs.dirty_blocks(), 0);
+        assert_eq!(fs.dirty.len(), 0);
     }
 
     #[test]

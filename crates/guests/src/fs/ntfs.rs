@@ -90,11 +90,6 @@ impl Ntfs {
         &self.params
     }
 
-    /// Dirty clusters awaiting the lazy writer.
-    pub fn dirty_clusters(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// Data region layout: file bytes live in `run_bytes` contiguous runs
     /// placed pseudo-randomly after the MFT zone + `$LogFile`.
     fn locate(&self, file: FileId, offset: u64) -> Lba {
@@ -266,7 +261,7 @@ mod tests {
         assert!(out[0].lba.as_bytes() >= log_base && out[0].lba.as_bytes() < log_end);
         // Data extent outside.
         assert!(out[1].lba.as_bytes() >= log_end);
-        assert_eq!(fs.dirty_clusters(), 0);
+        assert_eq!(fs.dirty.len(), 0);
     }
 
     #[test]
@@ -278,10 +273,10 @@ mod tests {
                 .write(FileId(0), i * 4096, 4096, false, &mut rng)
                 .is_empty());
         }
-        assert_eq!(fs.dirty_clusters(), 10);
+        assert_eq!(fs.dirty.len(), 10);
         let out = fs.flush(&mut rng);
         assert!(!out.is_empty());
-        assert_eq!(fs.dirty_clusters(), 0);
+        assert_eq!(fs.dirty.len(), 0);
         // One journal record precedes the data writeback.
         assert!(out[0].lba.as_bytes() >= fs.params().mft_zone_bytes);
         assert!(fs.flush(&mut rng).is_empty());

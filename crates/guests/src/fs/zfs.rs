@@ -100,16 +100,6 @@ impl Zfs {
         &self.params
     }
 
-    /// Number of dirty records awaiting the next txg flush.
-    pub fn dirty_records(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Current allocation frontier (sector).
-    pub fn frontier(&self) -> Lba {
-        Lba::new(self.frontier_sector)
-    }
-
     fn record_index(&self, offset: u64) -> u64 {
         offset / self.params.record_bytes
     }
@@ -273,7 +263,7 @@ mod tests {
         let mut rng = SimRng::seed_from(1);
         let ext = fs.write(FileId(0), 0, 8192, false, &mut rng);
         assert!(ext.is_empty());
-        assert_eq!(fs.dirty_records(), 1);
+        assert_eq!(fs.dirty.len(), 1);
     }
 
     #[test]
@@ -314,7 +304,7 @@ mod tests {
             .unwrap();
         assert!(max <= 128 * 1024);
         // Dirty set drained.
-        assert_eq!(fs.dirty_records(), 0);
+        assert_eq!(fs.dirty.len(), 0);
         assert!(fs.flush(&mut rng).is_empty());
     }
 
@@ -339,14 +329,14 @@ mod tests {
             ..Default::default()
         });
         let mut rng = SimRng::seed_from(4);
-        let mut last_frontier = fs.frontier().sector();
+        let mut last_frontier = fs.frontier_sector;
         let mut wrapped = false;
         for round in 0..2_000u64 {
             for i in 0..16u64 {
                 fs.write(FileId(0), (round * 16 + i) * 8192, 8192, false, &mut rng);
             }
             fs.flush(&mut rng);
-            let f = fs.frontier().sector();
+            let f = fs.frontier_sector;
             if f < last_frontier {
                 wrapped = true;
                 break;

@@ -118,11 +118,6 @@ impl IometerWorkload {
         self.issued
     }
 
-    /// The access specification.
-    pub fn spec(&self) -> &AccessSpec {
-        &self.spec
-    }
-
     fn next_io(&mut self, tag: u64) -> BlockIo {
         let blocks_in_region = self.spec.region_bytes / self.spec.block_bytes;
         let block_idx = if self.rng.chance(self.spec.random_fraction) {

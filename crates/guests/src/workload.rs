@@ -78,14 +78,6 @@ impl Poll {
             timer: Some(at),
         }
     }
-
-    /// Issue I/Os and arm a timer.
-    pub fn issue_with_timer(ios: Vec<BlockIo>, at: SimTime) -> Poll {
-        Poll {
-            issue: ios,
-            timer: Some(at),
-        }
-    }
 }
 
 /// A guest workload driven in closed loop by the hypervisor.
@@ -130,9 +122,6 @@ mod tests {
         );
         let t = SimTime::from_micros(5);
         assert_eq!(Poll::timer(t).timer, Some(t));
-        let p = Poll::issue_with_timer(vec![io], t);
-        assert_eq!(p.issue.len(), 1);
-        assert_eq!(p.timer, Some(t));
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl BinEdges {
     /// A representative point inside bin `index` (used for estimating means
     /// from binned data): the upper bound for bounded bins, midpoints where
     /// both bounds exist, and the lower edge + 1 for the overflow bin.
-    pub fn bin_midpoint(&self, index: usize) -> f64 {
+    pub(crate) fn bin_midpoint(&self, index: usize) -> f64 {
         let (lo, hi) = self.bin_range(index);
         match (lo, hi) {
             (Some(lo), Some(hi)) => (lo as f64 + hi as f64) / 2.0,

@@ -23,10 +23,8 @@ use std::fmt;
 /// h.record(1, 200);        // sequential, fast
 /// h.record(400_000, 9000); // long seek, slow
 /// assert_eq!(h.total(), 2);
-///
-/// // Marginalizing recovers the 1-D histograms.
-/// let seek = h.marginal_x();
-/// assert_eq!(seek.total(), 2);
+/// // Average latency per seek-distance bin: only the two hit bins answer.
+/// assert_eq!(h.conditional_mean_y().iter().flatten().count(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram2d {
@@ -53,12 +51,6 @@ impl Histogram2d {
     #[inline]
     pub fn x_edges(&self) -> &BinEdges {
         &self.x_edges
-    }
-
-    /// Y-axis layout.
-    #[inline]
-    pub fn y_edges(&self) -> &BinEdges {
-        &self.y_edges
     }
 
     /// Records one `(x, y)` observation.
@@ -115,31 +107,6 @@ impl Histogram2d {
         }
     }
 
-    /// Sums over y, producing the x-axis marginal histogram.
-    pub fn marginal_x(&self) -> crate::Histogram {
-        let mut h = crate::Histogram::new(self.x_edges.clone());
-        for xi in 0..self.x_edges.bin_count() {
-            let col: u64 = (0..self.y_edges.bin_count())
-                .map(|yi| self.count(xi, yi))
-                .sum();
-            // Use a representative in-bin value so counts route to bin xi.
-            h.record_n(representative(&self.x_edges, xi), col);
-        }
-        h
-    }
-
-    /// Sums over x, producing the y-axis marginal histogram.
-    pub fn marginal_y(&self) -> crate::Histogram {
-        let mut h = crate::Histogram::new(self.y_edges.clone());
-        for yi in 0..self.y_edges.bin_count() {
-            let row: u64 = (0..self.x_edges.bin_count())
-                .map(|xi| self.count(xi, yi))
-                .sum();
-            h.record_n(representative(&self.y_edges, yi), row);
-        }
-        h
-    }
-
     /// For each x bin, the mean y value estimated from y-bin midpoints —
     /// e.g. "average latency as a function of seek distance". Empty x bins
     /// yield `None`.
@@ -162,15 +129,6 @@ impl Histogram2d {
     pub fn reset(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
         self.total = 0;
-    }
-}
-
-/// A value guaranteed to fall inside bin `idx` of `edges`.
-fn representative(edges: &BinEdges, idx: usize) -> i64 {
-    match edges.bin_range(idx) {
-        (_, Some(hi)) => hi,
-        (Some(lo), None) => lo.saturating_add(1),
-        (None, None) => unreachable!("edges are never empty"),
     }
 }
 
@@ -215,25 +173,6 @@ mod tests {
         assert_eq!(h.count(1, 1), 1);
         assert_eq!(h.count(2, 1), 1);
         assert_eq!(h.count(0, 1), 0);
-    }
-
-    #[test]
-    fn marginals_match_direct_1d() {
-        let mut h2 = Histogram2d::new(
-            BinEdges::new(vec![0, 10, 100]).unwrap(),
-            BinEdges::new(vec![1, 50]).unwrap(),
-        );
-        let mut hx = crate::Histogram::with_edges(vec![0, 10, 100]).unwrap();
-        let mut hy = crate::Histogram::with_edges(vec![1, 50]).unwrap();
-        let pts = [(-3i64, 0i64), (5, 2), (5, 60), (99, 40), (500, 1), (7, 7)];
-        for (x, y) in pts {
-            h2.record(x, y);
-            hx.record(x);
-            hy.record(y);
-        }
-        assert_eq!(h2.marginal_x().counts(), hx.counts());
-        assert_eq!(h2.marginal_y().counts(), hy.counts());
-        assert_eq!(h2.marginal_x().total(), 6);
     }
 
     #[test]

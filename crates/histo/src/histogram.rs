@@ -125,7 +125,7 @@ impl Histogram {
     }
 
     /// Records `n` identical observations.
-    pub fn record_n(&mut self, value: i64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: i64, n: u64) {
         if n == 0 {
             return;
         }
@@ -193,15 +193,6 @@ impl Histogram {
         (self.total > 0).then_some(self.max)
     }
 
-    /// Resets all counts while keeping the layout.
-    pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-        self.sum = 0;
-        self.min = i64::MAX;
-        self.max = i64::MIN;
-    }
-
     /// Adds all of `other`'s counts into `self`.
     ///
     /// # Errors
@@ -240,30 +231,6 @@ impl Histogram {
             }
         }
         n as f64 / self.total as f64
-    }
-
-    /// Running cumulative counts per bin (last element == total).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use histo::Histogram;
-    ///
-    /// let mut h = Histogram::with_edges(vec![0, 10])?;
-    /// h.record(-1);
-    /// h.record(5);
-    /// h.record(99);
-    /// assert_eq!(h.cumulative_counts(), vec![1, 2, 3]);
-    /// # Ok::<(), histo::BinEdgesError>(())
-    /// ```
-    pub fn cumulative_counts(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .scan(0u64, |acc, &c| {
-                *acc += c;
-                Some(*acc)
-            })
-            .collect()
     }
 
     /// Fraction (0–1) of observations in bins whose upper bound is ≤ `hi`,
@@ -322,21 +289,6 @@ impl Histogram {
         }
         // q == 1.0 lands here only via floating error; return the top.
         Some(self.edges.edges()[self.edges.edges().len() - 1] + 1)
-    }
-
-    /// Mean estimated *from the binned data only* using bin midpoints.
-    /// Compare with [`Histogram::mean`] to quantify binning loss.
-    pub fn binned_mean_estimate(&self) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let s: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| self.edges.bin_midpoint(i) * c as f64)
-            .sum();
-        Some(s / self.total as f64)
     }
 
     /// Iterates `(label, count)` pairs for every bin, in order.
@@ -418,16 +370,6 @@ mod tests {
         assert_eq!(h.mode_bin(), None);
         assert_eq!(h.quantile_upper_bound(0.5), None);
         assert_eq!(h.fraction_in(0, 100), 0.0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut h = h3();
-        h.record(5);
-        h.reset();
-        assert!(h.is_empty());
-        assert_eq!(h.counts(), &[0, 0, 0, 0]);
-        assert_eq!(h.min(), None);
     }
 
     #[test]
@@ -520,20 +462,6 @@ mod tests {
         assert_eq!(h.quantile_upper_bound(1.0), Some(100));
         h.record(5000);
         assert_eq!(h.quantile_upper_bound(1.0), Some(101)); // overflow bin
-    }
-
-    #[test]
-    fn binned_mean_tracks_exact_mean() {
-        let mut h = Histogram::with_edges((0..=100).step_by(2).map(i64::from).collect()).unwrap();
-        for v in 0..=100 {
-            h.record(v);
-        }
-        let exact = h.mean().unwrap();
-        let binned = h.binned_mean_estimate().unwrap();
-        assert!(
-            (exact - binned).abs() < 1.5,
-            "exact {exact}, binned {binned}"
-        );
     }
 
     #[test]

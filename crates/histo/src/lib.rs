@@ -13,7 +13,6 @@
 //! * [`SeekWindow`] — the §3.1 min-of-last-N look-behind window (N = 16).
 //! * [`HistogramSeries`] — per-interval histograms (Figures 4(d), 6(c)).
 //! * [`Histogram2d`] — the §3.6 "future work" metric-correlation extension.
-//! * [`export`] — CSV export and post-processing re-binning.
 //!
 //! # Examples
 //!
@@ -45,8 +44,6 @@
 #![warn(missing_debug_implementations)]
 
 mod bins;
-pub mod distance;
-pub mod export;
 mod fastbin;
 mod hist2d;
 mod histogram;

@@ -7,7 +7,7 @@
 //! fixed-width interval.
 
 use crate::bins::BinEdges;
-use crate::histogram::{Histogram, MergeError};
+use crate::histogram::Histogram;
 use simkit::{SimDuration, SimTime};
 use std::fmt;
 
@@ -72,18 +72,6 @@ impl HistogramSeries {
         }
     }
 
-    /// The shared bin layout.
-    #[inline]
-    pub fn edges(&self) -> &BinEdges {
-        &self.edges
-    }
-
-    /// The interval width.
-    #[inline]
-    pub fn width(&self) -> SimDuration {
-        self.width
-    }
-
     /// Records `value` in the interval containing time `t`, creating empty
     /// intervening intervals as needed.
     pub fn record(&mut self, t: SimTime, value: i64) {
@@ -108,23 +96,6 @@ impl HistogramSeries {
     /// Iterates over `(interval_index, histogram)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Histogram)> {
         self.intervals.iter().enumerate()
-    }
-
-    /// Collapses the whole series into a single histogram.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MergeError::LayoutMismatch`] if any interval's layout
-    /// differs from the series layout. [`HistogramSeries::record`] only
-    /// ever creates intervals with the shared layout, but a series built
-    /// from untrusted serialized state can carry mismatched intervals —
-    /// flattening one must surface the error, not panic.
-    pub fn flatten(&self) -> Result<Histogram, MergeError> {
-        let mut out = Histogram::new(self.edges.clone());
-        for h in &self.intervals {
-            out.merge(h)?;
-        }
-        Ok(out)
     }
 
     /// Index of the most populated bin per interval — the "ridge line" of
@@ -189,27 +160,6 @@ mod tests {
         assert_eq!(s.interval_count(), 4);
         assert_eq!(s.interval(0).unwrap().total(), 0);
         assert_eq!(s.interval(3).unwrap().total(), 1);
-    }
-
-    #[test]
-    fn flatten_preserves_totals() {
-        let mut s = series();
-        for sec in 0..30 {
-            s.record(SimTime::from_secs(sec), (sec as i64) * 7);
-        }
-        let flat = s.flatten().unwrap();
-        assert_eq!(flat.total(), 30);
-        assert_eq!(flat.total(), s.total());
-    }
-
-    #[test]
-    fn flatten_surfaces_layout_mismatch() {
-        // A series whose intervals disagree with the series layout can only
-        // arise from untrusted restored state; build one by hand.
-        let mut s = series();
-        s.record(SimTime::from_secs(1), 5);
-        s.intervals[0] = Histogram::with_edges(vec![1, 2, 3]).unwrap();
-        assert_eq!(s.flatten(), Err(MergeError::LayoutMismatch));
     }
 
     #[test]

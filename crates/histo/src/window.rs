@@ -59,12 +59,6 @@ impl SeekWindow {
     /// The paper's default window size.
     pub const DEFAULT_CAPACITY: usize = 16;
 
-    /// Window capacity `N`.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of I/Os currently remembered.
     #[inline]
     pub fn len(&self) -> usize {
@@ -98,7 +92,7 @@ impl SeekWindow {
 
     /// The signed min-abs distance from any remembered end to `first_block`
     /// without recording anything.
-    pub fn min_distance_to(&self, first_block: u64) -> Option<i64> {
+    pub(crate) fn min_distance_to(&self, first_block: u64) -> Option<i64> {
         self.ends[..self.filled]
             .iter()
             .map(|&end| signed_distance(end, first_block))

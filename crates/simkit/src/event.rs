@@ -143,11 +143,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Discards all pending events without advancing the clock.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_len_clear() {
+    fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
@@ -200,8 +195,5 @@ mod tests {
         q.schedule(SimTime::from_micros(3), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 }

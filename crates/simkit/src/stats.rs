@@ -1,7 +1,7 @@
 //! Streaming summary statistics.
 //!
-//! The paper reports means, standard deviations, and rate variation over
-//! fixed intervals (Table 2, Figure 4(d)). [`OnlineStats`] is a Welford
+//! The paper reports means and standard deviations, and rates over fixed
+//! intervals (Table 2, Figure 4(d)). [`OnlineStats`] is a Welford
 //! accumulator; [`IntervalCounter`] buckets event counts into fixed-width
 //! time intervals for "over time" analyses.
 
@@ -20,7 +20,7 @@ use crate::time::{SimDuration, SimTime};
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct OnlineStats {
@@ -79,7 +79,7 @@ impl OnlineStats {
     }
 
     /// Sample variance with Bessel's correction (0 with < 2 observations).
-    pub fn sample_variance(&self) -> f64 {
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -87,13 +87,8 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
+    pub(crate) fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
@@ -116,25 +111,6 @@ impl OnlineStats {
     /// Largest observation (`None` when empty).
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -175,12 +151,6 @@ impl IntervalCounter {
         }
     }
 
-    /// The configured interval width.
-    #[inline]
-    pub fn width(&self) -> SimDuration {
-        self.width
-    }
-
     /// Records one event at time `t`.
     pub fn record(&mut self, t: SimTime) {
         let idx = (t.as_nanos() / self.width.as_nanos()) as usize;
@@ -199,23 +169,6 @@ impl IntervalCounter {
     /// Total events recorded.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Relative variation of the per-interval rate: `(max - min) / max` over
-    /// complete intervals, ignoring the (possibly partial) last one. Returns
-    /// `None` with fewer than 2 complete intervals or an all-zero series.
-    pub fn rate_variation(&self) -> Option<f64> {
-        if self.counts.len() < 3 {
-            return None;
-        }
-        let complete = &self.counts[..self.counts.len() - 1];
-        let max = *complete.iter().max()?;
-        let min = *complete.iter().min()?;
-        if max == 0 {
-            None
-        } else {
-            Some((max - min) as f64 / max as f64)
-        }
     }
 }
 
@@ -278,36 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [10.0, 20.0, 30.0, 40.0];
-        let mut a = OnlineStats::new();
-        xs.iter().for_each(|&x| a.push(x));
-        let mut b = OnlineStats::new();
-        ys.iter().for_each(|&y| b.push(y));
-        let mut both = OnlineStats::new();
-        xs.iter().chain(&ys).for_each(|&v| both.push(v));
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert!((a.mean() - both.mean()).abs() < 1e-12);
-        assert!((a.population_variance() - both.population_variance()).abs() < 1e-9);
-        assert_eq!(a.min(), both.min());
-        assert_eq!(a.max(), both.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut e = OnlineStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
     fn std_dev_pct() {
         let mut s = OnlineStats::new();
         for x in [9.0, 10.0, 11.0] {
@@ -324,28 +247,6 @@ mod tests {
         }
         assert_eq!(c.counts(), &[2, 1, 3]);
         assert_eq!(c.total(), 6);
-    }
-
-    #[test]
-    fn rate_variation_detects_spread() {
-        let mut c = IntervalCounter::new(SimDuration::from_secs(1));
-        // Intervals: 10, 8, (partial) 1
-        for _ in 0..10 {
-            c.record(SimTime::from_millis(500));
-        }
-        for _ in 0..8 {
-            c.record(SimTime::from_millis(1500));
-        }
-        c.record(SimTime::from_millis(2500));
-        let v = c.rate_variation().unwrap();
-        assert!((v - 0.2).abs() < 1e-12, "v = {v}");
-    }
-
-    #[test]
-    fn rate_variation_needs_enough_intervals() {
-        let mut c = IntervalCounter::new(SimDuration::from_secs(1));
-        c.record(SimTime::from_millis(100));
-        assert_eq!(c.rate_variation(), None);
     }
 
     #[test]

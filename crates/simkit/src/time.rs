@@ -205,22 +205,10 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// The span in microseconds as a float.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// `true` if the span is empty.
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Multiplies the span by a float factor, saturating and clamping
@@ -393,10 +381,6 @@ mod tests {
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX
         );
-        assert_eq!(
-            SimDuration::from_micros(1).saturating_sub(SimDuration::from_micros(2)),
-            SimDuration::ZERO
-        );
     }
 
     #[test]
@@ -407,7 +391,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros_f64(2.5).as_nanos(), 2_500);
         let d = SimDuration::from_millis(250);
         assert!((d.as_secs_f64() - 0.25).abs() < 1e-12);
-        assert!((d.as_micros_f64() - 250_000.0).abs() < 1e-9);
         assert_eq!(d.mul_f64(2.0).as_millis(), 500);
         assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
     }

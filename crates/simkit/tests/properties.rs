@@ -2,9 +2,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use simkit::{
-    quantile, Dist, EventQueue, IntervalCounter, OnlineStats, SimDuration, SimRng, SimTime,
-};
+use simkit::{quantile, Dist, EventQueue, IntervalCounter, SimDuration, SimRng, SimTime};
 
 proptest! {
     /// Events pop in non-decreasing time order; equal times pop FIFO.
@@ -29,27 +27,6 @@ proptest! {
             last = Some((ev.at, ev.event));
         }
         prop_assert_eq!(popped, times.len());
-    }
-
-    /// Welford merge over an arbitrary split equals single-pass stats.
-    #[test]
-    fn stats_merge_any_split(
-        xs in vec(-1e6f64..1e6, 1..200),
-        split in 0usize..200,
-    ) {
-        let split = split.min(xs.len());
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        let mut whole = OnlineStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i < split { a.push(x) } else { b.push(x) }
-            whole.push(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
-        prop_assert!((a.population_variance() - whole.population_variance()).abs()
-            / whole.population_variance().max(1.0) < 1e-6);
     }
 
     /// Interval counters conserve totals and bucket correctly.

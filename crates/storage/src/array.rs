@@ -146,11 +146,6 @@ impl StorageArray {
         self.fault_plan = Some(plan);
     }
 
-    /// The attached fault plan, if any (for injection accounting).
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
     /// The array's configuration.
     pub fn params(&self) -> &ArrayParams {
         &self.params
@@ -321,19 +316,6 @@ impl StorageArray {
         );
         self.link_busy_until = begin + xfer;
         self.link_busy_until
-    }
-
-    /// Mean spindle utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .disks
-            .iter()
-            .map(|d| d.busy_total().as_secs_f64())
-            .sum();
-        busy / (self.disks.len() as f64 * horizon.as_secs_f64())
     }
 }
 
@@ -587,16 +569,5 @@ mod tests {
             at.saturating_since(SimTime::ZERO).as_nanos(),
             base.saturating_since(SimTime::ZERO).mul_f64(4.0).as_nanos()
         );
-    }
-
-    #[test]
-    fn utilization_bounded() {
-        let mut a = array(CacheParams::read_cache_off());
-        let mut now = SimTime::ZERO;
-        for i in 0..50u64 {
-            now = a.submit(IoDirection::Read, Lba::new(i * 999_983), 16, now);
-        }
-        let u = a.utilization(now);
-        assert!(u > 0.0 && u <= 1.0, "u = {u}");
     }
 }

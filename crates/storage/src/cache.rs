@@ -207,12 +207,6 @@ impl PageIndex {
             self.spare.push(at);
         }
     }
-
-    fn clear(&mut self) {
-        self.directory.clear();
-        self.chunks.clear();
-        self.spare.clear();
-    }
 }
 
 /// One multiply. Chunk numbers come from this program's own generators, so
@@ -283,12 +277,6 @@ impl ArrayCache {
         self.prefetched_pages
     }
 
-    /// Hit rate over pages (`None` before any lookup).
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.hits as f64 / total as f64)
-    }
-
     /// Pages currently resident.
     pub fn resident_pages(&self) -> u64 {
         self.nodes.len() as u64 - 1
@@ -335,14 +323,6 @@ impl ArrayCache {
             self.touch_run(first_page, total_pages);
         }
         self.params.write_back
-    }
-
-    /// Drops all resident pages and stream state (cache flush).
-    pub fn invalidate_all(&mut self) {
-        self.nodes.clear();
-        self.nodes.push(EMPTY_RING);
-        self.index.clear();
-        self.streams.clear();
     }
 
     /// Touches `count` consecutive pages from `first` upwards, one at a
@@ -526,7 +506,6 @@ mod tests {
         assert!(second.is_full_hit());
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
-        assert_eq!(c.hit_rate(), Some(0.5));
     }
 
     #[test]
@@ -610,15 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_clears() {
-        let mut c = small_cache(16);
-        c.read(Lba::new(0), 8);
-        c.invalidate_all();
-        assert_eq!(c.resident_pages(), 0);
-        assert!(!c.read(Lba::new(0), 8).is_full_hit());
-    }
-
-    #[test]
     fn partial_hit_attribution() {
         let mut c = small_cache(64);
         c.read(Lba::new(0), PAGE_SECTORS); // page 0 resident
@@ -694,27 +664,6 @@ mod tests {
         for i in 492..500u64 {
             assert!(read_page(&mut c, i * 1_000));
         }
-    }
-
-    #[test]
-    fn invalidate_all_returns_every_node() {
-        let mut c = plain_cache(8);
-        for page in 0..20 {
-            read_page(&mut c, page);
-        }
-        c.invalidate_all();
-        assert_eq!(c.resident_pages(), 0);
-        assert_eq!((c.nodes.len(), c.index.chunks.len()), (1, 0));
-        // A full re-fill behaves like a new cache.
-        for page in 0..8 {
-            assert!(!read_page(&mut c, page));
-        }
-        for page in 0..8 {
-            assert!(read_page(&mut c, page));
-        }
-        assert_eq!(c.resident_pages(), 8);
-        assert!(!read_page(&mut c, 8));
-        assert!(!read_page(&mut c, 0), "page 0 was the victim");
     }
 
     #[test]

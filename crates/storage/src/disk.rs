@@ -53,19 +53,6 @@ impl DiskParams {
             settle_window: 256,
         }
     }
-
-    /// A slower 10k-RPM SATA-class drive, for ablations.
-    pub fn sata_10k() -> Self {
-        DiskParams {
-            capacity_sectors: 300 * 1024 * 1024 * 1024 / SECTOR_SIZE,
-            seek_min: SimDuration::from_micros(400),
-            seek_max: SimDuration::from_micros(12_000),
-            revolution: SimDuration::from_micros(6_000),
-            transfer_rate: 60_000_000,
-            transfer_rate_inner: 36_000_000,
-            settle_window: 256,
-        }
-    }
 }
 
 /// One spindle: tracks head position and serializes service.
@@ -93,8 +80,6 @@ pub struct Disk {
     rng: SimRng,
     /// Sector the head is parked after, or `None` before first access.
     head: Option<u64>,
-    served: u64,
-    busy_total: SimDuration,
 }
 
 impl Disk {
@@ -104,24 +89,12 @@ impl Disk {
             params,
             rng,
             head: None,
-            served: 0,
-            busy_total: SimDuration::ZERO,
         }
     }
 
     /// The disk's parameters.
     pub fn params(&self) -> &DiskParams {
         &self.params
-    }
-
-    /// Number of requests serviced.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Total busy time accumulated.
-    pub fn busy_total(&self) -> SimDuration {
-        self.busy_total
     }
 
     /// Computes the service time for `sectors` starting at `lba`, moving the
@@ -138,15 +111,12 @@ impl Disk {
         };
         let transfer = self.transfer_time_at(start, sectors);
         self.head = Some(start.saturating_add(sectors));
-        self.served += 1;
-        let total = positioning + transfer;
-        self.busy_total += total;
-        total
+        positioning + transfer
     }
 
     /// Seek time for a head movement of `distance` sectors: square-root
     /// interpolation between `seek_min` and `seek_max`.
-    pub fn seek_time(&self, distance: u64) -> SimDuration {
+    pub(crate) fn seek_time(&self, distance: u64) -> SimDuration {
         if distance == 0 {
             return SimDuration::ZERO;
         }
@@ -172,7 +142,7 @@ impl Disk {
     /// Media transfer time for `sectors` at radial position `start`:
     /// zoned recording interpolates the rate linearly from the outer rate
     /// (LBA 0) to the inner rate (last LBA).
-    pub fn transfer_time_at(&self, start: u64, sectors: u64) -> SimDuration {
+    pub(crate) fn transfer_time_at(&self, start: u64, sectors: u64) -> SimDuration {
         let frac = (start as f64 / self.params.capacity_sectors as f64).clamp(0.0, 1.0);
         let outer = self.params.transfer_rate as f64;
         let inner = self.params.transfer_rate_inner as f64;
@@ -269,15 +239,6 @@ mod tests {
         // Inner rate = 60% of outer: inner time ~ 1.67x outer time.
         let ratio = inner.as_secs_f64() / outer.as_secs_f64();
         assert!((1.5..1.8).contains(&ratio), "ratio = {ratio}");
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut d = disk();
-        assert_eq!(d.served(), 0);
-        let s = d.service(Lba::new(0), 8);
-        assert_eq!(d.served(), 1);
-        assert_eq!(d.busy_total(), s);
     }
 
     #[test]

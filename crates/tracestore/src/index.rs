@@ -142,7 +142,7 @@ impl ZoneStats {
 
     /// Whether the block *may* contain `target` (bloom check: false
     /// proves absence, true proves nothing).
-    pub fn may_contain_target(&self, target: TargetId) -> bool {
+    pub(crate) fn may_contain_target(&self, target: TargetId) -> bool {
         self.target_bloom & ZoneStats::target_bit(target) != 0
     }
 }
@@ -484,36 +484,8 @@ pub fn load_or_build_file(segment_path: &Path) -> io::Result<(SegmentIndex, Inde
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_block;
-    use crate::segment::{write_block, write_segment_header};
-    use vscsi::{Lba, VDiskId, VmId};
-
-    fn rec(serial: u64) -> TraceRecord {
-        TraceRecord {
-            serial,
-            target: TargetId::new(VmId((serial % 3) as u32), VDiskId(0)),
-            direction: if serial.is_multiple_of(2) {
-                IoDirection::Read
-            } else {
-                IoDirection::Write
-            },
-            lba: Lba::new(serial * 8),
-            num_sectors: 8,
-            issue_ns: 1_000 + serial * 500,
-            complete_ns: Some(1_000 + serial * 500 + 250),
-            complete_seq: Some(serial + 1),
-        }
-    }
-
-    fn segment_with_blocks(blocks: &[&[TraceRecord]]) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_segment_header(&mut out).unwrap();
-        for block in blocks {
-            let (payload, count) = encode_block(block);
-            write_block(&mut out, &payload, count).unwrap();
-        }
-        out
-    }
+    use crate::testutil::{rec, segment_with_blocks};
+    use vscsi::{VDiskId, VmId};
 
     #[test]
     fn build_encode_decode_roundtrip() {

@@ -61,6 +61,8 @@ pub mod reader;
 pub mod ring;
 pub mod segment;
 pub mod store;
+#[cfg(test)]
+mod testutil;
 
 pub use codec::{
     decode_block, decode_block_into, encode_block, BlockBuilder, CodecError, MAX_RECORD_BYTES,

@@ -234,7 +234,7 @@ pub struct SegmentScan {
 
 impl SegmentScan {
     /// Whether this file's block accounting closes exactly.
-    pub fn conserves(&self) -> bool {
+    pub(crate) fn conserves(&self) -> bool {
         self.scanned_blocks + self.skipped_by_index + self.skipped_by_corruption
             == self.total_blocks
     }
@@ -755,41 +755,18 @@ pub fn reference_scan(
 mod tests {
     use super::*;
     use crate::store::{TraceStore, TraceStoreConfig};
+    use crate::testutil::TempDir;
     use vscsi::{Lba, VDiskId, VmId};
 
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            static COUNTER: AtomicUsize = AtomicUsize::new(0);
-            let n = COUNTER.fetch_add(1, Ordering::SeqCst);
-            let path =
-                std::env::temp_dir().join(format!("tracequery-{tag}-{}-{n}", std::process::id()));
-            fs::create_dir_all(&path).unwrap();
-            TempDir(path)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
-
+    /// The fixture stream on a coarser clock (one issue per µs, so the
+    /// time windows below read in records) with LBAs cycling over seven
+    /// bands, which is what makes an LBA predicate selective.
     fn rec(serial: u64) -> TraceRecord {
         TraceRecord {
-            serial,
-            target: TargetId::new(VmId((serial % 3) as u32), VDiskId(0)),
-            direction: if serial.is_multiple_of(2) {
-                IoDirection::Read
-            } else {
-                IoDirection::Write
-            },
             lba: Lba::new((serial % 7) * 1_000),
-            num_sectors: 8,
             issue_ns: serial * 1_000,
             complete_ns: Some(serial * 1_000 + 300),
-            complete_seq: Some(serial + 1),
+            ..crate::testutil::rec(serial)
         }
     }
 

@@ -96,50 +96,11 @@ pub fn read_trace(path: &Path) -> io::Result<(Vec<TraceRecord>, IntegrityReport)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_block;
-    use crate::segment::{write_block, write_segment_header};
+    use crate::testutil::{rec, segment_with_blocks, TempDir};
     use std::fs;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use vscsi::{IoDirection, Lba, TargetId};
-
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            static COUNTER: AtomicUsize = AtomicUsize::new(0);
-            let n = COUNTER.fetch_add(1, Ordering::SeqCst);
-            let path =
-                std::env::temp_dir().join(format!("tracereader-{tag}-{}-{n}", std::process::id()));
-            fs::create_dir_all(&path).unwrap();
-            TempDir(path)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn rec(serial: u64) -> TraceRecord {
-        TraceRecord {
-            serial,
-            target: TargetId::default(),
-            direction: IoDirection::Read,
-            lba: Lba::new(serial),
-            num_sectors: 1,
-            issue_ns: serial,
-            complete_ns: None,
-            complete_seq: None,
-        }
-    }
 
     fn write_segment_file(path: &Path, records: &[TraceRecord]) {
-        let mut out = Vec::new();
-        write_segment_header(&mut out).unwrap();
-        let (payload, count) = encode_block(records);
-        write_block(&mut out, &payload, count).unwrap();
-        fs::write(path, out).unwrap();
+        fs::write(path, segment_with_blocks(&[records])).unwrap();
     }
 
     #[test]

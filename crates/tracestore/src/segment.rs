@@ -59,7 +59,7 @@ pub fn write_block(w: &mut impl Write, payload: &[u8], record_count: u32) -> io:
 
 /// [`write_block`] with a caller-computed checksum, so a writer that also
 /// feeds the checksum into an index sidecar hashes the payload once.
-pub fn write_block_with_crc(
+pub(crate) fn write_block_with_crc(
     w: &mut impl Write,
     payload: &[u8],
     record_count: u32,
@@ -342,30 +342,7 @@ pub fn read_segment(path: &Path) -> io::Result<(Vec<TraceRecord>, SegmentIntegri
 mod tests {
     use super::*;
     use crate::codec::encode_block;
-    use vscsi::{IoDirection, Lba, TargetId};
-
-    fn rec(serial: u64) -> TraceRecord {
-        TraceRecord {
-            serial,
-            target: TargetId::default(),
-            direction: IoDirection::Read,
-            lba: Lba::new(serial * 8),
-            num_sectors: 8,
-            issue_ns: serial * 1_000,
-            complete_ns: Some(serial * 1_000 + 500),
-            complete_seq: Some(serial + 1),
-        }
-    }
-
-    fn segment_with_blocks(blocks: &[&[TraceRecord]]) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_segment_header(&mut out).unwrap();
-        for block in blocks {
-            let (payload, count) = encode_block(block);
-            write_block(&mut out, &payload, count).unwrap();
-        }
-        out
-    }
+    use crate::testutil::{rec, segment_with_blocks};
 
     #[test]
     fn clean_segment_roundtrip() {

@@ -411,16 +411,6 @@ impl TraceStore {
         })
     }
 
-    /// The directory this store writes segments into.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.config.dir
-    }
-
-    /// The configuration this store was created with.
-    pub fn config(&self) -> &TraceStoreConfig {
-        &self.config
-    }
-
     /// A new producer handle, pluggable as a [`TraceSink`].
     pub fn handle(&self) -> TraceStoreHandle {
         TraceStoreHandle {
@@ -434,7 +424,7 @@ impl TraceStore {
     }
 
     /// Snapshot of the accounting so far (capture may still be running).
-    pub fn report(&self) -> StoreReport {
+    pub(crate) fn report(&self) -> StoreReport {
         let stats = lock(&self.shared.stats);
         StoreReport {
             segments: stats.segments,
@@ -562,45 +552,10 @@ impl Drop for TraceStoreHandle {
 mod tests {
     use super::*;
     use crate::reader::read_trace;
+    use crate::testutil::{rec, TempDir};
     use std::io;
     use std::sync::Condvar;
-    use vscsi::{IoDirection, Lba, TargetId};
-
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            static COUNTER: AtomicUsize = AtomicUsize::new(0);
-            let n = COUNTER.fetch_add(1, Ordering::SeqCst);
-            let path =
-                std::env::temp_dir().join(format!("tracestore-{tag}-{}-{n}", std::process::id()));
-            fs::create_dir_all(&path).unwrap();
-            TempDir(path)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn rec(serial: u64) -> TraceRecord {
-        TraceRecord {
-            serial,
-            target: TargetId::default(),
-            direction: if serial.is_multiple_of(3) {
-                IoDirection::Write
-            } else {
-                IoDirection::Read
-            },
-            lba: Lba::new(serial * 16),
-            num_sectors: 16,
-            issue_ns: serial * 2_000,
-            complete_ns: Some(serial * 2_000 + 450),
-            complete_seq: Some(serial + 1),
-        }
-    }
+    use vscsi::TargetId;
 
     #[test]
     fn capture_flush_read_roundtrip() {

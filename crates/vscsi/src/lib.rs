@@ -1,8 +1,8 @@
 //! # vscsi — virtual SCSI substrate
 //!
 //! The data-path types the hypervisor's SCSI emulation layer works with
-//! (§2 of the paper): logical block addresses, SCSI CDBs, in-flight
-//! requests/completions, and virtual-disk geometry.
+//! (§2 of the paper): logical block addresses, in-flight requests and
+//! completions with their SCSI outcome, and virtual-disk geometry.
 //!
 //! The characterization service in the `vscsi-stats` crate observes values
 //! of these types at exactly two points — command issue and command
@@ -11,28 +11,33 @@
 //! # Examples
 //!
 //! ```
-//! use vscsi::{Cdb, IoDirection, Lba};
+//! use simkit::SimTime;
+//! use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId};
 //!
-//! // A guest driver encodes a 64 KiB read at LBA 2048...
-//! let cdb = Cdb::read(Lba::new(2048), 128);
-//! let wire = cdb.encode()?;
-//! // ...the VMM traps the port I/O and the vSCSI layer decodes it.
-//! let decoded = Cdb::decode(&wire)?;
-//! assert_eq!(decoded, cdb);
-//! # Ok::<(), vscsi::CdbError>(())
+//! // Issue hook: a guest's 64 KiB read at LBA 2048 arrives at the vSCSI layer...
+//! let req = IoRequest::new(
+//!     RequestId(1),
+//!     TargetId::default(),
+//!     IoDirection::Read,
+//!     Lba::new(2048),
+//!     128,
+//!     SimTime::from_micros(10),
+//! );
+//! assert_eq!(req.len_bytes(), 64 * 1024);
+//! // ...completion hook: the device reports it done 400 µs later.
+//! let done = IoCompletion::new(req, SimTime::from_micros(410));
+//! assert_eq!(done.latency().as_micros(), 400);
+//! assert!(done.status.is_good());
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod cdb;
-pub mod emulation;
 mod request;
 mod status;
 mod types;
 mod vdisk;
 
-pub use cdb::{opcodes, Cdb, CdbError, RwVariant};
 pub use request::{IoCompletion, IoRequest};
 pub use status::{ScsiStatus, SenseKey};
 pub use types::{IoDirection, Lba, RequestId, TargetId, VDiskId, VmId, SECTOR_SIZE};

@@ -1,7 +1,6 @@
 //! In-flight I/O requests and completions — the objects the vSCSI stats
 //! layer observes at its two hook points (issue and completion).
 
-use crate::cdb::Cdb;
 use crate::status::ScsiStatus;
 use crate::types::{IoDirection, Lba, RequestId, TargetId, SECTOR_SIZE};
 use simkit::{SimDuration, SimTime};
@@ -80,17 +79,6 @@ impl IoRequest {
     #[inline]
     pub fn last_lba(&self) -> Lba {
         self.lba.advance(u64::from(self.num_sectors) - 1)
-    }
-
-    /// The block *after* the last one touched.
-    #[inline]
-    pub fn end_lba(&self) -> Lba {
-        self.lba.advance(u64::from(self.num_sectors))
-    }
-
-    /// The equivalent SCSI CDB (smallest suitable READ/WRITE variant).
-    pub fn to_cdb(&self) -> Cdb {
-        Cdb::rw(self.direction, self.lba, self.num_sectors)
     }
 }
 
@@ -208,14 +196,12 @@ mod tests {
         let r = req(100, 8);
         assert_eq!(r.len_bytes(), 4096);
         assert_eq!(r.last_lba(), Lba::new(107));
-        assert_eq!(r.end_lba(), Lba::new(108));
     }
 
     #[test]
     fn single_sector_request() {
         let r = req(5, 1);
         assert_eq!(r.last_lba(), Lba::new(5));
-        assert_eq!(r.end_lba(), Lba::new(6));
         assert_eq!(r.len_bytes(), 512);
     }
 
@@ -223,27 +209,6 @@ mod tests {
     #[should_panic(expected = "zero-length")]
     fn zero_sectors_rejected() {
         let _ = req(0, 0);
-    }
-
-    #[test]
-    fn cdb_conversion_roundtrips() {
-        let r = req(1234, 16);
-        let cdb = r.to_cdb();
-        match cdb {
-            Cdb::Rw {
-                direction,
-                lba,
-                blocks,
-                ..
-            } => {
-                assert_eq!(direction, IoDirection::Write);
-                assert_eq!(lba, Lba::new(1234));
-                assert_eq!(blocks, 16);
-            }
-            other => panic!("unexpected cdb {other:?}"),
-        }
-        let raw = cdb.encode().unwrap();
-        assert_eq!(Cdb::decode(&raw).unwrap(), cdb);
     }
 
     #[test]

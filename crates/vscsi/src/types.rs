@@ -62,12 +62,6 @@ impl Lba {
     pub fn advance(self, n: u64) -> Lba {
         Lba(self.0.saturating_add(n))
     }
-
-    /// Checked subtraction in sectors.
-    #[inline]
-    pub fn checked_back(self, n: u64) -> Option<Lba> {
-        self.0.checked_sub(n).map(Lba)
-    }
 }
 
 impl fmt::Display for Lba {
@@ -171,8 +165,6 @@ mod tests {
         assert_eq!(Lba::from_byte_offset(1024).sector(), 2);
         assert_eq!(Lba::ZERO.advance(3), Lba::new(3));
         assert_eq!(Lba::new(u64::MAX).advance(1), Lba::new(u64::MAX));
-        assert_eq!(Lba::new(5).checked_back(2), Some(Lba::new(3)));
-        assert_eq!(Lba::new(1).checked_back(2), None);
     }
 
     #[test]

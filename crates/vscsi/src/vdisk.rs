@@ -86,18 +86,6 @@ impl VirtualDisk {
         self.capacity_sectors
     }
 
-    /// Capacity in bytes.
-    #[inline]
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_sectors * SECTOR_SIZE
-    }
-
-    /// Base offset of this disk on the backing device.
-    #[inline]
-    pub fn base(&self) -> Lba {
-        self.base
-    }
-
     /// Validates that `[lba, lba + num_sectors)` lies inside the disk.
     ///
     /// # Errors
@@ -143,7 +131,6 @@ mod tests {
     fn capacity_rounding() {
         let d = VirtualDisk::new(TargetId::default(), 1025, Lba::ZERO);
         assert_eq!(d.capacity_sectors(), 2);
-        assert_eq!(d.capacity_bytes(), 1024);
     }
 
     #[test]

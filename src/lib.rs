@@ -9,7 +9,7 @@
 //!
 //! * [`simkit`] — discrete-event simulation substrate;
 //! * [`histo`] — online histograms with the paper's irregular bin layouts;
-//! * [`vscsi`] — virtual SCSI data-path types (CDBs, requests, disks);
+//! * [`vscsi`] — virtual SCSI data-path types (requests, completions, disks);
 //! * [`storage`] — the simulated disk arrays (Symmetrix / CX3 presets);
 //! * [`guests`] — filesystem models (UFS, ZFS, ext3) and application
 //!   workloads (Filebench OLTP, DBT-2, file copy, Iometer);
@@ -52,7 +52,7 @@ pub use vscsi_stats;
 
 /// Commonly used items from every layer.
 pub mod prelude {
-    pub use esx::{EsxTop, Simulation, Testbed, TopSample, Vm, VmBuilder};
+    pub use esx::{Simulation, Testbed, Vm, VmBuilder};
     pub use fleet::{
         decode_frame, encode_frame, FleetCollector, FleetView, HostFrame, PollConfig,
         ServiceEndpoint,
@@ -65,7 +65,7 @@ pub mod prelude {
     pub use simkit::{Dist, SimDuration, SimRng, SimTime};
     pub use storage::{presets, ArrayParams, StorageArray};
     pub use tracestore::{read_trace, StoreReport, TraceStore, TraceStoreConfig};
-    pub use vscsi::{Cdb, IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId};
+    pub use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId};
     pub use vscsi_stats::{
         replay, CollectorConfig, FingerprintLibrary, IoStatsCollector, Lens, Metric, StatsService,
         TraceCapacity, TraceSink, VecSink, VscsiEvent, VscsiTracer, WorkloadClass,
