@@ -292,7 +292,7 @@ impl IoStatsCollector {
         self.completed_commands += 1;
     }
 
-    #[inline]
+    #[inline(always)]
     fn record(&mut self, metric: Metric, lens: Lens, value: i64) {
         self.set.record(&self.binners, metric, lens, value);
     }

@@ -253,7 +253,12 @@ impl HistogramSet {
     /// increment, one aggregate update. The `All` lens of a metric that
     /// derives it is not a slot — record the command's direction lens and
     /// `All` follows.
-    #[inline]
+    ///
+    /// Both hooks pass `metric` and `lens` as literals or as one of two
+    /// direction lenses, and the inlining is forced so that each call site
+    /// folds the table lookups below into a constant slab offset: a
+    /// `record` in `on_issue` is an add to a known address, not a call.
+    #[inline(always)]
     pub fn record(&mut self, binners: &Binners, metric: Metric, lens: Lens, value: i64) {
         let (m, l) = (metric_index(metric), lens_index(lens));
         debug_assert!(

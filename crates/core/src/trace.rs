@@ -13,7 +13,9 @@ use simkit::SimTime;
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
-use vscsi::{IoCompletion, IoDirection, IoRequest, Lba, RequestId, TargetId, VDiskId, VmId};
+use vscsi::{
+    IoCompletion, IoDirection, IoRequest, Lba, RequestId, ScsiStatus, TargetId, VDiskId, VmId,
+};
 
 /// One traced vSCSI command.
 ///
@@ -55,10 +57,14 @@ impl TraceRecord {
         )
     }
 
-    /// Reconstructs the completion, if the command completed.
+    /// Reconstructs the completion, if the command completed. A record is
+    /// what the hooks observed, so a completion stamped before its issue —
+    /// which the online collector counts as a clock anomaly — comes back as
+    /// observed, not as a panic.
     pub fn to_completion(&self) -> Option<IoCompletion> {
-        self.complete_ns
-            .map(|t| IoCompletion::new(self.to_request(), SimTime::from_nanos(t)))
+        self.complete_ns.map(|t| {
+            IoCompletion::observed(self.to_request(), SimTime::from_nanos(t), ScsiStatus::Good)
+        })
     }
 }
 
@@ -111,6 +117,10 @@ impl std::error::Error for ParseTraceError {}
 impl FromStr for TraceRecord {
     type Err = ParseTraceError;
 
+    /// Parses one [`Display`](fmt::Display) line. Stricter than the binary
+    /// path: a *text* line whose completion precedes its issue is rejected
+    /// as malformed, although a tracer records such a pair when the hooks
+    /// observe one and [`replay`] accepts it.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut it = s.split_whitespace();
         let mut next = |what: &str| {
@@ -490,31 +500,45 @@ impl Drop for VscsiTracer {
 /// sequence numbers), so even same-instant issues and completions land in
 /// the order the vSCSI layer saw them and outstanding-I/O accounting
 /// matches the online view bit-for-bit.
+///
+/// The order is a merge of two runs of `(sequence number, slice index)`
+/// pairs — one pair per issue, one per completed record — each
+/// stable-sorted by sequence number. A captured stream is already in
+/// completion order and nearly in issue order, so both sorts are little
+/// more than one pass of run detection. Between an issue and a completion
+/// carrying the same sequence number — which only a slice no single tracer
+/// wrote can hold — the lower slice index goes first, and a record's own
+/// issue precedes its completion: the order a stable sort of the `[issue
+/// 0, completion 0, issue 1, …]` event list by sequence number gives, for
+/// any slice.
 pub fn replay(records: &[TraceRecord], config: CollectorConfig) -> IoStatsCollector {
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Issue(usize),
-        Complete(usize),
-    }
-    let mut events: Vec<(u64, Ev)> = Vec::with_capacity(records.len() * 2);
-    for (i, r) in records.iter().enumerate() {
-        events.push((r.serial, Ev::Issue(i)));
-        if let Some(seq) = r.complete_seq {
-            events.push((seq, Ev::Complete(i)));
-        }
-    }
-    events.sort_by_key(|&(seq, _)| seq);
+    let by_seq = |mut run: Vec<(u64, usize)>| {
+        run.sort_by_key(|&(seq, _)| seq);
+        run
+    };
+    let indexed = || records.iter().enumerate();
+    let issues = by_seq(indexed().map(|(i, r)| (r.serial, i)).collect());
+    let completions = by_seq(
+        indexed()
+            .filter_map(|(i, r)| Some((r.complete_seq?, i)))
+            .collect(),
+    );
+
     let mut collector = IoStatsCollector::new(config);
-    for (_, ev) in events {
-        match ev {
-            Ev::Issue(i) => collector.on_issue(&records[i].to_request()),
-            Ev::Complete(i) => {
-                let completion = records[i]
-                    .to_completion()
-                    .expect("complete event only queued for completed records");
-                collector.on_complete(&completion);
-            }
+    let mut issues = issues.into_iter().peekable();
+    for completion in completions {
+        // Comparing the pairs is the tie rule; `<=` puts a record's own
+        // issue (equal number, equal index) before its completion.
+        while let Some((_, i)) = issues.next_if(|&issue| issue <= completion) {
+            collector.on_issue(&records[i].to_request());
         }
+        let completion = records[completion.1]
+            .to_completion()
+            .expect("a record with a completion sequence has a completion time");
+        collector.on_complete(&completion);
+    }
+    for (_, i) in issues {
+        collector.on_issue(&records[i].to_request());
     }
     collector
 }
@@ -639,6 +663,30 @@ mod tests {
             }
         }
         assert_eq!(online.issued_commands(), replayed.issued_commands());
+    }
+
+    #[test]
+    fn replay_accepts_the_clock_inversion_the_hooks_accepted() {
+        // A completion stamped 50 µs before its issue: the collector
+        // saturates the latency and counts an anomaly, the tracer records
+        // the pair as seen, and replay has to do what the collector did.
+        let mut online = IoStatsCollector::default();
+        let mut tracer = VscsiTracer::new(TraceCapacity::Unbounded);
+        let r = req(0, 64, 500);
+        let early = IoCompletion::observed(r, SimTime::from_micros(450), ScsiStatus::Good);
+        online.on_issue(&r);
+        tracer.on_issue(&r);
+        online.on_complete(&early);
+        tracer.on_complete(&early);
+        let records: Vec<TraceRecord> = tracer.records().copied().collect();
+        assert_eq!(records[0].complete_ns, Some(450_000));
+
+        let replayed = replay(&records, CollectorConfig::default());
+        assert_eq!(replayed.clock_anomalies(), 1);
+        assert_eq!(replayed.histogram_set(), online.histogram_set());
+        assert_eq!(replayed.completed_commands(), 1);
+        // The text form stays strict: such a line does not parse.
+        assert!(TraceRecord::from_str(&records[0].to_string()).is_err());
     }
 
     /// Test sink that shares its buffer with the test body, so records can

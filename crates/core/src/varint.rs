@@ -27,7 +27,25 @@ pub fn encode_u64(mut v: u64, out: &mut Vec<u8>) {
 /// Decodes an unsigned LEB128 varint starting at `*pos`, advancing `*pos`
 /// past it. Returns `None` on truncation or a non-canonical overlong
 /// encoding (more than 10 bytes, or bits beyond the 64th).
+///
+/// Most fields of a trace record and most counters of a frame fit seven
+/// bits, so the one-byte case is decided inline at the call site and only
+/// a continuation byte pays for the call into the loop.
+#[inline]
 pub fn decode_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    match buf.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Some(u64::from(byte))
+        }
+        _ => decode_u64_multibyte(buf, pos),
+    }
+}
+
+/// The general case of [`decode_u64`]: any length, including the
+/// truncated and overlong inputs it rejects.
+#[inline(never)]
+fn decode_u64_multibyte(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut value = 0u64;
     for i in 0..10 {
         let byte = *buf.get(*pos)?;
@@ -46,22 +64,26 @@ pub fn decode_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
 
 /// Zigzag-maps a signed value so small magnitudes of either sign encode
 /// into few varint bytes: 0, -1, 1, -2, 2, … → 0, 1, 2, 3, 4, …
+#[inline]
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
+#[inline]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// The wire form of `cur` relative to `prev`: a zigzagged wrapping
 /// difference, so consecutive values close in either direction stay short.
+#[inline]
 pub fn delta(prev: u64, cur: u64) -> u64 {
     zigzag(cur.wrapping_sub(prev) as i64)
 }
 
 /// Inverse of [`delta`]: reapplies an encoded difference to `prev`.
+#[inline]
 pub fn apply_delta(prev: u64, encoded: u64) -> u64 {
     prev.wrapping_add(unzigzag(encoded) as u64)
 }
@@ -117,6 +139,67 @@ mod tests {
         let too_big = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
         let mut pos = 0;
         assert_eq!(decode_u64(&too_big, &mut pos), None);
+    }
+
+    /// The decoder as it was before the one-byte path: one loop for every
+    /// length. Kept here as the reference the split decoder must equal.
+    fn reference_decode(buf: &[u8], pos: &mut usize) -> Option<u64> {
+        let mut value = 0u64;
+        for i in 0..10 {
+            let byte = *buf.get(*pos)?;
+            *pos += 1;
+            let low = u64::from(byte & 0x7f);
+            if i == 9 && low > 1 {
+                return None;
+            }
+            value |= low << (7 * i);
+            if byte & 0x80 == 0 {
+                return Some(value);
+            }
+        }
+        None
+    }
+
+    /// Same `Option` from any start offset, and the same `pos` on success.
+    fn assert_decodes_like_reference(buf: &[u8]) {
+        for start in 0..=buf.len() {
+            let (mut pos, mut ref_pos) = (start, start);
+            let got = decode_u64(buf, &mut pos);
+            assert_eq!(got, reference_decode(buf, &mut ref_pos), "{buf:02x?}");
+            if got.is_some() {
+                assert_eq!(pos, ref_pos, "{buf:02x?} from {start}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_decoder_equals_the_single_loop() {
+        assert_decodes_like_reference(&[]);
+        for a in 0..=u8::MAX {
+            assert_decodes_like_reference(&[a]);
+            for b in 0..=u8::MAX {
+                assert_decodes_like_reference(&[a, b]);
+            }
+        }
+        let mut rng = simkit::SimRng::seed_from(23);
+        for _ in 0..20_000 {
+            // Mostly continuation bytes, so the long forms — up to the
+            // tenth byte and the overlong eleventh — are what gets drawn.
+            let len = rng.range_inclusive(3, 11) as usize;
+            let mut buf: Vec<u8> = (0..len)
+                .map(|_| rng.next_u64() as u8 | if rng.chance(0.85) { 0x80 } else { 0 })
+                .collect();
+            if rng.chance(0.5) {
+                // A well-formed terminator where the tenth byte would be.
+                let last = buf.len().min(10) - 1;
+                buf[last] = rng.range_inclusive(0, 3) as u8;
+            }
+            assert_decodes_like_reference(&buf);
+            // Every truncation of it as well.
+            for cut in 0..buf.len() {
+                assert_decodes_like_reference(&buf[..cut]);
+            }
+        }
     }
 
     #[test]

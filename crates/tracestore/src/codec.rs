@@ -58,6 +58,12 @@ const KNOWN_FLAGS: u8 = FLAG_WRITE | FLAG_COMPLETED | FLAG_TARGET;
 /// never reallocates past its reserved capacity.
 pub const MAX_RECORD_BYTES: usize = 72;
 
+/// Smallest encoded record: the flags byte and four one-byte varints
+/// (Δserial, Δlba, sectors, Δissue_ns). A block header's record count is
+/// outside the payload CRC, so the decoder bounds it by the payload with
+/// this before it allocates.
+const MIN_RECORD_BYTES: usize = 5;
+
 /// Per-block delta baseline. Every block starts from this fixed state so
 /// blocks decode independently of each other.
 #[derive(Debug, Clone, Copy, Default)]
@@ -242,10 +248,10 @@ impl BlockBuilder {
 ///
 /// # Errors
 ///
-/// Fails on truncation, malformed varints, out-of-range ids, or leftover
-/// bytes after the last record.
+/// Fails on truncation, malformed varints, out-of-range ids, a count the
+/// payload is too short to hold, or leftover bytes after the last record.
 pub fn decode_block(payload: &[u8], count: u32) -> Result<Vec<TraceRecord>, CodecError> {
-    let mut out = Vec::with_capacity(count as usize);
+    let mut out = Vec::new();
     decode_block_into(payload, count, &mut out)?;
     Ok(out)
 }
@@ -267,6 +273,9 @@ pub fn decode_block_into(
     count: u32,
     out: &mut Vec<TraceRecord>,
 ) -> Result<(), CodecError> {
+    if count as usize > payload.len() / MIN_RECORD_BYTES {
+        return Err(CodecError::new("record count exceeds payload"));
+    }
     let start = out.len();
     out.reserve(count as usize);
     let mut state = DeltaState::default();
@@ -378,6 +387,14 @@ mod tests {
         assert!(decode_block(&payload[..payload.len() - 1], count).is_err());
         // Wrong count: too many expected…
         assert!(decode_block(&payload, count + 1).is_err());
+        // …or more than the payload could hold at five bytes a record,
+        // refused before anything is reserved for them.
+        let mut out = Vec::new();
+        let err = decode_block_into(&payload, u32::MAX, &mut out).unwrap_err();
+        assert_eq!(err.to_string(), "trace codec: record count exceeds payload");
+        assert_eq!(out.capacity(), 0);
+        // The smallest record there is decodes at that bound.
+        assert_eq!(decode_block(&[0, 0, 0, 1, 0], 1).unwrap().len(), 1);
         // …or trailing garbage.
         let mut extended = payload.clone();
         extended.push(0);

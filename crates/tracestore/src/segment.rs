@@ -444,6 +444,20 @@ mod tests {
     }
 
     #[test]
+    fn flipped_record_count_is_a_corrupt_block_not_an_allocation() {
+        // The record count sits in the block header, outside the payload
+        // CRC: one flipped bit there claims a billion records.
+        let records: Vec<TraceRecord> = (0..10).map(rec).collect();
+        let mut seg = segment_with_blocks(&[&records]);
+        seg[SEGMENT_HEADER_BYTES + 11] ^= 0x40;
+        let (recovered, integrity) = parse_segment(&seg).unwrap();
+        assert!(recovered.is_empty());
+        assert_eq!(recovered.capacity(), 0);
+        assert_eq!(integrity.blocks_corrupt, 1);
+        assert_eq!(integrity.blocks_ok, 0);
+    }
+
+    #[test]
     fn empty_segment_is_clean() {
         let image = segment_with_blocks(&[]);
         let (records, integrity) = parse_segment(&image).unwrap();
