@@ -77,6 +77,7 @@ mod service;
 pub mod spsc;
 mod trace;
 pub mod varint;
+pub mod workers;
 
 pub use checkpoint::{
     load_latest, CheckpointConfig, CheckpointDaemon, CheckpointFile, CheckpointHealth,

@@ -21,6 +21,14 @@
 //! wire) costs the fleet view that host's slice, never the rollup's
 //! integrity and never a panic.
 //!
+//! A round ([`FleetCollector::poll_due`]) polls its due hosts concurrently.
+//! Everything one host's poll reads or writes — its endpoint, its
+//! [`HostStatus`], its slot in the schedule — is lent to one per-host cell,
+//! and the due cells are claimed one at a time by `min(cores, due)` scoped
+//! workers, the calling thread among them; one due host never leaves the
+//! caller. No cell can reach another's state, so what a round books does
+//! not depend on how many workers ran it or in which order they claimed.
+//!
 //! On top of that sits the hardened fetch discipline:
 //!
 //! * **retry/backoff** ([`RetryPolicy`]) — each window gets a bounded
@@ -48,7 +56,8 @@ use crate::rollup::{AggSet, FleetView, HostId, HostView, TenantId};
 use crate::wire::{decode_frame, encode_frame, HostFrame, WireError};
 use simkit::{splitmix64, SimDuration, SimTime};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use vscsi_stats::workers::run_workers;
 use vscsi_stats::StatsService;
 
 /// A fetch-side failure: the host could not be reached at all.
@@ -93,12 +102,23 @@ impl std::error::Error for FetchError {}
 
 /// One pollable host: an address (host + tenant) and a way to fetch its
 /// `FetchAllHistograms` frame at a virtual instant.
-pub trait HostEndpoint {
+///
+/// `Send`, because a round polls its due hosts on several workers and an
+/// endpoint goes to whichever worker claims its host.
+pub trait HostEndpoint: Send {
     /// The host's fleet-wide id.
     fn host_id(&self) -> HostId;
     /// The tenant the host belongs to.
     fn tenant_id(&self) -> TenantId;
     /// Fetches one encoded frame at virtual time `now`.
+    ///
+    /// The collector calls this from any of a round's workers,
+    /// concurrently with *other* hosts' fetches and never with this
+    /// host's own: `&mut self` is exclusive for the call. Whatever
+    /// decides the answer must therefore belong to this endpoint alone —
+    /// two endpoints drawing on one shared counter or one shared
+    /// [`StatsService`] would make their answers depend on which worker
+    /// ran first.
     ///
     /// # Errors
     ///
@@ -453,6 +473,11 @@ impl Default for PollConfig {
 }
 
 impl PollConfig {
+    /// The poll-window index containing virtual time `t`.
+    pub(crate) fn window_of(&self, t: SimTime) -> u64 {
+        t.as_nanos() / self.interval.as_nanos()
+    }
+
     /// The minimal discipline: exactly one fetch attempt per window, no
     /// breaker, no eviction — every scheduled window maps 1:1 to one
     /// endpoint fetch, which is what script-driven tests and exact
@@ -652,85 +677,53 @@ pub struct FleetCollector<E> {
     endpoints: Vec<E>,
     next_poll: Vec<SimTime>,
     status: Vec<HostStatus>,
+    /// Workers a round may use: the machine's cores, read once.
+    workers: usize,
 }
 
-impl<E: HostEndpoint> FleetCollector<E> {
-    /// Builds a collector; every host's first poll is due at time zero.
-    pub fn new(config: PollConfig, endpoints: Vec<E>) -> Self {
-        assert!(!config.interval.is_zero(), "poll interval must be positive");
-        let status = endpoints
-            .iter()
-            .map(|e| HostStatus::new(e.host_id(), e.tenant_id()))
-            .collect();
-        let next_poll = vec![SimTime::ZERO; endpoints.len()];
-        FleetCollector {
-            config,
-            endpoints,
-            next_poll,
-            status,
-        }
+/// One host's slice of the collector for the length of a round: the shared
+/// policy, and that host's endpoint, ledger and schedule slot — nothing
+/// any other host's cell can reach, which is what lets a round poll its
+/// due cells on several workers and still book what one worker would.
+struct HostCell<'a, E> {
+    config: &'a PollConfig,
+    endpoint: &'a mut E,
+    status: &'a mut HostStatus,
+    next_poll: &'a mut SimTime,
+}
+
+impl<E: HostEndpoint> HostCell<'_, E> {
+    /// A host is due when it is still enrolled and its time has come.
+    fn is_due(&self, now: SimTime) -> bool {
+        !self.status.evicted && *self.next_poll <= now
     }
 
-    /// The poll-window index containing virtual time `t`.
-    pub(crate) fn window_of(&self, t: SimTime) -> u64 {
-        t.as_nanos() / self.config.interval.as_nanos()
+    /// One scheduled window for this host, then eviction bookkeeping and
+    /// the next poll one interval on.
+    fn poll(&mut self, now: SimTime) {
+        let w = self.config.window_of(now);
+        self.poll_window(now, w);
+        self.maybe_evict(w);
+        *self.next_poll = self.next_poll.saturating_add(self.config.interval);
     }
 
-    /// Polls every endpoint whose next poll is due at or before `now`,
-    /// then reschedules it one interval later. Returns how many polls ran.
-    ///
-    /// The schedule advances one interval per call, not to `now`: a caller
-    /// whose clock jumps several intervals leaves it lagging, and later
-    /// calls poll a host again in a window it was already polled in until
-    /// the schedule catches up. Each such poll is its own scheduled window
-    /// in the ledger and its frame is absorbed like any other; it bridges
-    /// and loses no windows. [`Self::run_until`] never lags.
-    pub fn poll_due(&mut self, now: SimTime) -> usize {
-        let mut ran = 0;
-        for idx in 0..self.endpoints.len() {
-            if self.next_poll[idx] > now {
-                continue;
-            }
-            self.poll_one(idx, now);
-            self.next_poll[idx] = self.next_poll[idx].saturating_add(self.config.interval);
-            ran += 1;
-        }
-        ran
-    }
-
-    /// Advances the poll schedule through every instant up to and
-    /// including `until`, firing due polls in time order.
-    pub fn run_until(&mut self, until: SimTime) {
-        loop {
-            let Some(next) = self.next_poll.iter().copied().min() else {
-                return;
-            };
-            if next > until {
-                return;
-            }
-            self.poll_due(next);
-        }
-    }
-
-    /// One scheduled window for one host: breaker gate, then the bounded
-    /// retry loop, then window-outcome and eviction bookkeeping.
-    fn poll_one(&mut self, idx: usize, now: SimTime) {
-        let w = self.window_of(now);
-        let host = self.status[idx].host;
-        self.status[idx].windows_scheduled += 1;
+    /// Window `w`: breaker gate, then the bounded retry loop, then the
+    /// window's outcome in the ledger and the breaker.
+    fn poll_window(&mut self, now: SimTime, w: u64) {
+        let host = self.status.host;
+        self.status.windows_scheduled += 1;
 
         let mut probe = false;
-        match self.status[idx].breaker {
+        match self.status.breaker {
             BreakerState::Open { next_probe } if w < next_probe => {
-                self.status[idx].suppressed_windows += 1;
-                self.maybe_evict(idx, w);
+                self.status.suppressed_windows += 1;
                 return;
             }
             BreakerState::Open { .. } => probe = true,
             BreakerState::Closed => {}
         }
         if probe {
-            self.status[idx].probe_attempts += 1;
+            self.status.probe_attempts += 1;
         }
 
         // A probe is a single attempt; a normal window gets the retry
@@ -747,16 +740,16 @@ impl<E: HostEndpoint> FleetCollector<E> {
             if attempt > 0 {
                 let wait = self.config.retry.backoff(host, w, attempt);
                 let shifted = t.saturating_add(wait);
-                if self.window_of(shifted) != w {
+                if self.config.window_of(shifted) != w {
                     break;
                 }
                 t = shifted;
-                self.status[idx].retries += 1;
+                self.status.retries += 1;
             }
-            match self.attempt_fetch(idx, t, w) {
+            match self.attempt_fetch(t, w) {
                 Some(hit) => {
                     if attempt > 0 {
-                        self.status[idx].retry_successes += 1;
+                        self.status.retry_successes += 1;
                     }
                     good = Some(hit);
                     break;
@@ -767,8 +760,8 @@ impl<E: HostEndpoint> FleetCollector<E> {
 
         match good {
             Some(frame) => {
-                self.absorb_good(idx, frame, t, w);
-                let s = &mut self.status[idx];
+                self.absorb_good(frame, t, w);
+                let s = &mut *self.status;
                 s.ok_windows += 1;
                 s.failed_window_streak = 0;
                 if probe {
@@ -780,7 +773,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
             None => {
                 let open_after = self.config.breaker.open_after;
                 let probe_every = self.config.breaker.probe_every.max(1);
-                let s = &mut self.status[idx];
+                let s = &mut *self.status;
                 s.failed_windows += 1;
                 s.failed_window_streak += 1;
                 if probe {
@@ -799,23 +792,22 @@ impl<E: HostEndpoint> FleetCollector<E> {
                 }
             }
         }
-        self.maybe_evict(idx, w);
     }
 
     /// One fetch attempt at `t`: books failures into the attempt-level
     /// ledger; returns the decoded, host-checked, sequence-checked frame
     /// on success (booking happens in `absorb_good`).
-    fn attempt_fetch(&mut self, idx: usize, t: SimTime, window: u64) -> Option<HostFrame> {
-        match self.endpoints[idx].fetch(t) {
+    fn attempt_fetch(&mut self, t: SimTime, window: u64) -> Option<HostFrame> {
+        let fetched = self.endpoint.fetch(t);
+        let s = &mut *self.status;
+        match fetched {
             Err(e) => {
-                let s = &mut self.status[idx];
                 s.fetch_failures += 1;
                 s.consecutive_failures += 1;
                 s.last_error = Some(e.at_window(window));
                 None
             }
             Ok(bytes) => {
-                let s = &mut self.status[idx];
                 let outcome = decode_frame(&bytes).and_then(|frame| {
                     if frame.host_id != s.host {
                         return Err(WireError {
@@ -858,12 +850,12 @@ impl<E: HostEndpoint> FleetCollector<E> {
     /// wire-epoch change — fresh or resumed, as the frame says — or
     /// implicit counter regression), rebases the delta chain, and keeps
     /// the windowed running total exact.
-    fn absorb_good(&mut self, idx: usize, frame: HostFrame, t: SimTime, w: u64) {
+    fn absorb_good(&mut self, frame: HostFrame, t: SimTime, w: u64) {
         let mut agg = AggSet::new();
         for target in &frame.targets {
             agg.0.merge(&target.set);
         }
-        let s = &mut self.status[idx];
+        let s = &mut *self.status;
         let delta = match s.last_good_window {
             None => {
                 // First frame ever: the whole snapshot is the delta.
@@ -938,21 +930,104 @@ impl<E: HostEndpoint> FleetCollector<E> {
 
     /// Evicts the host if it has gone `evict_after` windows without a
     /// good frame: polling stops and its leaf leaves the live view.
-    fn maybe_evict(&mut self, idx: usize, w: u64) {
+    fn maybe_evict(&mut self, w: u64) {
         if self.config.evict_after == 0 {
             return;
         }
-        let s = &mut self.status[idx];
-        if s.evicted {
-            return;
-        }
-        let missed = match s.last_good_window {
+        let missed = match self.status.last_good_window {
             Some(g) => w.saturating_sub(g),
             None => w + 1,
         };
         if missed >= self.config.evict_after {
-            s.evicted = true;
-            self.next_poll[idx] = SimTime::MAX;
+            self.status.evicted = true;
+        }
+    }
+}
+
+impl<E: HostEndpoint> FleetCollector<E> {
+    /// Builds a collector; every host's first poll is due at time zero.
+    pub fn new(config: PollConfig, endpoints: Vec<E>) -> Self {
+        assert!(!config.interval.is_zero(), "poll interval must be positive");
+        let status = endpoints
+            .iter()
+            .map(|e| HostStatus::new(e.host_id(), e.tenant_id()))
+            .collect();
+        let next_poll = vec![SimTime::ZERO; endpoints.len()];
+        FleetCollector {
+            config,
+            endpoints,
+            next_poll,
+            status,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
+    /// Every host's cell, in endpoint order.
+    fn cells(&mut self) -> impl Iterator<Item = HostCell<'_, E>> {
+        let config = &self.config;
+        self.endpoints
+            .iter_mut()
+            .zip(&mut self.status)
+            .zip(&mut self.next_poll)
+            .map(move |((endpoint, status), next_poll)| HostCell {
+                config,
+                endpoint,
+                status,
+                next_poll,
+            })
+    }
+
+    /// Polls every live endpoint whose next poll is due at or before
+    /// `now`, then reschedules it one interval later. Returns how many
+    /// polls ran.
+    ///
+    /// The due hosts are polled concurrently: their cells are claimed one
+    /// at a time (hosts differ in size) by `min(cores, due)` workers, the
+    /// calling thread among them, so a round with one due host spawns
+    /// nothing. A cell holds everything its poll reads and writes, so the
+    /// ledgers, views and chaos rolls that come out are the same for any
+    /// worker count and any claim order.
+    ///
+    /// The schedule advances one interval per call, not to `now`: a caller
+    /// whose clock jumps several intervals leaves it lagging, and later
+    /// calls poll a host again in a window it was already polled in until
+    /// the schedule catches up. Each such poll is its own scheduled window
+    /// in the ledger and its frame is absorbed like any other; it bridges
+    /// and loses no windows. [`Self::run_until`] never lags.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic out of an endpoint's `fetch`, with its message.
+    pub fn poll_due(&mut self, now: SimTime) -> usize {
+        let workers = self.workers;
+        let due: Vec<_> = self.cells().filter(|cell| cell.is_due(now)).collect();
+        let ran = due.len();
+        let queue = Mutex::new(due.into_iter());
+        run_workers(workers.min(ran), || loop {
+            // The guard drops with this statement: a cell is polled with
+            // the queue unlocked, so a poll that panics poisons nothing.
+            let claimed = queue.lock().expect("no poll holds the queue").next();
+            match claimed {
+                Some(mut cell) => cell.poll(now),
+                None => break,
+            }
+        });
+        ran
+    }
+
+    /// Advances the poll schedule through every instant up to and
+    /// including `until`, firing due polls in time order. Returns at once
+    /// when every host has been evicted.
+    pub fn run_until(&mut self, until: SimTime) {
+        loop {
+            let live = self.status.iter().zip(&self.next_poll);
+            let next = live.filter(|(s, _)| !s.evicted).map(|(_, &t)| t).min();
+            match next {
+                Some(next) if next <= until => {
+                    self.poll_due(next);
+                }
+                _ => return,
+            }
         }
     }
 
@@ -980,7 +1055,10 @@ impl<E: HostEndpoint> FleetCollector<E> {
         match status.last_success {
             None => true,
             Some(t) => {
-                self.window_of(now).saturating_sub(self.window_of(t)) >= self.config.stale_after
+                self.config
+                    .window_of(now)
+                    .saturating_sub(self.config.window_of(t))
+                    >= self.config.stale_after
             }
         }
     }
@@ -1007,14 +1085,14 @@ impl<E: HostEndpoint> FleetCollector<E> {
                 captured_at_us: s.captured_at_us,
             })
             .collect();
-        FleetView::assemble(self.window_of(now), hosts, self.evicted_hosts())
+        FleetView::assemble(self.config.window_of(now), hosts, self.evicted_hosts())
     }
 
     /// The per-window delta view at `now`: each live host contributes
     /// only what its good frame in *this* window added. Hosts with no
     /// good frame this window are carried stale (excluded from sums).
     pub fn window_view(&self, now: SimTime) -> FleetView {
-        let w = self.window_of(now);
+        let w = self.config.window_of(now);
         let hosts = self
             .status
             .iter()
@@ -1055,7 +1133,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
                 captured_at_us: s.captured_at_us,
             })
             .collect();
-        FleetView::assemble(self.window_of(now), hosts, self.evicted_hosts())
+        FleetView::assemble(self.config.window_of(now), hosts, self.evicted_hosts())
     }
 
     /// The fleet status pane: fleet-wide discipline counters plus one
@@ -1063,7 +1141,7 @@ impl<E: HostEndpoint> FleetCollector<E> {
     /// `command("health")`-style surface for the collector tier.
     pub fn render_status(&self, now: SimTime) -> String {
         use std::fmt::Write as _;
-        let w = self.window_of(now);
+        let w = self.config.window_of(now);
         let mut quarantined = 0usize;
         let mut stale = 0usize;
         let (mut retries, mut rescued, mut suppressed) = (0u64, 0u64, 0u64);
@@ -1138,6 +1216,10 @@ impl<E: HostEndpoint> FleetCollector<E> {
 mod tests {
     use super::*;
     use crate::wire::{uniform_target, UNIFORM_SLOTS};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::Barrier;
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
 
     fn encoded(host: HostId, records: &[i64], epoch: u64, seq: u64, resumed: bool) -> Vec<u8> {
         encode_frame(&HostFrame {
@@ -1417,6 +1499,145 @@ mod tests {
         assert_eq!(v.fleet.hosts, 1);
         assert!(v.conserves());
         assert!(c.render_status(SimTime::from_secs(10)).contains("EVICTED"));
+    }
+
+    /// Runs `f` on a thread of its own and gives it ten seconds: a round
+    /// that waits for a fetch which never comes, or a schedule that never
+    /// ends, fails here instead of hanging the suite. A panic in `f` is
+    /// re-raised as it was.
+    fn finishes<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(value) => value,
+            Err(RecvTimeoutError::Timeout) => panic!("still running after 10 s"),
+            Err(RecvTimeoutError::Disconnected) => match runner.join() {
+                Err(payload) => std::panic::resume_unwind(payload),
+                Ok(()) => unreachable!("the runner sends before it returns"),
+            },
+        }
+    }
+
+    fn evicting_cfg() -> PollConfig {
+        PollConfig {
+            evict_after: 2,
+            ..cfg()
+        }
+    }
+
+    #[test]
+    fn evicted_host_is_never_due_again() {
+        let mut c = FleetCollector::new(evicting_cfg(), vec![FrameEndpoint::new(0, 0, vec![])]);
+        c.run_until(SimTime::from_secs(5));
+        assert!(c.status()[0].evicted);
+        let ledger = c.status()[0].clone();
+        assert_eq!(ledger.windows_scheduled, 2);
+        assert_eq!(c.poll_due(SimTime::MAX), 0, "the end of time included");
+        assert_eq!(c.status()[0], ledger);
+    }
+
+    #[test]
+    fn run_until_the_end_of_time_returns_once_every_host_is_evicted() {
+        let windows = finishes(|| {
+            let eps = vec![FrameEndpoint::new(0, 0, vec![])];
+            let mut c = FleetCollector::new(evicting_cfg(), eps);
+            c.run_until(SimTime::MAX);
+            c.status()[0].windows_scheduled
+        });
+        assert_eq!(windows, 2);
+    }
+
+    /// Answers every fetch with the same good frame and remembers which
+    /// thread asked; with a barrier, only once that many fetches are in
+    /// flight at the same time.
+    struct Witness {
+        host: HostId,
+        meet: Option<Arc<Barrier>>,
+        panic_off: Option<ThreadId>,
+        asked_on: Vec<ThreadId>,
+    }
+
+    impl Witness {
+        fn new(host: HostId, meet: Option<&Arc<Barrier>>) -> Self {
+            Witness {
+                host,
+                meet: meet.cloned(),
+                panic_off: None,
+                asked_on: Vec::new(),
+            }
+        }
+    }
+
+    impl HostEndpoint for Witness {
+        fn host_id(&self) -> HostId {
+            self.host
+        }
+
+        fn tenant_id(&self) -> TenantId {
+            0
+        }
+
+        fn fetch(&mut self, _now: SimTime) -> Result<Vec<u8>, FetchError> {
+            if let Some(meet) = &self.meet {
+                meet.wait();
+            }
+            let here = thread::current().id();
+            self.asked_on.push(here);
+            if self.panic_off.is_some_and(|caller| caller != here) {
+                panic!("host {} fell over in fetch", self.host);
+            }
+            Ok(frame_bytes(self.host, &[5]))
+        }
+    }
+
+    #[test]
+    fn due_hosts_are_fetched_at_the_same_time() {
+        let c = finishes(|| {
+            // Neither fetch answers before the other has begun: one worker
+            // polling the two in turn would wait at the barrier for ever.
+            let meet = Arc::new(Barrier::new(2));
+            let eps = vec![Witness::new(0, Some(&meet)), Witness::new(1, Some(&meet))];
+            let mut c = FleetCollector::new(cfg(), eps);
+            c.workers = 2;
+            assert_eq!(c.poll_due(SimTime::ZERO), 2);
+            c
+        });
+        let asked: Vec<_> = c.endpoints().iter().map(|e| e.asked_on.clone()).collect();
+        assert_eq!((asked[0].len(), asked[1].len()), (1, 1));
+        assert_ne!(asked[0], asked[1], "one thread each");
+        assert!(c.status().iter().all(|s| s.frames_ok == 1));
+        assert_eq!(c.view(SimTime::ZERO).fleet.hosts, 2);
+    }
+
+    #[test]
+    fn one_due_host_is_polled_on_the_calling_thread() {
+        let eps = (0..3).map(|h| Witness::new(h, None)).collect();
+        let mut c = FleetCollector::new(cfg(), eps);
+        c.workers = 3;
+        c.next_poll[0] = SimTime::from_secs(9);
+        c.next_poll[2] = SimTime::from_secs(9);
+        assert_eq!(c.poll_due(SimTime::ZERO), 1);
+        let asked: Vec<_> = c.endpoints().iter().map(|e| e.asked_on.clone()).collect();
+        assert_eq!(asked, [vec![], vec![thread::current().id()], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fell over in fetch")]
+    fn a_workers_panic_reaches_the_caller_with_its_own_message() {
+        finishes(|| {
+            // The barrier puts the two fetches on two threads; the one that
+            // is not the caller's panics.
+            let meet = Arc::new(Barrier::new(2));
+            let mut eps = vec![Witness::new(0, Some(&meet)), Witness::new(1, Some(&meet))];
+            for e in &mut eps {
+                e.panic_off = Some(thread::current().id());
+            }
+            let mut c = FleetCollector::new(cfg(), eps);
+            c.workers = 2;
+            c.poll_due(SimTime::ZERO);
+        });
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property tests for the fleet plane: the wire format round-trips
 //! bit-exactly for arbitrary histogram states, and the collector survives
-//! arbitrary corruption with exact per-host failure accounting.
+//! arbitrary corruption with exact per-host failure accounting — the same
+//! accounting whether a host is polled beside others or alone.
 
 use fleet::{
-    decode_frame, encode_frame, AggSet, FetchError, FleetCollector, FrameEndpoint, HostFrame,
-    PollConfig, TargetHistograms,
+    decode_frame, encode_frame, AggSet, ChaosEndpoint, FetchError, FleetCollector, FrameEndpoint,
+    HostFrame, HostId, HostView, PollConfig, TargetHistograms,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -85,6 +86,11 @@ fn slots_per_record() -> u64 {
 /// stamped with an explicit epoch and sequence; a host that started from
 /// zero.
 fn frame_with(records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
+    frame_for(1, records, epoch, seq)
+}
+
+/// The same frame, from `host`.
+fn frame_for(host: HostId, records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
     let binners = HistogramSet::binners();
     let mut set = HistogramSet::new();
     for (metric, lens) in HistogramSet::stored_slots() {
@@ -93,7 +99,7 @@ fn frame_with(records: &[i64], epoch: u64, seq: u64) -> Vec<u8> {
         }
     }
     encode_frame(&HostFrame {
-        host_id: 1,
+        host_id: host,
         captured_at_us: 0,
         epoch,
         seq,
@@ -264,6 +270,91 @@ proptest! {
     ) {
         assert_epoch_resets_exact(&plan);
     }
+
+    /// Together ≡ apart: a host's ledger, breaker, retries, chaos rolls and
+    /// delta chain depend on nothing but that host, so N flaky hosts polled
+    /// by one collector (its due hosts shared out over the machine's cores)
+    /// end exactly where the same N end when each is polled alone by a
+    /// one-endpoint collector, which never leaves the calling thread.
+    #[test]
+    fn hosts_polled_together_end_where_hosts_polled_alone_do(
+        plans in vec(vec((proptest::bool::weighted(0.15), vec(1i64..4096, 0..3)), 4..30), 2..7),
+        chaos_seed in any::<u64>(),
+        (drop_pct, flip_pct, cut_pct) in (0u64..60, 0u64..20, 0u64..20),
+        windows in 6u64..14,
+    ) {
+        let config = PollConfig {
+            evict_after: 6,
+            ..PollConfig::default()
+        };
+        let hosts = || {
+            plans.iter().enumerate().map(|(h, plan)| {
+                let host = h as HostId;
+                let script = restarting_script(host, plan);
+                ChaosEndpoint::new(
+                    FrameEndpoint::new(host, host % 3, script),
+                    chaos_seed,
+                    drop_pct,
+                    flip_pct,
+                    cut_pct,
+                )
+            })
+        };
+        let mut together = FleetCollector::new(config, hosts().collect());
+        let mut apart: Vec<_> = hosts()
+            .map(|host| FleetCollector::new(config, vec![host]))
+            .collect();
+        for w in 0..windows {
+            let now = SimTime::ZERO + config.interval * w;
+            together.run_until(now);
+            for alone in &mut apart {
+                alone.run_until(now);
+            }
+            for view in [
+                Flaky::view,
+                Flaky::window_view,
+                Flaky::windowed_total_view,
+            ] {
+                let whole = view(&together, now);
+                let parts: Vec<_> = apart.iter().map(|alone| view(alone, now)).collect();
+                let leaves: Vec<HostView> =
+                    parts.iter().flat_map(|part| part.hosts.clone()).collect();
+                // The leaves are the singles' leaves, and the tree above
+                // them is what `conserves` re-derives from the leaves.
+                prop_assert_eq!(&whole.hosts, &leaves);
+                let evicted: usize = parts.iter().map(|part| part.evicted).sum();
+                prop_assert_eq!(whole.evicted, evicted);
+                prop_assert_eq!(whole.window, w);
+                prop_assert!(whole.conserves());
+            }
+        }
+        for (h, alone) in apart.iter().enumerate() {
+            prop_assert_eq!(&together.status()[h], &alone.status()[0]);
+            prop_assert_eq!(together.endpoints()[h].ledger(), alone.endpoints()[0].ledger());
+        }
+    }
+}
+
+/// A collector over scripted hosts behind seeded chaos.
+type Flaky = FleetCollector<ChaosEndpoint<FrameEndpoint>>;
+
+/// A host's answers, one per fetch: `(restart before this answer?, records
+/// added)`. A restart clears the counters and moves to the next epoch.
+fn restarting_script(host: HostId, plan: &[(bool, Vec<i64>)]) -> Vec<Result<Vec<u8>, FetchError>> {
+    let mut records: Vec<i64> = Vec::new();
+    let (mut epoch, mut seq) = (1u64, 0u64);
+    plan.iter()
+        .map(|(restart, adds)| {
+            if *restart {
+                records.clear();
+                epoch += 1;
+                seq = 0;
+            }
+            records.extend(adds);
+            seq += 1;
+            Ok(frame_for(host, &records, epoch, seq))
+        })
+        .collect()
 }
 
 /// One `(restart before this window?, latencies added)` entry per window.

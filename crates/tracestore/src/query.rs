@@ -73,6 +73,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use vscsi::{IoDirection, TargetId};
 use vscsi_stats::crc32::crc32;
+use vscsi_stats::workers::run_workers;
 use vscsi_stats::{replay, CollectorConfig, IoStatsCollector, Lens, Metric, TraceRecord};
 
 /// A command-kind predicate leg.
@@ -436,21 +437,6 @@ type SpanMatches = BTreeMap<TargetId, Vec<TraceRecord>>;
 /// span number, the matches of every span it scanned.
 type WorkerScan = (Vec<LocalScan>, Vec<(usize, SpanMatches)>);
 
-/// Runs `work` on `threads` workers — `threads - 1` scoped threads plus
-/// the calling thread — and returns every worker's result.
-fn run_workers<R: Send>(threads: usize, work: impl Fn() -> R + Sync) -> Vec<R> {
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(&work)).collect();
-        let mut results = vec![work()];
-        results.extend(
-            spawned
-                .into_iter()
-                .map(|h| h.join().expect("query worker panicked")),
-        );
-        results
-    })
-}
-
 /// Fetches one block — header and payload in a single positioned read
 /// into `buf` — and decodes it into `scratch`. `Ok(false)` is a block
 /// the serial reader would lose too: the file ends before the block does,
@@ -627,7 +613,8 @@ impl QueryEngine {
     ///
     /// # Panics
     ///
-    /// Propagates panics from worker threads (none are expected).
+    /// Re-raises a worker thread's panic with its own message (none are
+    /// expected).
     pub fn run(&self, path: &Path, predicate: &Predicate) -> io::Result<QueryOutcome> {
         self.scan(&self.load(path)?, predicate)
     }
